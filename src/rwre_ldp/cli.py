@@ -12,8 +12,7 @@ and identical (config, seed) pairs produce identical bytes: floats print
 with 17 significant digits in CSV and shortest round-trip form in JSON,
 keys are sorted, and simulation streams are counter-based. Thread counts
 change only wall time, never output: parallelism splits walker blocks whose
-streams are indexed globally. Analytic curve tasks run single-threaded
-because their warm-start caches are evaluation-order dependent.
+streams are indexed globally. Analytic tasks run single-threaded.
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, level2, mc
-from .environment import Environment, env_from_json, offsets, reflect, validate
+from .environment import Environment, env_from_json, offsets, validate
 from .errors import (
-    AmbiguousBranchError,
     ConfigError,
     DriftMismatchError,
     InfeasibleDriftError,
@@ -40,8 +38,8 @@ from .errors import (
     SupercriticalError,
     WindowExhaustedError,
 )
-from .passage import estimate_rc, lambda_curve, lyapunov, lyapunov_bar, lyapunov_prime
-from .rate import asymmetry_demo, rate, rate_curve, xi_critical
+from .passage import lambda_curve, lyapunov, lyapunov_bar, lyapunov_prime
+from .rate import asymmetry_demo, rate, rate_curve
 from .tilt import ansatz_measure, corrector, invariant_density, tilt_kernel
 
 TASKS = (
@@ -60,7 +58,6 @@ _NUMERIC_ERRORS = (
     DriftMismatchError,
     WindowExhaustedError,
     InfeasibleDriftError,
-    AmbiguousBranchError,
 )
 
 
@@ -335,10 +332,7 @@ def _task_rate_curve(cfg: RunConfig, w: _Writer):
             hard.append(f"drift equation residual {res.xi_residual:g} at xi={res.xi:g}")
         rows.append([res.xi, res.value, res.r_star, res.branch, err])
     w.csv("rate_curve.csv", ["xi", "I", "r_star", "branch", "err_flag"], rows)
-    rc = estimate_rc(cfg.env, tol=cfg.rc_tol)
-    xc = xi_critical(cfg.env, rc_est=rc)
-    rc_bar = estimate_rc(reflect(cfg.env), tol=cfg.rc_tol)
-    xc_bar = xi_critical(reflect(cfg.env), rc_est=rc_bar)
+    rc, rc_bar = curve.rc, curve.rc_reflected
     w.json(
         "rate_curve.json",
         {
@@ -347,8 +341,8 @@ def _task_rate_curve(cfg: RunConfig, w: _Writer):
             "argmin": curve.argmin,
             "rc": {"bracket": list(rc.bracket), "value": rc.value},
             "rc_reflected": {"bracket": list(rc_bar.bracket), "value": rc_bar.value},
-            "xi_critical": xc.value,
-            "xi_critical_reflected": xc_bar.value,
+            "xi_critical": curve.xi_critical.value,
+            "xi_critical_reflected": curve.xi_critical_reflected.value,
         },
     )
     if not curve.convex_ok:
@@ -618,8 +612,7 @@ def run(
             "message": str(e),
             "task": cfg.task,
         }
-        for attr in ("r", "diagnostics", "xi_min", "xi_max", "affine_value", "convex_value",
-                     "drift", "reciprocal_slope"):
+        for attr in ("r", "diagnostics", "xi_min", "xi_max", "drift", "reciprocal_slope"):
             if hasattr(e, attr):
                 diag[attr] = getattr(e, attr)
         w.json("diagnostics.json", diag)

@@ -40,31 +40,12 @@ class SlowConvergenceError(RwreError):
         super().__init__(message)
 
 
-class StaleULimitError(RwreError):
-    """A tilted kernel was requested from harmonic ratios that are not
-    converged enough: the row-sum defect exceeds its gate."""
-
-
-class CorrectorInconsistencyError(RwreError):
-    """Corrector data disagrees with the harmonic ratios it was built from."""
-
-
 class DriftMismatchError(RwreError):
     """Tilted drift and reciprocal slope disagree beyond the two-method gap."""
 
     def __init__(self, message: str, drift: float, reciprocal_slope: float):
         self.drift = drift
         self.reciprocal_slope = reciprocal_slope
-        super().__init__(message)
-
-
-class AmbiguousBranchError(RwreError):
-    """A speed falls inside the critical-speed bracket, so the rate function
-    branch cannot be classified. Both candidate values are attached."""
-
-    def __init__(self, message: str, affine_value: float, convex_value: float):
-        self.affine_value = affine_value
-        self.convex_value = convex_value
         super().__init__(message)
 
 

@@ -13,8 +13,11 @@ mirror, the criticality threshold r_c where the MGF stops being finite,
 and the characteristic-polynomial shortcut available in the homogeneous
 case.
 
-All fixed-point work is done on log h to avoid underflow across long
-windows.
+Periodic and homogeneous environments go through a finite Perron core:
+h(x) = e^{s x} phi(x mod L) with phi the Perron vector of the class-cycle
+kernel K_s, so the ratios, lambda(r), r_c and the rate function all follow
+from log rho(K_s). Sampled windows use the fixed-point solve, on log h to
+avoid underflow across long windows.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dgeev
 
 from .environment import Environment, law_at, offsets, reflect
 from .errors import (
@@ -377,36 +381,46 @@ def zeta_nn(
 
 
 @lru_cache(maxsize=256)
-def _law_terms(env: Environment):
-    """Per class: list of (prob, z, wrapped index tuple, sign)."""
+def _class_probs(env: Environment) -> np.ndarray:
+    """p_i(z) as an (L, 2B) array aligned with offsets(B); read-only."""
+    probs = np.stack([law.as_array() for law in env.laws])
+    probs.flags.writeable = False
+    return probs
+
+
+@lru_cache(maxsize=256)
+def _ratio_index(env: Environment) -> tuple[tuple[np.ndarray, float], ...]:
+    """Per offset z: the (L, |z|) wrapped classes whose theta sum to
+    log u(i, z) up to the sign of z, and that sign."""
     L = env.period
+    idx = np.arange(L)[:, None]
     out = []
-    for i in range(L):
-        terms = []
-        for z, pz in env.laws[i].probs:
-            if z > 0:
-                ks = tuple((i + k) % L for k in range(z))
-                sgn = 1.0
-            else:
-                ks = tuple((i - k) % L for k in range(1, -z + 1))
-                sgn = -1.0
-            terms.append((pz, z, ks, sgn))
-        out.append(terms)
-    return out
+    for z in offsets(env.b):
+        z = int(z)
+        if z > 0:
+            ks, sgn = (idx + np.arange(z)) % L, 1.0
+        else:
+            ks, sgn = (idx - np.arange(1, -z + 1)) % L, -1.0
+        ks.flags.writeable = False
+        out.append((ks, sgn))
+    return tuple(out)
+
+
+def _log_u(env: Environment, theta: np.ndarray) -> np.ndarray:
+    """log u(i, z) = S_iz(theta) as an (L, 2B) array."""
+    return np.stack([sgn * theta[ks].sum(axis=1) for ks, sgn in _ratio_index(env)], axis=1)
 
 
 def _ratio_residual(env: Environment, r: float, theta: np.ndarray):
     L = len(theta)
-    Phi = np.zeros(L)
+    t = _class_probs(env) * np.exp(r + _log_u(env, theta))
+    Phi = t.sum(axis=1) - 1.0
     J = np.zeros((L, L))
-    for i, terms in enumerate(_law_terms(env)):
-        for pz, z, ks, sgn in terms:
-            s = sum(theta[k] for k in ks)
-            t = pz * math.exp(r + sgn * s)
-            Phi[i] += t
-            for k in ks:
-                J[i, k] += sgn * t
-        Phi[i] -= 1.0
+    rows = np.arange(L)
+    for j, (ks, sgn) in enumerate(_ratio_index(env)):
+        for m in range(ks.shape[1]):
+            # rows are distinct, so no index pair repeats within one update
+            J[rows, ks[:, m]] += sgn * t[:, j]
     return Phi, J
 
 
@@ -445,66 +459,226 @@ def _newton_ratios(
     return theta, res, res <= tol
 
 
-def _vi_seed_at(env: Environment, r: float, n: int) -> np.ndarray:
-    """Per-class log-ratio estimates from one value-iteration box of size n.
-    Raises SupercriticalError when the box certifies divergence."""
+# ---------------------------------------------------------------------------
+# Markov-additive Perron core for periodic environments
+#
+# The walk is a Markov additive process on its L site classes. With
+#   K_s[i, (i+z) mod L] = p_i(z) e^{s z},   Lambda(s) = log rho(K_s),
+# the passage MGF from x is h(x) = e^{s x} phi(x mod L) for phi the right
+# Perron vector of K_s at the larger root s of Lambda(s) = -r, so that
+# lambda(r) = -s; r_c = -min_s Lambda(s); and I(xi) = sup_s [s xi - Lambda(s)]
+# (Ney & Nummelin 1987; Dembo & Zeitouni, section 3.1). Lambda is convex.
+
+
+def _class_kernel(env: Environment, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j P_j with P_j[i, (i+z_j) mod L] = p_i(z_j): K_s for the
+    weights w_j = e^{s z_j}, K'_s for z_j e^{s z_j}."""
     L = env.period
-    b = env.b
-    # seeds only need zone ratios, which stabilize within a few multiples of
-    # the box width; full convergence is the polish's job
-    sol = hit_mgf(env, r, level=n, m_trunc=n, tol=1e-7, max_iter=8 * 2 * n + 400)
-    if sol.status == "supercritical-or-diverged":
-        raise SupercriticalError(
-            "value iteration certifies divergence",
-            r=r,
-            diagnostics={"level": n, "iterations": sol.iterations},
+    probs = _class_probs(env)
+    rows = np.arange(L)
+    K = np.zeros((L, L))
+    for j, z in enumerate(offsets(env.b)):
+        # rows are distinct, so no index pair repeats within one update
+        K[rows, (rows + int(z)) % L] += w[j] * probs[:, j]
+    return K
+
+
+@dataclass(frozen=True, eq=False)
+class PerronPoint:
+    """Lambda(s) = log rho(K_s), its slope, and the right Perron vector."""
+
+    s: float
+    value: float
+    slope: float  # <l, K'_s r> / (rho <l, r>), the tilted drift at s
+    right: np.ndarray  # positive, sums to 1
+
+
+def log_perron(env: Environment, s: float) -> PerronPoint:
+    """Lambda and Lambda' at one tilt from a single eigen-solve (LAPACK
+    dgeev, both eigenvector sides at once).
+
+    K_s is scaled by e^{-|s| B}, which leaves the vectors and the slope
+    unchanged and keeps the entries finite for large |s|.
+    """
+    offs = offsets(env.b)
+    shift = abs(s) * env.b
+    w = np.exp(s * offs - shift)
+    wr, wi, vl, vr, info = dgeev(_class_kernel(env, w))
+    if info != 0:
+        raise SlowConvergenceError(
+            f"eigen-solve of K_s failed at s={s}", diagnostics={"lapack_info": int(info)}
         )
-    # ratios in a zone centered at 0, far from both boundaries
-    span = L * max(1, (4 * b + L - 1) // L + 1)
-    sums = np.zeros(L)
-    counts = np.zeros(L)
-    for x in range(-span, span):
-        la = sol.log_h_at(x + 1) - sol.log_h_at(x)
-        if math.isfinite(la):
-            sums[x % L] += la
-            counts[x % L] += 1
-    return sums / np.maximum(counts, 1)
+    # the Perron root is the real eigenvalue of largest real part
+    k = int(np.argmax(np.where(wi == 0.0, wr, NEG_INF)))
+    rho = float(wr[k])
+    l_vec = vl[:, k] / vl[:, k].sum()
+    r_vec = vr[:, k] / vr[:, k].sum()
+    dK = _class_kernel(env, w * offs)
+    slope = float(l_vec @ dK @ r_vec) / (rho * float(l_vec @ r_vec))
+    return PerronPoint(s=s, value=math.log(rho) + shift, slope=slope, right=r_vec)
 
 
-# solved anchors per environment, reused as warm starts by nearby tilts
-_RATIO_ANCHORS: dict[Environment, list[tuple[float, tuple[float, ...]]]] = {}
+def _class_mean_start(env: Environment, r: float, safe: float) -> float:
+    """Starting tilt for _perron_root: the larger root of
+    mean_i log g_i(s) = -r, with g_i(s) = sum_z p_i(z) e^{s z} the row sums
+    of K_s, by a few Newton steps from `safe`. The class-averaged cumulant
+    is convex and close to Lambda, and costs no eigen-solve."""
+    offs = offsets(env.b).astype(float)
+    probs = _class_probs(env)
+    L = len(probs)
+    s = safe
+    for _ in range(8):
+        terms = probs * np.exp(s * offs)
+        g = terms.sum(axis=1)
+        slope = float(((terms @ offs) / g).sum()) / L
+        if slope <= 0.0:
+            return safe
+        s -= (float(np.log(g).sum()) / L + r) / slope
+    return s
 
 
-def _record_anchor(env: Environment, r: float, theta: np.ndarray) -> None:
-    lst = _RATIO_ANCHORS.setdefault(env, [])
-    lst.append((r, tuple(float(t) for t in theta)))
-    if len(lst) > 400:
-        lst.sort()
-        del lst[::2]  # thin, keeping the spread
+def _perron_root(env: Environment, r: float) -> PerronPoint:
+    """Larger root of Lambda(s) = -r by Newton from the right.
+
+    From any start where Lambda' > 0 the first Newton step lands right of
+    the root, and on a convex function the iterates then decrease
+    monotonically onto it; a nonpositive slope on the way means
+    min Lambda > -r, that is r > r_c. A start left of the minimiser falls
+    back to s = 1 - log(delta) - r, which lies right of both the root and
+    the minimiser because Lambda(s) >= log(delta) + |s|.
+    """
+    safe = 1.0 - math.log(env.delta) - r
+    s = _class_mean_start(env, r, safe)
+    pt = log_perron(env, s)
+    if pt.slope <= 0.0 and s < safe:
+        s = safe
+        pt = log_perron(env, s)
+    right_of_root = False
+    for _ in range(200):  # linear near r_c, where it takes about 25 steps
+        f = pt.value + r
+        if f <= 0.0 and right_of_root:
+            return pt  # reached, or overshot by rounding
+        if pt.slope <= 0.0:
+            raise SupercriticalError(
+                "no root of log rho(K_s) = -r: the tilt exceeds the threshold",
+                r=r,
+                diagnostics={"s": s, "min_log_rho_upper": pt.value},
+            )
+        step = f / pt.slope
+        if 0.0 <= step <= 4e-16 * max(1.0, abs(s)):
+            return pt
+        right_of_root = True
+        s -= step
+        pt = log_perron(env, s)
+    raise SlowConvergenceError(
+        f"Newton on log rho(K_s) = -r did not settle at r={r}",
+        diagnostics={"s": s, "residual": f},
+    )
 
 
-def _nearest_anchor(env: Environment, r: float, below: bool):
-    cands = _RATIO_ANCHORS.get(env, [])
-    if below:
-        cands = [(ar, th) for ar, th in cands if ar <= r]
-    if not cands:
-        return None
-    return min(cands, key=lambda item: abs(item[0] - r))
+def _perron_min(env: Environment, tol: float):
+    """Bracket min Lambda within tol by bisection on the sign of Lambda'.
+
+    The minimiser stays inside [a, b] with Lambda'(a) < 0 < Lambda'(b). The
+    smallest value seen bounds min Lambda from above; the crossing of the
+    tangents at a and b bounds it from below, since a convex function lies
+    above its tangents. Returns ((-upper, -lower) for r_c, (a, b), evals);
+    0.0 - x keeps a zero threshold from printing as -0.
+    """
+
+    def tangent_floor(pa: PerronPoint, pb: PerronPoint) -> float:
+        if pa.slope >= 0.0:
+            return pa.value
+        if pb.slope <= 0.0:
+            return pb.value
+        x = (pb.value - pa.value + pa.slope * pa.s - pb.slope * pb.s) / (pa.slope - pb.slope)
+        return pa.value + pa.slope * (x - pa.s)
+
+    p0 = log_perron(env, 0.0)
+    if p0.slope == 0.0:
+        return (0.0 - p0.value, 0.0 - p0.value), (0.0, 0.0), 1
+    evals = 1
+    # Lambda(s) >= log(delta) + |s| and Lambda(0) = 0 put the minimiser
+    # between 0 and log(delta) on the side against the drift
+    edge = log_perron(env, math.log(env.delta) if p0.slope > 0 else -math.log(env.delta))
+    evals += 1
+    pa, pb = (edge, p0) if p0.slope > 0 else (p0, edge)
+    best = min(pa.value, pb.value)
+    lower = tangent_floor(pa, pb)
+    while best - lower > tol and pb.s - pa.s > 4e-16 * max(1.0, abs(pa.s)):
+        pm = log_perron(env, 0.5 * (pa.s + pb.s))
+        evals += 1
+        best = min(best, pm.value)
+        if pm.slope == 0.0:
+            pa = pb = pm
+        elif pm.slope < 0.0:
+            pa = pm
+        else:
+            pb = pm
+        lower = min(best, tangent_floor(pa, pb))
+    return (0.0 - best, 0.0 - lower), (pa.s, pb.s), evals
 
 
-def _sane(env: Environment, r: float, theta: np.ndarray) -> bool:
-    bound = -(math.log(env.delta) + r)
-    return bool(np.max(np.abs(theta)) <= bound + 1e-8)
+def _max_cycle_mean(env: Environment, sign: float) -> tuple[float, np.ndarray]:
+    """Karp's maximum mean weight over cycles of the class graph (an edge
+    i -> i+z per supported jump, weight sign*z), and longest-path potentials
+    u for the weights sign*z - mean, so that sign*z - mean + u_i - u_{i+z}
+    is <= 0 on every edge and 0 on the edges of maximal-mean cycles."""
+    L = env.period
+    offs = offsets(env.b)
+    probs = _class_probs(env)
+    idx = np.arange(L)
+    D = np.full((L + 1, L), NEG_INF)  # D[k, j]: heaviest k-step walk 0 -> j
+    D[0, 0] = 0.0
+    for k in range(1, L + 1):
+        for j, z in enumerate(offs):
+            src = (idx - int(z)) % L
+            cand = np.where(probs[src, j] > 0, D[k - 1, src] + sign * z, NEG_INF)
+            np.maximum(D[k], cand, out=D[k])
+    ends = np.isfinite(D[L])
+    ratios = (D[L, ends] - D[:L, ends]) / (L - np.arange(L))[:, None]
+    mean = float(np.max(np.min(ratios, axis=0)))
+    u = np.max(D[:L] - np.arange(L)[:, None] * mean, axis=0)
+    return mean, u
+
+
+def drift_limits(env: Environment) -> tuple[float, float]:
+    """Attainable drift range (lim Lambda'(s) as s -> -inf and +inf): the
+    minimum and maximum mean jump over cycles of the class graph."""
+    return -_max_cycle_mean(env, -1.0)[0], _max_cycle_mean(env, 1.0)[0]
+
+
+def edge_rate(env: Environment, sign: float) -> float:
+    """Rate at the upper (sign=+1) or lower (sign=-1) end of the drift range:
+    the monotone limit of s xi - Lambda(s) as s -> sign*inf, which is
+    -log rho of the jump matrix restricted to edges on maximal-mean cycles.
+    With every class holding the jump sign*B this is -log rho(P_{sign B})."""
+    mean, u = _max_cycle_mean(env, sign)
+    L = env.period
+    offs = offsets(env.b)
+    tight = np.zeros((L, L))
+    for i, row in enumerate(_class_probs(env)):
+        for j, p in enumerate(row):
+            dst = (i + int(offs[j])) % L
+            if p > 0 and sign * offs[j] - mean + u[i] - u[dst] > -1e-9:
+                tight[i, dst] += p
+    wr, wi, _, _, info = dgeev(tight, compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise SlowConvergenceError(
+            "eigen-solve of the edge matrix failed", diagnostics={"lapack_info": int(info)}
+        )
+    return -math.log(float(np.max(np.hypot(wr, wi))))
 
 
 @lru_cache(maxsize=512)
 def _theta_cached(env: Environment, r: float) -> tuple[tuple[float, ...], float, float, int, int]:
     """Polished per-class log ratios for periodic environments.
 
-    Returns (theta, residual, seed_gap, n_used, m_used). Strategy: zeta
-    recursion for B=1; otherwise Newton from the nearest solved anchor or a
-    value-iteration seed, with anchored continuation as the near-critical
-    fallback.
+    Returns (theta, residual, seed_gap, n_used, m_used). The seed is the
+    zeta recursion for B=1 (n_used counts its cycles) and otherwise
+    theta_i = s + log phi_{i+1} - log phi_i off the right Perron vector phi
+    at the larger root s of Lambda(s) = -r (n_used = m_used = 0). A Newton
+    polish of the row-stochasticity system certifies the residual.
     """
     if env.b == 1:
         zs = zeta_nn(env, r)
@@ -516,67 +690,15 @@ def _theta_cached(env: Environment, r: float) -> tuple[tuple[float, ...], float,
             )
         return tuple(theta), res, zs.residual, zs.cycles, 0
 
-    near = _nearest_anchor(env, r, below=False)
-    if near is not None and abs(near[0] - r) <= 0.25:
-        theta, res, ok = _newton_ratios(env, r, np.array(near[1]))
-        if ok and _sane(env, r, theta):
-            _record_anchor(env, r, theta)
-            return tuple(theta), res, abs(near[0] - r), 0, 0
-
-    # the seed only needs to land in the Newton basin; precision comes from
-    # the polish, so the boxes stay small and loose
-    seed_tol = 1e-4
-    n = max(16, 4 * env.b * env.period)
-    prev = None
-    gap = math.inf
-    while n <= 256:
-        seed = _vi_seed_at(env, r, n)
-        if prev is not None:
-            gap = float(np.max(np.abs(seed - prev)))
-        theta, res, ok = _newton_ratios(env, r, seed)
-        lam_seed = -float(np.mean(seed))
-        lam_pol = -float(np.mean(theta))
-        scale = gap if math.isfinite(gap) else seed_tol
-        if (
-            ok
-            and _sane(env, r, theta)
-            and abs(lam_pol - lam_seed) <= max(10 * max(scale, seed_tol), 1e-3)
-        ):
-            _record_anchor(env, r, theta)
-            return tuple(theta), res, scale, n, n
-        prev = seed
-        n *= 2
-    # near-critical fallback: walk the solution in from a safely subcritical
-    # tilt, halving the step on failure; no real solution exists past the
-    # critical tilt, so stalling certifies supercriticality
-    anchor = _nearest_anchor(env, r, below=True)
-    if anchor is None:
-        anchor_r = math.floor((r - 0.5) * 8.0) / 8.0
-        cur_theta = np.array(_theta_cached(env, anchor_r)[0])
-    else:
-        anchor_r = anchor[0]
-        cur_theta = np.array(anchor[1])
-    cur_r = anchor_r
-    floor = 1e-13 * max(1.0, abs(r))
-    while cur_r < r:
-        step = r - cur_r
-        ok = False
-        while step >= floor:
-            trial, res, ok = _newton_ratios(env, cur_r + step, cur_theta)
-            if ok and _sane(env, cur_r + step, trial):
-                break
-            ok = False
-            step *= 0.5
-        if not ok:
-            raise SupercriticalError(
-                "ratio continuation stalled; no subcritical solution at this tilt",
-                r=r,
-                diagnostics={"reached": cur_r, "residual": res},
-            )
-        cur_r = cur_r + step
-        cur_theta = trial
-        _record_anchor(env, cur_r, cur_theta)
-    return tuple(cur_theta), res, gap, 256, 256
+    pt = _perron_root(env, r)
+    log_phi = np.log(pt.right)
+    seed = pt.s + np.roll(log_phi, -1) - log_phi
+    theta, res, ok = _newton_ratios(env, r, seed)
+    if not ok:
+        raise SlowConvergenceError(
+            f"ratio polish failed at r={r}", diagnostics={"residual": res, "s": pt.s}
+        )
+    return tuple(theta), res, float(np.max(np.abs(theta - seed))), 0, 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -628,20 +750,6 @@ class ULimit:
         return self.log_u[:, j]
 
 
-def _theta_to_log_u(theta: np.ndarray, b: int) -> np.ndarray:
-    L = len(theta)
-    offs = offsets(b)
-    out = np.zeros((L, 2 * b))
-    for i in range(L):
-        for j, z in enumerate(offs):
-            z = int(z)
-            if z > 0:
-                out[i, j] = sum(theta[(i + k) % L] for k in range(z))
-            else:
-                out[i, j] = -sum(theta[(i - k) % L] for k in range(1, -z + 1))
-    return out
-
-
 def u_limit(
     env: Environment,
     r: float,
@@ -658,7 +766,7 @@ def u_limit(
     if env.kind in ("homogeneous", "periodic"):
         theta_t, res, gap, n_used, m_used = _theta_cached(env, r)
         theta = np.array(theta_t)
-        log_u = _theta_to_log_u(theta, env.b)
+        log_u = _log_u(env, theta)
         bound = -(math.log(env.delta) + r)
         if float(np.max(np.abs(theta))) > bound + 1e-8:
             raise SlowConvergenceError(
@@ -832,13 +940,14 @@ def lyapunov_prime(
 
 @dataclass(frozen=True)
 class RcEstimate:
-    """Bisection bracket for the largest tilt with finite MGF growth."""
+    """Two-sided bracket for the largest tilt with finite MGF growth."""
 
     bracket: tuple[float, float]
     bracket_reflected: tuple[float, float]
     tol: float
-    predicate: str
+    predicate: str  # "perron" | "window-box"
     evaluations: int
+    argmin: tuple[float, float] | None = None  # perron: bracket of argmin Lambda
 
     @property
     def value(self) -> float:
@@ -855,36 +964,19 @@ class RcEstimate:
 
 
 def _subcritical_predicate(env: Environment):
-    """Returns (callable r -> bool, label). True means finite growth."""
-    if env.kind in ("homogeneous", "periodic"):
-        if env.b == 1:
-            def pred(r: float) -> bool:
-                try:
-                    zeta_nn(env, r, tol=1e-13, max_cycles=200_000)
-                    return True
-                except SupercriticalError:
-                    return False
-            return pred, "zeta-cycle"
-
-        def pred(r: float) -> bool:
-            try:
-                _theta_cached(env, r)
-                return True
-            except SupercriticalError:
-                return False
-        return pred, "ratio-continuation"
-
+    """Callable r -> bool for sampled windows: True when the box solve
+    stays finite."""
     lo, hi = env.window
 
     def pred(r: float) -> bool:
         sol = hit_mgf(env, r, level=hi + 1, m_trunc=-lo, tol=1e-10)
         return sol.status != "supercritical-or-diverged"
 
-    return pred, "window-box"
+    return pred
 
 
 def _bisect_rc(env: Environment, tol: float) -> tuple[tuple[float, float], int]:
-    pred, _ = _subcritical_predicate(env)
+    pred = _subcritical_predicate(env)
     lo = -1e-9  # finite growth is guaranteed at r <= 0
     hi = -math.log(env.delta) + 1e-9
     evals = 0
@@ -904,25 +996,37 @@ def _bisect_rc(env: Environment, tol: float) -> tuple[tuple[float, float], int]:
 
 
 def estimate_rc(env: Environment, tol: float | None = None) -> RcEstimate:
-    """Bracket the critical tilt by bisection between 0 and -log(delta).
+    """Bracket the critical tilt r_c = -min_s Lambda(s).
 
-    The subcriticality predicate matches the stabilized-ratio pipeline:
-    cycle recursion for nearest-neighbor, continuation of the ratio system
-    otherwise, box divergence for sampled windows (whose bracket carries a
-    small upward bias from the finite box; widen the window to shrink it).
-    The same bisection runs on the reflected environment; the two midpoints
-    estimate the same threshold.
+    Periodic and homogeneous environments minimise Lambda through the Perron
+    core; the bracket has width <= tol. Sampled windows bisect between 0 and
+    -log(delta) on box divergence, whose bracket carries a small upward bias
+    from the finite box (widen the window to shrink it). The same search
+    runs on the reflected environment; the two midpoints estimate the same
+    threshold.
     """
+    if env.kind in ("homogeneous", "periodic"):
+        if tol is None:
+            tol = 1e-6
+        bracket, argmin, e1 = _perron_min(env, tol)
+        bracket_bar, _, e2 = _perron_min(reflect(env), tol)
+        return RcEstimate(
+            bracket=bracket,
+            bracket_reflected=bracket_bar,
+            tol=tol,
+            predicate="perron",
+            evaluations=e1 + e2,
+            argmin=argmin,
+        )
     if tol is None:
-        tol = 1e-6 if env.kind in ("homogeneous", "periodic") else 1e-3
-    _, label = _subcritical_predicate(env)
+        tol = 1e-3
     bracket, e1 = _bisect_rc(env, tol)
     bracket_bar, e2 = _bisect_rc(reflect(env), tol)
     return RcEstimate(
         bracket=bracket,
         bracket_reflected=bracket_bar,
         tol=tol,
-        predicate=label,
+        predicate="window-box",
         evaluations=e1 + e2,
     )
 

@@ -1,41 +1,45 @@
-"""Position-level rate function by tilting the passage-time growth curve.
+"""Position-level rate function as a Legendre transform of the Perron core.
 
-For a rightward velocity xi the rate is the Legendre-type value
+For a periodic environment the walk is a Markov additive process on its
+site classes, and with Lambda(s) = log rho(K_s) the rate is
 
-    I(xi) = r* - xi * lambda(r*),
+    I(xi) = sup_s [s xi - Lambda(s)] = s* xi - Lambda(s*),  Lambda'(s*) = xi.
 
-where r* makes the tilted walk's stationary drift equal xi. Leftward
-velocities go through the reflected environment, velocity zero costs
-exactly the criticality threshold, and |xi| beyond the jump reach is
-impossible. Between zero and the critical drift the graph continues as the
-affine segment anchored at the threshold. A classical one-step Legendre
-transform for homogeneous environments rides along as an independent
-cross-check.
+The tilt solving the drift equation is r* = -Lambda(s*), with growth rate
+lambda(r*) = -s*. Velocity zero costs exactly the criticality threshold
+r_c = -min Lambda. Speeds strictly inside the attainable drift range (the
+extreme cycle means of the class jump graph) are interior; its two ends take
+the limit of s xi - Lambda(s) as s runs off to infinity, and speeds outside
+it are impossible. Leftward velocities go through the reflected environment.
+A classical one-step Legendre transform for homogeneous environments rides
+along as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .environment import Environment, JumpLaw, reflect
-from .errors import AmbiguousBranchError
-from .passage import RcEstimate, estimate_rc, lyapunov
-from .tilt import ansatz_measure
-
-R_SATURATION = -40.0  # tilt used for |xi| at the jump reach; error O(e^{2r})
+from .errors import SlowConvergenceError
+from .passage import (
+    RcEstimate,
+    drift_limits,
+    edge_rate,
+    estimate_rc,
+    log_perron,
+    lyapunov,
+)
 
 # threshold brackets are deterministic and shared across every velocity query
 _rc_cached = lru_cache(maxsize=256)(estimate_rc)
 
-# interior root brackets only need a certified subcritical endpoint, so they
-# run off a coarse threshold estimate; the zero-velocity branch, whose value
-# IS the threshold, refines to rc_tol
-_BRACKET_RC_TOL = 1e-4
+# speeds this close to an end of the drift range take the end's limit value
+_EDGE_TOL = 1e-12
 
 
 def _require_periodic(env: Environment) -> None:
@@ -49,141 +53,97 @@ class RateResult:
 
     xi: float
     value: float
-    branch: str  # "interior" | "zero" | "affine" | "saturated" | "outside"
-    r_star: float  # tilt solving the drift equation (nan off the interior)
-    lam_star: float
-    slope: float  # dI/dxi = -lambda(r*) on the interior branch
-    xi_residual: float
+    branch: str  # "interior" | "zero" | "edge" | "outside"
+    r_star: float  # tilt -Lambda(s*) whose tilted walk has drift xi
+    lam_star: float  # growth rate -s* at that tilt
+    slope: float  # dI/dxi = s* = -lam_star
+    xi_residual: float  # |Lambda'(s*) - xi|
     mirrored: bool  # solved through the reflected environment
-    rc: RcEstimate | None
 
 
-def _drift_at(env: Environment, r: float) -> float:
-    return ansatz_measure(env, r).drift
+def _slope_root(env: Environment, xi: float) -> float:
+    """The tilt s with Lambda'(s) = xi, for xi inside the drift range."""
+
+    def f(s: float) -> float:
+        return log_perron(env, s).slope - xi
+
+    f0 = f(0.0)
+    if f0 == 0.0:
+        return 0.0
+    # Lambda' increases; walk outward from 0 until the sign flips
+    step = 1.0 if f0 < 0.0 else -1.0
+    a, b = 0.0, step
+    while (f(b) < 0.0) == (f0 < 0.0):
+        a, b = b, 2.0 * b
+        if abs(b) > 1e4:
+            raise SlowConvergenceError(
+                f"drift equation has no bracket within |s| <= 1e4 at xi={xi}",
+                diagnostics={"xi": xi},
+            )
+    lo, hi = min(a, b), max(a, b)
+    return float(brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=300))
 
 
-def rate(
-    env: Environment,
-    xi: float,
-    rc_est: RcEstimate | None = None,
-    rc_tol: float = 1e-8,
-) -> RateResult:
+def rate(env: Environment, xi: float, rc_tol: float = 1e-8) -> RateResult:
     """Evaluate the rate function at one velocity.
 
-    Interior velocities solve drift(r) = xi by bracketed root finding on the
-    monotone drift curve, then assemble r* - xi lambda(r*). The residual of
-    the drift equation is reported, not hidden.
+    Interior velocities solve Lambda'(s*) = xi by bracketed root finding and
+    return s* xi - Lambda(s*), with the drift residual reported. Velocity
+    zero returns the midpoint of the threshold bracket, of width <= rc_tol.
     """
     _require_periodic(env)
-    b = env.b
-    if abs(xi) > b:
-        return RateResult(
-            xi=xi,
-            value=math.inf,
-            branch="outside",
-            r_star=math.nan,
-            lam_star=math.nan,
-            slope=math.nan,
-            xi_residual=0.0,
-            mirrored=False,
-            rc=rc_est,
-        )
     if xi < 0:
-        inner = rate(reflect(env), -xi, rc_est=None, rc_tol=rc_tol)
+        inner = rate(reflect(env), -xi, rc_tol=rc_tol)
+        return replace(inner, xi=xi, slope=-inner.slope, mirrored=True)
+    hi = drift_limits(env)[1]
+    if xi > hi + _EDGE_TOL:
         return RateResult(
-            xi=xi,
-            value=inner.value,
-            branch=inner.branch,
-            r_star=inner.r_star,
-            lam_star=inner.lam_star,
-            slope=-inner.slope if math.isfinite(inner.slope) else math.nan,
-            xi_residual=inner.xi_residual,
-            mirrored=True,
-            rc=inner.rc,
+            xi=xi, value=math.inf, branch="outside", r_star=math.nan, lam_star=math.nan,
+            slope=math.nan, xi_residual=0.0, mirrored=False,
+        )
+    if xi >= hi - _EDGE_TOL:
+        # the supremum is the limit s -> +inf: r* -> -inf, lambda(r*) -> -inf
+        return RateResult(
+            xi=xi, value=edge_rate(env, 1.0), branch="edge", r_star=-math.inf,
+            lam_star=-math.inf, slope=math.inf, xi_residual=0.0, mirrored=False,
         )
     if xi < 1e-15:
-        rc = rc_est if rc_est is not None else _rc_cached(env, tol=rc_tol)
-        return RateResult(
-            xi=xi,
-            value=rc.value,
-            branch="zero",
-            r_star=math.nan,
-            lam_star=math.nan,
-            slope=math.nan,
-            xi_residual=0.0,
-            mirrored=False,
-            rc=rc,
-        )
-    rc = rc_est if rc_est is not None else _rc_cached(env, tol=max(rc_tol, _BRACKET_RC_TOL))
-    hi_base = rc.bracket[0]
-
-    def f(r: float) -> float:
-        return _drift_at(env, r) - xi
-
-    # drift decreases from the jump reach toward the critical drift, so
-    # bracket from a deep tilt and from just under the threshold
-    lo = min(-1.0, hi_base - 1.0)
-    while f(lo) <= 0.0 and lo > R_SATURATION:
-        lo = max(2.0 * lo, R_SATURATION)
-    if f(lo) <= 0.0:
-        lam = lyapunov(env, R_SATURATION).value
-        return RateResult(
-            xi=xi,
-            value=R_SATURATION - xi * lam,
-            branch="saturated",
-            r_star=R_SATURATION,
-            lam_star=lam,
-            slope=-lam,
-            xi_residual=abs(f(R_SATURATION)),
-            mirrored=False,
-            rc=rc,
-        )
-    margin = 1e-4
-    hi = hi_base - margin
-    while hi <= lo:
-        margin *= 0.1
-        hi = hi_base - margin
-    while f(hi) >= 0.0 and margin > 1e-11:
-        margin *= 0.1
-        hi = hi_base - margin
-    if f(hi) >= 0.0:
-        # requested velocity below the critical drift: affine continuation
-        # from the threshold with the limiting slope; the coarse bracket is
-        # too wide to anchor a value, so refine it here
         rc = _rc_cached(env, tol=rc_tol)
-        lam_edge = lyapunov(env, hi).value
-        affine_value = rc.value - xi * lam_edge
-        xi_edge = _drift_at(env, hi)
-        if xi > xi_edge * (1.0 + 1e-6) + 1e-12:
-            raise AmbiguousBranchError(
-                "drift equation lost its bracket near the threshold",
-                affine_value=affine_value,
-                convex_value=math.nan,
-            )
         return RateResult(
-            xi=xi,
-            value=affine_value,
-            branch="affine",
-            r_star=math.nan,
-            lam_star=lam_edge,
-            slope=-lam_edge,
-            xi_residual=abs(xi_edge - xi),
-            mirrored=False,
-            rc=rc,
+            xi=xi, value=rc.value, branch="zero", r_star=rc.value, lam_star=math.nan,
+            slope=math.nan, xi_residual=0.0, mirrored=False,
         )
-    r_star = float(brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=300))
-    lam_star = lyapunov(env, r_star).value
+    pt = log_perron(env, _slope_root(env, xi))
     return RateResult(
         xi=xi,
-        value=r_star - xi * lam_star,
+        value=pt.s * xi - pt.value,
         branch="interior",
-        r_star=r_star,
-        lam_star=lam_star,
-        slope=-lam_star,
-        xi_residual=abs(f(r_star)),
+        r_star=-pt.value,
+        lam_star=-pt.s,
+        slope=pt.s,
+        xi_residual=abs(pt.slope - xi),
         mirrored=False,
-        rc=rc,
     )
+
+
+@dataclass(frozen=True)
+class XiCritical:
+    """Critical drift: the slope of Lambda at its minimiser, which is zero
+    because Lambda is smooth. `bracket` holds the slopes at the two ends of
+    the threshold search's argmin bracket, which enclose it."""
+
+    value: float
+    bracket: tuple[float, float]
+
+
+def xi_critical(env: Environment, rc_est: RcEstimate | None = None) -> XiCritical:
+    _require_periodic(env)
+    rc = rc_est if rc_est is not None else _rc_cached(env)
+    a, b = rc.argmin
+    da, db = log_perron(env, a).slope, log_perron(env, b).slope
+    # the argmin estimate interpolates Lambda' linearly to zero
+    s = a if db == da else a - da * (b - a) / (db - da)
+    return XiCritical(value=log_perron(env, s).slope, bracket=(da, db))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +154,10 @@ class RateCurve:
     convex_ok: bool
     min_value: float
     argmin: float
+    rc: RcEstimate
+    rc_reflected: RcEstimate
+    xi_critical: XiCritical
+    xi_critical_reflected: XiCritical
 
     def rows(self):
         """(xi, value, r_star, branch, slope) per grid point."""
@@ -204,30 +168,13 @@ class RateCurve:
 
 
 def rate_curve(env: Environment, xi_grid, rc_tol: float = 1e-8) -> RateCurve:
-    """Evaluate the rate on a velocity grid, reusing one threshold estimate
-    per direction, and check convexity along the finite part."""
+    """Evaluate the rate on a velocity grid, attach the threshold bracket and
+    critical drift of both directions, and check convexity along the finite
+    part."""
     _require_periodic(env)
-    rc_left_env = reflect(env)
-    results = []
-    for xi in xi_grid:
-        xi = float(xi)
-        if xi >= 0:
-            results.append(rate(env, xi, rc_tol=rc_tol))
-        else:
-            inner = rate(rc_left_env, -xi, rc_tol=rc_tol)
-            results.append(
-                RateResult(
-                    xi=xi,
-                    value=inner.value,
-                    branch=inner.branch,
-                    r_star=inner.r_star,
-                    lam_star=inner.lam_star,
-                    slope=-inner.slope if math.isfinite(inner.slope) else math.nan,
-                    xi_residual=inner.xi_residual,
-                    mirrored=True,
-                    rc=inner.rc,
-                )
-            )
+    rc = _rc_cached(env, tol=rc_tol)
+    rc_bar = _rc_cached(reflect(env), tol=rc_tol)
+    results = [rate(env, float(xi), rc_tol=rc_tol) for xi in xi_grid]
     fin = [(res.xi, res.value) for res in results if math.isfinite(res.value)]
     convex = True
     for (x0, v0), (x1, v1), (x2, v2) in zip(fin, fin[1:], fin[2:]):
@@ -244,32 +191,10 @@ def rate_curve(env: Environment, xi_grid, rc_tol: float = 1e-8) -> RateCurve:
         convex_ok=convex,
         min_value=vals[k] if vals else math.nan,
         argmin=fin[k][0] if fin else math.nan,
-    )
-
-
-@dataclass(frozen=True)
-class XiCritical:
-    """Critical drift: the tilted speed in the limit toward the threshold,
-    extrapolated in sqrt(distance) to soak up the square-root branch point."""
-
-    value: float
-    samples: tuple[tuple[float, float], ...]  # (distance, drift)
-    quality: float  # spread of the raw samples; small means flat approach
-
-
-def xi_critical(env: Environment, rc_est: RcEstimate | None = None) -> XiCritical:
-    _require_periodic(env)
-    rc = rc_est if rc_est is not None else _rc_cached(env)
-    base = rc.bracket[0]
-    ds = (1e-3, 1e-4)
-    xis = [_drift_at(env, base - d) for d in ds]
-    s = [math.sqrt(d) for d in ds]
-    a = (xis[0] - xis[1]) / (s[0] - s[1])
-    value = max(0.0, xis[1] - a * s[1])
-    return XiCritical(
-        value=value,
-        samples=tuple(zip(ds, xis)),
-        quality=abs(xis[0] - xis[1]),
+        rc=rc,
+        rc_reflected=rc_bar,
+        xi_critical=xi_critical(env, rc_est=rc),
+        xi_critical_reflected=xi_critical(reflect(env), rc_est=rc_bar),
     )
 
 

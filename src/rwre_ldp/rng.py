@@ -46,7 +46,6 @@ def raw(key: np.uint64, start: int, count: int) -> np.ndarray:
     ks = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         return mix64(np.uint64(key) + ks * GOLDEN)
-    return None  # pragma: no cover
 
 
 def uniform(key: np.uint64, start: int, count: int) -> np.ndarray:

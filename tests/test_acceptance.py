@@ -263,7 +263,8 @@ def test_structural_invariants_across_corpus():
             assert abs(zero.value - cramer_oracle(env.laws[0], 0.0)) <= 1e-6, (
                 name, "zero-speed cost vs dual")
         xc = xi_critical(env, rc_est=rc)
-        assert 0.0 <= xc.value <= b, (name, "critical speed bounds")
+        assert xc.bracket[0] <= 0.0 <= xc.bracket[1], (name, "critical speed bracket")
+        assert abs(xc.value) <= b, (name, "critical speed bounds")
     elapsed = time.perf_counter() - t0
     ok = elapsed <= 300.0
     verdict(

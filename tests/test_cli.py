@@ -185,6 +185,19 @@ class TestTiltReport:
         assert 0.0 < rep["drift"] <= 1.0
         assert rep["growth_rate"] < 0.0
 
+    def test_long_period_wide_jumps(self, tmp_path):
+        # B=2 with 4*B*L > 256 once sent the ratio solver into unbounded recursion
+        laws = []
+        for i in range(33):
+            w = [1.0 + ((3 * i + 5 * j) % 7) / 4.0 for j in range(4)]
+            laws.append({z: x / sum(w) for z, x in zip(("-2", "-1", "1", "2"), w)})
+        env = {"type": "periodic", "B": 2, "laws": laws}
+        code, out = run_cfg(tmp_path, {"task": "tilt-report", "environment": env, "r": -0.4})
+        assert code == 0
+        rep = json.loads((out / "tilt_report.json").read_text())
+        assert rep["row_defect"] <= 1e-12
+        assert math.isfinite(rep["growth_rate"])
+
     def test_supercritical_tilt_exits_3_with_diagnostics(self, tmp_path, capsys):
         code, out = run_cfg(tmp_path, {"task": "tilt-report", "environment": PER2,
                                        "r": 0.5})

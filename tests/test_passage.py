@@ -13,20 +13,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwre_ldp.environment import JumpLaw, homogeneous, periodic, reflect, sample_iid
+from rwre_ldp.environment import Environment, JumpLaw, homogeneous, periodic, reflect, sample_iid
 from rwre_ldp.errors import SupercriticalError, WindowExhaustedError
 from rwre_ldp.passage import (
     brute_mgf,
     char_poly_roots,
     contraction_rate,
+    drift_limits,
+    edge_rate,
     estimate_rc,
     hit_mgf,
     lambda_curve,
+    log_perron,
     lyapunov,
     lyapunov_bar,
     u_limit,
     zeta_nn,
 )
+from rwre_ldp.tilt import tilt_kernel
 
 from .strategies import jump_laws
 
@@ -44,6 +48,24 @@ WIDE = homogeneous(WIDE_LAW)
 # drifted bounded-jump law, used where a positive threshold is needed
 DRIFT2_LAW = JumpLaw(b=2, probs=((-2, 0.1), (-1, 0.2), (1, 0.3), (2, 0.4)))
 DRIFT2 = homogeneous(DRIFT2_LAW)
+# one class lacks the -2 jump: attainable drifts are [-1.5, 2.0]
+B2_NO_MINUS2 = periodic(
+    [
+        JumpLaw(b=2, probs=((-2, 0.1), (-1, 0.3), (1, 0.3), (2, 0.3))),
+        JumpLaw(b=2, probs=((-2, 0.2), (-1, 0.3), (1, 0.25), (2, 0.25))),
+        JumpLaw(b=2, probs=((-1, 0.35), (1, 0.35), (2, 0.3))),
+    ]
+)
+
+
+def full_support_b2(length: int) -> Environment:
+    """Deterministic B=2 law with every offset present at every class."""
+    laws = []
+    for i in range(length):
+        w = [1.0 + ((3 * i + 5 * j) % 7) / 4.0 for j in range(4)]
+        t = sum(w)
+        laws.append(JumpLaw(b=2, probs=tuple(zip((-2, -1, 1, 2), (x / t for x in w)))))
+    return periodic(laws)
 
 
 def nn_zeta_closed(p: float, r: float) -> float:
@@ -306,7 +328,7 @@ class TestCriticality:
         rc = estimate_rc(DRIFT2, tol=1e-6)
         assert rc.bracket[0] - 1e-6 <= oracle <= rc.bracket[1] + 1e-6
         assert rc.reflect_gap <= 2e-6
-        assert rc.predicate == "ratio-continuation"
+        assert rc.width <= 1e-6
 
     def test_periodic2_threshold_one_cycle_discriminant(self):
         # tangency of the composed one-cycle map: discriminant of
@@ -319,11 +341,75 @@ class TestCriticality:
         assert oracle == pytest.approx(0.024638002691794978, abs=1e-15)
         rc = estimate_rc(PER2_NN, tol=1e-7)
         assert rc.bracket[0] - 1e-7 <= oracle <= rc.bracket[1] + 1e-7
-        assert rc.predicate == "zeta-cycle"
+        assert rc.width <= 1e-7
+
+    def test_perron_bracket_certifies_closed_forms(self):
+        # both ends are certified bounds, so the exact threshold lies inside
+        # the bracket itself, which is no wider than asked
+        per2 = 0.024638002691794978
+        biased = -math.log(2.0 * math.sqrt(0.75 * 0.25))
+        for env, oracle in ((PER2_NN, per2), (BIASED_NN, biased)):
+            for tol in (1e-6, 1e-9):
+                rc = estimate_rc(env, tol=tol)
+                assert rc.predicate == "perron"
+                assert rc.width <= tol
+                assert rc.bracket[0] - 1e-13 <= oracle <= rc.bracket[1] + 1e-13
+                a, b = rc.argmin
+                assert log_perron(env, a).slope <= 0.0 <= log_perron(env, b).slope
 
     def test_threshold_below_ellipticity_ceiling(self):
         rc = estimate_rc(DRIFT2, tol=1e-4)
         assert -1e-4 <= rc.value <= -math.log(DRIFT2.delta) + 1e-4
+
+
+class TestPerronCore:
+    def test_stochastic_at_zero_tilt(self):
+        # K_0 is the class-cycle jump matrix: Perron root 1, slope the drift
+        pt = log_perron(DRIFT2, 0.0)
+        assert pt.value == pytest.approx(0.0, abs=1e-14)
+        assert pt.slope == pytest.approx(DRIFT2_LAW.mean(), abs=1e-14)
+
+    def test_slope_matches_finite_difference(self):
+        for s in (-1.3, 0.4, 2.5):
+            h = 1e-5
+            fd = (log_perron(B2_NO_MINUS2, s + h).value
+                  - log_perron(B2_NO_MINUS2, s - h).value) / (2 * h)
+            assert log_perron(B2_NO_MINUS2, s).slope == pytest.approx(fd, abs=1e-8)
+
+    def test_drift_limits_are_extreme_cycle_means(self):
+        assert drift_limits(B2_NO_MINUS2) == pytest.approx((-1.5, 2.0), abs=1e-15)
+        assert drift_limits(PER2_NN) == pytest.approx((-1.0, 1.0), abs=1e-15)
+        assert drift_limits(WIDE) == pytest.approx((-2.0, 2.0), abs=1e-15)
+
+    def test_edge_rate_with_full_reach(self):
+        # every class jumps +B: the edge cost is -log rho(P_B)
+        expected = -math.log((0.3 * 0.25 * 0.3) ** (1 / 3))
+        assert edge_rate(B2_NO_MINUS2, 1.0) == pytest.approx(expected, abs=1e-14)
+        assert edge_rate(WIDE, -1.0) == pytest.approx(-math.log(1 / 7), abs=1e-14)
+
+    def test_edge_rate_is_the_tilt_limit(self):
+        # at the lower end no class-wide -2 jump exists; s xi - Lambda(s)
+        # increases to the edge value as s -> -inf
+        vals = [-1.5 * s - log_perron(B2_NO_MINUS2, s).value for s in (-10.0, -20.0, -40.0)]
+        assert vals[0] < vals[1] < vals[2]
+        assert edge_rate(B2_NO_MINUS2, -1.0) == pytest.approx(vals[2], abs=1e-9)
+
+
+class TestLongPeriodRatios:
+    """B=2 with 4*B*L > 256: the ratio solve used to recurse without bound."""
+
+    ENV = full_support_b2(33)
+
+    def test_lyapunov_finite_with_certified_residual(self):
+        for r in (-0.4, -1.2):
+            s = lyapunov(self.ENV, r)
+            assert math.isfinite(s.value) and s.converged
+            assert u_limit(self.ENV, r).residual <= 1e-12
+            assert s.value <= -(math.log(self.ENV.delta) + r) + 1e-9
+
+    def test_tilt_kernel_rows_sum_to_one(self):
+        kern = tilt_kernel(self.ENV, -0.4)
+        assert kern.row_defect <= 1e-12
 
 
 class TestLambdaCurve:

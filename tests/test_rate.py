@@ -1,6 +1,7 @@
-"""Rate function by tilted passage times, checked against one-step Legendre
-transforms (exact for homogeneous environments), closed-form thresholds, and
-boundary values read off the jump probabilities."""
+"""Rate function as the Legendre transform of the Perron core, checked
+against one-step Legendre transforms (exact for homogeneous environments),
+the constrained pair-entropy minimizer, closed-form thresholds, and boundary
+values read off the jump probabilities."""
 
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwre_ldp import level2
 from rwre_ldp.environment import JumpLaw, homogeneous, periodic, reflect, sample_iid
 from rwre_ldp.rate import (
     asymmetry_demo,
@@ -18,6 +20,8 @@ from rwre_ldp.rate import (
     symmetry_gap,
     xi_critical,
 )
+
+from .strategies import environments
 
 SYM_NN = homogeneous(JumpLaw(b=1, probs=((-1, 0.5), (1, 0.5))))
 BIASED_NN = homogeneous(JumpLaw(b=1, probs=((-1, 0.25), (1, 0.75))))
@@ -29,6 +33,14 @@ PER2_NN = periodic(
 )
 WIDE_LAW = JumpLaw(b=2, probs=((-2, 1 / 7), (-1, 3 / 7), (1, 1 / 7), (2, 2 / 7)))
 WIDE = homogeneous(WIDE_LAW)
+# class 2 has no -2 jump, so the attainable drifts are [-1.5, 2.0]
+B2_NO_MINUS2 = periodic(
+    [
+        JumpLaw(b=2, probs=((-2, 0.1), (-1, 0.3), (1, 0.3), (2, 0.3))),
+        JumpLaw(b=2, probs=((-2, 0.2), (-1, 0.3), (1, 0.25), (2, 0.25))),
+        JumpLaw(b=2, probs=((-1, 0.35), (1, 0.35), (2, 0.3))),
+    ]
+)
 
 # 0.5*atanh(1/2) + 0.5*log(3/4), the dual value of the symmetric walk at
 # half speed
@@ -91,9 +103,9 @@ class TestRateValues:
         assert rate(SYM_NN, 1.5).value == math.inf
         assert rate(WIDE, -2.3).value == math.inf
 
-    def test_tiny_speed_takes_affine_branch(self):
+    def test_tiny_speed_is_interior(self):
         res = rate(BIASED_NN, 1e-6)
-        assert res.branch == "affine"
+        assert res.branch == "interior"
         assert res.value == pytest.approx(cramer_oracle(BIASED_NN.laws[0], 1e-6), abs=1e-7)
 
     def test_window_environment_rejected(self):
@@ -127,6 +139,38 @@ class TestDuality:
         assert rate(BIASED_NN, xi).value == pytest.approx(
             cramer_oracle(BIASED_NN.laws[0], xi), abs=1e-9
         )
+
+
+class TestPerronLegendre:
+    """Values of the Legendre transform of log rho(K_s) against routes that
+    share nothing with it: the one-step dual for a shared law, and the
+    constrained pair-entropy minimizer for a periodic law."""
+
+    @pytest.mark.parametrize("xi", [-2.0, -1.99, -0.25, 0.0, 0.6, 1.999, 2.0])
+    def test_sevenths_against_dual(self, xi):
+        assert rate(WIDE, xi).value == pytest.approx(cramer_oracle(WIDE_LAW, xi), abs=1e-9)
+
+    @pytest.mark.parametrize("xi", [-1.0, 0.5, 1.25])
+    def test_missing_jump_against_level2(self, xi):
+        res = rate(B2_NO_MINUS2, xi)
+        assert res.branch == "interior"
+        assert res.xi_residual < 1e-10
+        ref = level2.minimize_entropy(B2_NO_MINUS2, xi, tol=1e-10)
+        assert ref.converged
+        assert res.value == pytest.approx(ref.value, abs=1e-5)
+
+    @pytest.mark.parametrize("xi", [-1.75, -2.0, 2.01])
+    def test_missing_jump_outside_drift_range(self, xi):
+        res = rate(B2_NO_MINUS2, xi)
+        assert res.branch == "outside" and res.value == math.inf
+
+    def test_missing_jump_edges_are_finite(self):
+        lo, hi = rate(B2_NO_MINUS2, -1.5), rate(B2_NO_MINUS2, 2.0)
+        assert lo.branch == hi.branch == "edge"
+        assert hi.value == pytest.approx(-math.log((0.3 * 0.25 * 0.3) ** (1 / 3)), abs=1e-14)
+        # the interior values climb toward the edge value
+        near = rate(B2_NO_MINUS2, -1.5 + 1e-4).value
+        assert near < lo.value < near + 1e-2
 
 
 class TestMirror:
@@ -203,10 +247,25 @@ class TestXiCritical:
         assert xi_critical(BIASED_NN).value < 1e-3
         assert xi_critical(WIDE).value < 1e-3
 
-    def test_samples_recorded(self):
+    def test_slope_bracket_encloses_zero(self):
         xc = xi_critical(BIASED_NN)
-        assert len(xc.samples) == 2
-        assert xc.quality > 0
+        assert xc.bracket[0] <= 0.0 <= xc.bracket[1]
+        assert xc.bracket[0] <= xc.value <= xc.bracket[1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(environments(max_b=2, max_period=4))
+def test_finite_exactly_on_drift_range_and_convex_property(env):
+    lo, hi = level2.drift_range(env)
+    assert math.isfinite(rate(env, lo).value) and math.isfinite(rate(env, hi).value)
+    assert rate(env, lo - 1e-3).value == math.inf
+    assert rate(env, hi + 1e-3).value == math.inf
+    grid = lo + (hi - lo) * np.linspace(0.02, 0.98, 13)
+    vals = [rate(env, float(x)).value for x in grid]
+    assert all(math.isfinite(v) and v >= -1e-12 for v in vals)
+    h = grid[1] - grid[0]
+    second = [(v0 - 2 * v1 + v2) / h**2 for v0, v1, v2 in zip(vals, vals[1:], vals[2:])]
+    assert min(second) >= -1e-6
 
 
 @settings(max_examples=10, deadline=None)

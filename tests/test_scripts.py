@@ -1,0 +1,26 @@
+"""Smoke tests: the command-line scripts run in-process and exit 0."""
+
+import runpy
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str, monkeypatch) -> int:
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    main = runpy.run_path(str(ROOT / "scripts" / name))["main"]
+    return main()
+
+
+def test_rate_profile_on_committed_config(monkeypatch, capsys):
+    code = run_script("rate_profile.py", str(ROOT / "configs" / "rate_curve_sym.json"),
+                      monkeypatch=monkeypatch)
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "interior" in out and "worst dual gap" in out
+
+
+def test_run_counterexample(monkeypatch, capsys):
+    assert run_script("run_counterexample.py", monkeypatch=monkeypatch) == 0
+    assert "gap moves with the tilt" in capsys.readouterr().out
