@@ -35,19 +35,45 @@ def _require_periodic(env: Environment) -> None:
         raise ValueError("simulation checks require a homogeneous or periodic environment")
 
 
-def _cum_rows(env: Environment, r: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class jump CDF rows and the shared offset vector.
+@dataclass(frozen=True, eq=False)
+class _Sampler:
+    """Inverse-CDF jumps for a vector of walkers, one step at a time.
 
-    Tilted rows sum to one up to the kernel's convergence defect; the last
-    CDF entry is clamped so sampling never falls off the table.
+    A walker of class i with uniform u takes jump k, the number of CDF
+    entries cum[i, :-1] below u. The last entry is taken as 1 > u, so
+    sampling never falls off the table, also for tilted rows, which sum to
+    one only up to the kernel's convergence defect. The step's code is
+    i * width + k; `jump[code]` and `next_cls[code]` give the offset and the
+    class after the step.
     """
+
+    width: int
+    thresholds: tuple[np.ndarray, ...]  # cum[:, k] for k < width - 1
+    jump: np.ndarray  # (L * width,) offsets
+    next_cls: np.ndarray  # (L * width,) classes mod L
+
+    def codes(self, cls: np.ndarray, u: np.ndarray) -> np.ndarray:
+        code = cls * self.width
+        for col in self.thresholds:
+            code += u > col[cls]
+        return code
+
+
+def _sampler(env: Environment, r: float | None) -> _Sampler:
+    """Sampler for the bare environment, or for the tilted kernel at r."""
     if r is None:
         rows = np.stack([law.as_array() for law in env.laws])
     else:
-        rows = tilt_kernel(env, r).probs.copy()
+        rows = tilt_kernel(env, r).probs
     cum = np.cumsum(rows, axis=1)
-    cum[:, -1] = 1.0
-    return cum, offsets(env.b)
+    L, width = cum.shape
+    offs = offsets(env.b)
+    return _Sampler(
+        width=width,
+        thresholds=tuple(np.ascontiguousarray(cum[:, k]) for k in range(width - 1)),
+        jump=np.tile(offs, L),
+        next_cls=((np.arange(L)[:, None] + offs) % L).ravel(),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,29 +88,46 @@ class WalkSample:
     corrector_sums: np.ndarray | None  # (n_walkers,) accumulated increments
 
 
-def _walk_block(cum, offs, seed, n_steps, j_lo, j_hi, fvals):
+# step codes pooled into one bincount; bounds the tally buffer at 8 MB
+_TALLY_CODES = 1 << 20
+
+
+def _walk_block(smp, seed, n_steps, j_lo, j_hi, fvals, count_pairs):
     """Walkers j_lo..j_hi-1; pure function of (seed, walker index), so any
     split into blocks reproduces the serial run bit for bit."""
-    keys = np.array([rng.stream_key(seed, j) for j in range(j_lo, j_hi)], dtype=np.uint64)
-    L = cum.shape[0]
-    x = np.zeros(j_hi - j_lo, dtype=np.int64)
-    counts = np.zeros(cum.shape, dtype=np.int64)
-    csums = np.zeros(j_hi - j_lo) if fvals is not None else None
+    keys = rng.stream_keys(seed, j_lo, j_hi)
+    n = j_hi - j_lo
+    x = np.zeros(n, dtype=np.int64)
+    cls = np.zeros(n, dtype=np.intp)
+    counts = np.zeros(smp.jump.size, dtype=np.int64) if count_pairs else None
+    pending: list[np.ndarray] = []
+    flush = max(1, _TALLY_CODES // n)
+    csums = np.zeros(n) if fvals is not None else None
     for t in range(n_steps):
-        u = rng.uniform_at(keys, t)
-        cls = x % L
-        idx = (u[:, None] > cum[cls]).sum(axis=1)
-        np.add.at(counts, (cls, idx), 1)
-        if fvals is not None:
-            csums += fvals[cls, idx]
-        x += offs[idx]
+        code = smp.codes(cls, rng.uniform_at(keys, t))
+        if count_pairs:
+            pending.append(code)
+            if len(pending) == flush or t == n_steps - 1:
+                counts += np.bincount(np.concatenate(pending), minlength=counts.size)
+                pending.clear()
+        if csums is not None:
+            csums += fvals[code]
+        x += smp.jump[code]
+        cls = smp.next_cls[code]
     return x, counts, csums
 
 
-def _blocks(n: int, threads: int) -> list[tuple[int, int]]:
-    k = max(1, min(threads, n))
-    step = -(-n // k)
-    return [(a, min(a + step, n)) for a in range(0, n, step)]
+def _map_blocks(block, n_walkers: int, threads: int) -> list:
+    """block(j_lo, j_hi) on up to `threads` contiguous walker blocks, in
+    block order."""
+    step = -(-n_walkers // max(1, min(threads, n_walkers)))
+    blocks = [(a, min(a + step, n_walkers)) for a in range(0, n_walkers, step)]
+    if len(blocks) == 1:
+        return [block(*blocks[0])]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+        return list(pool.map(lambda ab: block(*ab), blocks))
 
 
 def walk_ensemble(
@@ -105,44 +148,44 @@ def walk_ensemble(
     the counter-based streams make the result identical for any split.
     """
     _require_periodic(env)
-    cum, offs = _cum_rows(env, r)
-    fvals = corrector(env, r).values if track_corrector else None
-    blocks = _blocks(n_walkers, threads)
-    if len(blocks) == 1:
-        parts = [_walk_block(cum, offs, seed, n_steps, 0, n_walkers, fvals)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            parts = list(
-                pool.map(lambda ab: _walk_block(cum, offs, seed, n_steps, *ab, fvals), blocks)
-            )
+    smp = _sampler(env, r)
+    fvals = corrector(env, r).values.ravel() if track_corrector else None
+    parts = _map_blocks(
+        lambda a, b: _walk_block(smp, seed, n_steps, a, b, fvals, count_pairs),
+        n_walkers, threads,
+    )
     x = np.concatenate([p[0] for p in parts])
-    counts = sum(p[1] for p in parts)
+    counts = sum(p[1] for p in parts).reshape(-1, smp.width) if count_pairs else None
     csums = np.concatenate([p[2] for p in parts]) if track_corrector else None
     return WalkSample(
         positions=x, n_steps=n_steps, seed=seed, r=r,
-        pair_counts=counts if count_pairs else None, corrector_sums=csums,
+        pair_counts=counts, corrector_sums=csums,
     )
 
 
-def _passage_block(cum, offs, seed, level, max_steps, j_lo, j_hi):
-    keys = np.array([rng.stream_key(seed, j) for j in range(j_lo, j_hi)], dtype=np.uint64)
-    L = cum.shape[0]
-    x = np.zeros(j_hi - j_lo, dtype=np.int64)
-    tau = np.full(j_hi - j_lo, max_steps, dtype=np.int64)
-    active = np.ones(j_hi - j_lo, dtype=bool)
+def _passage_block(smp, seed, level, max_steps, j_lo, j_hi):
+    """Only walkers still short of `level` draw: `live` holds their block
+    indices, with their keys, positions and classes alongside."""
+    n = j_hi - j_lo
+    tau = np.full(n, max_steps, dtype=np.int64)
+    live = np.arange(n)
+    keys = rng.stream_keys(seed, j_lo, j_hi)
+    x = np.zeros(n, dtype=np.int64)
+    cls = np.zeros(n, dtype=np.intp)
     for t in range(max_steps):
-        if not active.any():
+        if not live.size:
             break
-        u = rng.uniform_at(keys, t)
-        cls = x % L
-        idx = (u[:, None] > cum[cls]).sum(axis=1)
-        x[active] += offs[idx[active]]
-        arrived = active & (x >= level)
-        tau[arrived] = t + 1
-        active &= ~arrived
-    return tau, active
+        code = smp.codes(cls, rng.uniform_at(keys, t))
+        x += smp.jump[code]
+        cls = smp.next_cls[code]
+        arrived = x >= level
+        if arrived.any():
+            tau[live[arrived]] = t + 1
+            running = ~arrived
+            live, keys, x, cls = live[running], keys[running], x[running], cls[running]
+    censored = np.zeros(n, dtype=bool)
+    censored[live] = True
+    return tau, censored
 
 
 def passage_ensemble(
@@ -155,23 +198,17 @@ def passage_ensemble(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First times the walkers reach `level`, with a censoring mask.
 
-    Draw t of every stream belongs to step t whether or not the walker is
-    still active, so the ensemble is reproducible independent of who has
-    already arrived or how the ensemble is split into blocks. Censored
-    walkers report max_steps.
+    Step t of walker j uses draw t of stream (seed, j), so the ensemble is
+    reproducible and independent of how it is split into blocks. A walker
+    that has arrived draws nothing more; the draws it skips would feed no
+    step, so the cost scales with the steps walked, not with n_walkers
+    times the longest passage. Censored walkers report max_steps.
     """
     _require_periodic(env)
-    cum, offs = _cum_rows(env, None)
-    blocks = _blocks(n_walkers, threads)
-    if len(blocks) == 1:
-        parts = [_passage_block(cum, offs, seed, level, max_steps, 0, n_walkers)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            parts = list(
-                pool.map(lambda ab: _passage_block(cum, offs, seed, level, max_steps, *ab), blocks)
-            )
+    smp = _sampler(env, None)
+    parts = _map_blocks(
+        lambda a, b: _passage_block(smp, seed, level, max_steps, a, b), n_walkers, threads
+    )
     tau = np.concatenate([p[0] for p in parts])
     censored = np.concatenate([p[1] for p in parts])
     return tau, censored

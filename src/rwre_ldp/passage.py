@@ -412,16 +412,22 @@ def _log_u(env: Environment, theta: np.ndarray) -> np.ndarray:
 
 
 def _ratio_residual(env: Environment, r: float, theta: np.ndarray):
-    L = len(theta)
+    """Phi(theta) and its terms pi_i(z) exp(r + S_iz(theta)), an (L, 2B)
+    array from which `_ratio_jacobian` builds J."""
     t = _class_probs(env) * np.exp(r + _log_u(env, theta))
-    Phi = t.sum(axis=1) - 1.0
+    return t.sum(axis=1) - 1.0, t
+
+
+def _ratio_jacobian(env: Environment, t: np.ndarray) -> np.ndarray:
+    """Dense L x L Jacobian of Phi from the terms of `_ratio_residual`."""
+    L = t.shape[0]
     J = np.zeros((L, L))
     rows = np.arange(L)
     for j, (ks, sgn) in enumerate(_ratio_index(env)):
         for m in range(ks.shape[1]):
             # rows are distinct, so no index pair repeats within one update
             J[rows, ks[:, m]] += sgn * t[:, j]
-    return Phi, J
+    return J
 
 
 def _newton_ratios(
@@ -433,7 +439,7 @@ def _newton_ratios(
     best = math.inf
     worse = 0
     for _ in range(max_iter):
-        Phi, J = _ratio_residual(env, r, theta)
+        Phi, t = _ratio_residual(env, r, theta)
         res = float(np.max(np.abs(Phi)))
         if res <= tol:
             return theta, res, True
@@ -445,7 +451,7 @@ def _newton_ratios(
             worse = 0
         best = min(best, res)
         try:
-            step = np.linalg.solve(J, Phi)
+            step = np.linalg.solve(_ratio_jacobian(env, t), Phi)
         except np.linalg.LinAlgError:
             return theta, res, False
         ns = float(np.max(np.abs(step)))

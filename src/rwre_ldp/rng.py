@@ -21,16 +21,25 @@ ALGORITHM = "splitmix64"
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31, _S11 = (np.uint64(n) for n in (27, 30, 31, 11))
 _U53 = 2.0 ** -53
+_MASK64 = (1 << 64) - 1
 
 
 def mix64(x: np.ndarray | int) -> np.ndarray | np.uint64:
     """splitmix64 finalizer, elementwise over uint64 input."""
-    z = np.asarray(x, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z = z ^ (z >> np.uint64(31))
+    # rounds run in place on a private array; array arithmetic wraps
+    # without overflow warnings, unlike arithmetic on numpy scalars
+    z = np.array(x, dtype=np.uint64)
+    t = np.empty_like(z)
+    np.right_shift(z, _S30, out=t)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, _S27, out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, _S31, out=t)
+    z ^= t
     return z if z.ndim else z[()]
 
 
@@ -39,6 +48,13 @@ def stream_key(master_seed: int, replica: int) -> np.uint64:
     with np.errstate(over="ignore"):
         base = np.uint64(master_seed) + np.uint64(replica + 1) * GOLDEN
     return mix64(base)
+
+
+def stream_keys(master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """Keys of replicas lo..hi-1 in one pass: entry j - lo equals
+    stream_key(master_seed, j). The split uses the draw formula, so these
+    are raw draws lo..hi-1 of the stream keyed by master_seed."""
+    return raw(master_seed, lo, hi - lo)
 
 
 def raw(key: np.uint64, start: int, count: int) -> np.ndarray:
@@ -59,23 +75,9 @@ def uniform_at(keys: np.ndarray, k: int) -> np.ndarray:
     Identical to uniform(key, k, 1) stream by stream; one elementwise
     finalizer pass over the key vector.
     """
-    with np.errstate(over="ignore"):
-        z = mix64(np.asarray(keys, dtype=np.uint64) + np.uint64(k + 1) * GOLDEN)
-    return (z >> np.uint64(11)).astype(np.float64) * _U53
-
-
-class Stream:
-    """Stateful cursor over one counter-based stream.
-
-    Interchangeable with regenerating any block by index; the state is
-    just the position of the next draw.
-    """
-
-    def __init__(self, master_seed: int, replica: int = 0):
-        self.key = stream_key(master_seed, replica)
-        self.pos = 0
-
-    def uniforms(self, count: int) -> np.ndarray:
-        out = uniform(self.key, self.pos, count)
-        self.pos += count
-        return out
+    step = np.uint64((k + 1) * int(GOLDEN) & _MASK64)
+    z = mix64(np.asarray(keys, dtype=np.uint64) + step)
+    z >>= _S11
+    u = z.astype(np.float64)
+    u *= _U53
+    return u

@@ -1,5 +1,6 @@
 """Batch front end: config validation, artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -264,6 +265,19 @@ class TestMcVerify:
             blob = (out / name).read_bytes()
             assert (out2 / name).read_bytes() == blob
             assert (out4 / name).read_bytes() == blob
+
+    def test_committed_config_matches_pinned_artifacts(self, tmp_path):
+        # digests written by the kernels that drew for every walker at every
+        # step; skipping the draws of arrived walkers must not move a byte
+        config = Path(__file__).resolve().parents[1] / "configs" / "mc_verify_per2.json"
+        out = tmp_path / "per2"
+        assert main(["run", str(config), "--out", str(out)]) == 0
+        digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                  for name in ("mc_report.jsonl", "mc_summary.json")}
+        assert digest == {
+            "mc_report.jsonl": "83852f5331430ef8a4584a19d6b258e8ff9fa8a5080eb19c1a05e216a3c75049",
+            "mc_summary.json": "9bd7de245cf532914e38ee39b9a1c657e225d99495692e32d798a9734f83e1fe",
+        }
 
     def test_statistical_failures_warn_by_default(self, tmp_path, capsys):
         cfg = {"task": "mc-verify", "environment": PER2, "seed": 42,

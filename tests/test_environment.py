@@ -247,11 +247,3 @@ class TestRngModule:
         again = rng.uniform(rng.stream_key(42, 0), 0, 64)
         np.testing.assert_array_equal(a, again)
         assert np.all((a >= 0) & (a < 1))
-
-    def test_block_regeneration(self):
-        from rwre_ldp import rng
-
-        s = rng.Stream(7, 3)
-        first = s.uniforms(10)
-        tail = rng.uniform(rng.stream_key(7, 3), 5, 5)
-        np.testing.assert_array_equal(first[5:], tail)

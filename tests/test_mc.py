@@ -4,6 +4,7 @@ z-gated agreement between sampled walks and the analytic pipeline.
 Every check is deterministic given its seed, so passing outcomes frozen
 here stay frozen."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from rwre_ldp import mc, rng
 from rwre_ldp.environment import JumpLaw, homogeneous, periodic, sample_iid
 
 BIASED_NN = homogeneous(JumpLaw(b=1, probs=((-1, 0.25), (1, 0.75))))
+# the environment of configs/mc_verify_per2.json
 PER2_NN = periodic(
     [
         JumpLaw(b=1, probs=((-1, 0.2), (1, 0.8))),
@@ -22,6 +24,10 @@ PER2_NN = periodic(
 DRIFT2 = homogeneous(JumpLaw(b=2, probs=((-2, 0.1), (-1, 0.2), (1, 0.3), (2, 0.4))))
 
 
+def sha256_le(a: np.ndarray) -> str:
+    return hashlib.sha256(np.asarray(a).astype("<i8").tobytes()).hexdigest()
+
+
 class TestStreams:
     def test_uniform_at_matches_per_stream_draws(self):
         keys = np.array([rng.stream_key(5, j) for j in range(6)], dtype=np.uint64)
@@ -29,6 +35,20 @@ class TestStreams:
             batch = rng.uniform_at(keys, k)
             singles = [rng.uniform(key, k, 1)[0] for key in keys]
             assert np.array_equal(batch, np.array(singles))
+            # draw k of a block regenerated from draw 0 is the same number
+            blocks = [rng.uniform(key, 0, 18)[k] for key in keys]
+            assert np.array_equal(batch, np.array(blocks))
+
+    @pytest.mark.parametrize(
+        "seed, lo, hi",
+        [(5, 0, 6), (7, 3, 40), (20260815, 1000, 1017), (2**64 - 1, 0, 9), (2**64 - 5, 2, 12)],
+    )
+    def test_stream_keys_match_per_replica_keys(self, seed, lo, hi):
+        # seeds near 2**64 - 1 wrap in the uint64 addition
+        keys = rng.stream_keys(seed, lo, hi)
+        loop = np.array([rng.stream_key(seed, j) for j in range(lo, hi)], dtype=np.uint64)
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, loop)
 
     def test_walk_deterministic_in_seed(self):
         a = mc.walk_ensemble(BIASED_NN, 99, 500, 50).positions
@@ -58,6 +78,14 @@ class TestStreams:
         s = mc.walk_ensemble(DRIFT2, 7, 200, 30)
         assert np.all(np.abs(s.positions) <= 2 * 200)
 
+    def test_walk_matches_pinned_values(self):
+        # values of the kernel that tallied pairs with np.add.at on every step
+        s = mc.walk_ensemble(PER2_NN, 7, 500, 97, r=-0.3, count_pairs=True)
+        assert s.pair_counts.tolist() == [[1476, 22774], [6765, 17485]]
+        assert sha256_le(s.positions) == (
+            "714d47b860b892f7b588d0698bb6a000e03112ad087114d5086bd3869508389c"
+        )
+
     def test_pair_counts_total(self):
         s = mc.walk_ensemble(PER2_NN, 8, 400, 25, r=-0.2, count_pairs=True)
         assert s.pair_counts.sum() == 400 * 25
@@ -65,6 +93,29 @@ class TestStreams:
 
 
 class TestPassageEnsemble:
+    def test_passage_matches_pinned_values(self):
+        # computed by the kernel that drew for every walker at every step
+        tau, censored = mc.passage_ensemble(PER2_NN, 8, 40, 101, 5000)
+        assert int(tau.sum()) == 22090
+        assert not censored.any()
+        assert sha256_le(tau) == (
+            "a5684e202c6c8288919dea8e87d3fef1251a86d0882add5184944dab3309c2d0"
+        )
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_arrived_walkers_draw_nothing(self, monkeypatch, threads):
+        drawn = []
+        uniform_at = rng.uniform_at
+
+        def counting(keys, k):
+            drawn.append(len(keys))
+            return uniform_at(keys, k)
+
+        monkeypatch.setattr(rng, "uniform_at", counting)
+        tau, censored = mc.passage_ensemble(PER2_NN, 8, 40, 101, 5000, threads=threads)
+        assert not censored.any()
+        assert sum(drawn) == int(tau.sum())
+
     def test_all_censored_under_tiny_budget(self):
         tau, censored = mc.passage_ensemble(BIASED_NN, 3, level=10_000, n_walkers=20, max_steps=5)
         assert censored.all()

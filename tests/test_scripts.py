@@ -24,3 +24,9 @@ def test_rate_profile_on_committed_config(monkeypatch, capsys):
 def test_run_counterexample(monkeypatch, capsys):
     assert run_script("run_counterexample.py", monkeypatch=monkeypatch) == 0
     assert "gap moves with the tilt" in capsys.readouterr().out
+
+
+def test_calibrate_mc_pilot(monkeypatch, capsys):
+    assert run_script("calibrate_mc.py", "--pilot", "40", monkeypatch=monkeypatch) == 0
+    out = capsys.readouterr().out
+    assert "pilot: 40 replicas" in out and "passage-lln" in out
