@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,6 +30,40 @@ _NORM_TOL = 1e-12
 def offsets(b: int) -> np.ndarray:
     """Jump offsets in canonical order: -b, ..., -1, 1, ..., b."""
     return np.concatenate([np.arange(-b, 0), np.arange(1, b + 1)])
+
+
+def offset_index(b: int, z: int) -> int:
+    """Column of offset z in offsets(b)."""
+    if z == 0 or abs(z) > b:
+        raise ValueError(f"offset {z} outside {{-{b}..-1, 1..{b}}}")
+    return z + b - (z > 0)
+
+
+def require_periodic(env: Environment, what: str) -> None:
+    """Reject sampled windows where a finite class cycle is needed."""
+    if env.kind not in ("homogeneous", "periodic"):
+        raise ValueError(f"{what} requires a homogeneous or periodic environment")
+
+
+@lru_cache(maxsize=256)
+def class_probs(env: Environment) -> np.ndarray:
+    """p_i(z) as an (L, 2B) array aligned with offsets(B); read-only."""
+    probs = np.stack([law.as_array() for law in env.laws])
+    probs.flags.writeable = False
+    return probs
+
+
+def class_cycle(rows: np.ndarray) -> np.ndarray:
+    """Scatter per-(class, offset) values onto the class cycle: the L x L
+    matrix M[i, (i+z_j) mod L] = sum_j rows[i, j], added in ascending
+    offset order."""
+    L, width = rows.shape
+    idx = np.arange(L)
+    M = np.zeros((L, L))
+    for j, z in enumerate(offsets(width // 2)):
+        # rows are distinct, so no index pair repeats within one update
+        M[idx, (idx + int(z)) % L] += rows[:, j]
+    return M
 
 
 @dataclass(frozen=True)

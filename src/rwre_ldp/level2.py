@@ -21,29 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .environment import Environment, offsets
+from .environment import (
+    Environment,
+    class_cycle,
+    class_probs,
+    offset_index,
+    offsets,
+    require_periodic,
+)
 from .errors import InfeasibleDriftError, SlowConvergenceError
 from .tilt import AnsatzMeasure
 
 FLOOR = 1e-12
-
-
-def _require_periodic(env: Environment) -> None:
-    if env.kind not in ("homogeneous", "periodic"):
-        raise ValueError("pair measures require a homogeneous or periodic environment")
-
-
-def _support_mask(env: Environment) -> np.ndarray:
-    L = env.period
-    b = env.b
-    mask = np.zeros((L, 2 * b), dtype=bool)
-    for i in range(L):
-        mask[i] = env.laws[i].as_array() > 0
-    return mask
-
-
-def _law_matrix(env: Environment) -> np.ndarray:
-    return np.stack([env.laws[i].as_array() for i in range(env.period)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +43,7 @@ class PairMeasure:
     weights: np.ndarray  # (L, 2B)
 
     def __post_init__(self):
-        _require_periodic(self.env)
+        require_periodic(self.env, "a pair measure")
         L, w = self.env.period, self.weights
         if w.shape != (L, 2 * self.env.b):
             raise ValueError(f"weights shape {w.shape} does not match the environment")
@@ -65,13 +54,7 @@ class PairMeasure:
 
     def m2(self) -> np.ndarray:
         """Class marginal after the jump: mass arriving at each class."""
-        L = self.env.period
-        offs = offsets(self.env.b)
-        out = np.zeros(L)
-        for i in range(L):
-            for j, z in enumerate(offs):
-                out[(i + int(z)) % L] += self.weights[i, j]
-        return out
+        return class_cycle(self.weights).sum(axis=0)
 
     def drift(self) -> float:
         offs = offsets(self.env.b).astype(float)
@@ -93,7 +76,7 @@ def entropy(mu: PairMeasure) -> float:
 
     Returns +inf when mass sits on jumps the environment never makes.
     """
-    P = _law_matrix(mu.env)
+    P = class_probs(mu.env)
     w = mu.weights
     m1 = mu.m1()
     total = 0.0
@@ -113,7 +96,7 @@ def entropy(mu: PairMeasure) -> float:
 def entropy_gradient(mu: PairMeasure) -> np.ndarray:
     """Elementwise log(w / (m1 pi)); the m1-dependence cancels in the
     gradient because the per-class weights sum inside their own marginal."""
-    P = _law_matrix(mu.env)
+    P = class_probs(mu.env)
     w = mu.weights
     m1 = mu.m1()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -153,8 +136,8 @@ def _constraints(env: Environment, xi: float, mask: np.ndarray):
 def drift_range(env: Environment) -> tuple[float, float]:
     """Extreme mean jumps over shift-stationary pair measures, by linear
     programming over the supported polytope."""
-    _require_periodic(env)
-    mask = _support_mask(env)
+    require_periodic(env, "a pair measure")
+    mask = class_probs(env) > 0
     A, rhs, idx = _constraints(env, 0.0, mask)
     # drop the drift row; keep mass + stationarity
     A_eq, b_eq = A[:-1], rhs[:-1]
@@ -200,8 +183,8 @@ def minimize_entropy(
     feasible to machine precision. Infeasible drifts are rejected up front
     with the attainable range in the error.
     """
-    _require_periodic(env)
-    mask = _support_mask(env)
+    require_periodic(env, "a pair measure")
+    mask = class_probs(env) > 0
     lo, hi = drift_range(env)
     margin = 1e-12
     if not (lo - margin <= xi <= hi + margin):
@@ -230,7 +213,7 @@ def minimize_entropy(
         return x
 
     L = env.period
-    P = _law_matrix(env)
+    P = class_probs(env)
     d = len(idx)
 
     def unflatten(v: np.ndarray) -> np.ndarray:
@@ -301,18 +284,13 @@ def minimize_entropy(
 def empirical_pair_measure(env: Environment, positions: np.ndarray) -> PairMeasure:
     """Pair measure of an observed walk path: visit frequencies of
     (class at the current site, jump taken)."""
-    _require_periodic(env)
+    require_periodic(env, "a pair measure")
     x = np.asarray(positions, dtype=np.int64)
     if x.ndim != 1 or len(x) < 2:
         raise ValueError("need a path of at least two positions")
     steps = np.diff(x)
     L = env.period
-    offs = offsets(env.b)
-    jof = {int(z): j for j, z in enumerate(offs)}
     w = np.zeros((L, 2 * env.b))
     for site, z in zip(x[:-1], steps):
-        j = jof.get(int(z))
-        if j is None:
-            raise ValueError(f"observed jump {z} outside the support range")
-        w[int(site) % L, j] += 1.0
+        w[int(site) % L, offset_index(env.b, int(z))] += 1.0
     return PairMeasure(env=env, weights=w / w.sum())

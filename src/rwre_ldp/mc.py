@@ -22,17 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .environment import Environment, env_to_json, offsets
+from .environment import Environment, class_probs, env_to_json, offsets, require_periodic
 from .errors import SupercriticalError
 from .passage import estimate_rc, hit_mgf, lyapunov_prime
 from .tilt import ansatz_measure, corrector, stationary_speed, tilt_kernel
 
 GATE_SIGMAS = 3.0
-
-
-def _require_periodic(env: Environment) -> None:
-    if env.kind not in ("homogeneous", "periodic"):
-        raise ValueError("simulation checks require a homogeneous or periodic environment")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,10 +56,7 @@ class _Sampler:
 
 def _sampler(env: Environment, r: float | None) -> _Sampler:
     """Sampler for the bare environment, or for the tilted kernel at r."""
-    if r is None:
-        rows = np.stack([law.as_array() for law in env.laws])
-    else:
-        rows = tilt_kernel(env, r).probs
+    rows = class_probs(env) if r is None else tilt_kernel(env, r).probs
     cum = np.cumsum(rows, axis=1)
     L, width = cum.shape
     offs = offsets(env.b)
@@ -147,7 +139,7 @@ def walk_ensemble(
     walkers and steps. `threads` splits the ensemble into walker blocks;
     the counter-based streams make the result identical for any split.
     """
-    _require_periodic(env)
+    require_periodic(env, "a simulation check")
     smp = _sampler(env, r)
     fvals = corrector(env, r).values.ravel() if track_corrector else None
     parts = _map_blocks(
@@ -204,7 +196,7 @@ def passage_ensemble(
     step, so the cost scales with the steps walked, not with n_walkers
     times the longest passage. Censored walkers report max_steps.
     """
-    _require_periodic(env)
+    require_periodic(env, "a simulation check")
     smp = _sampler(env, None)
     parts = _map_blocks(
         lambda a, b: _passage_block(smp, seed, level, max_steps, a, b), n_walkers, threads
@@ -408,8 +400,7 @@ def corrector_path_check(
     sample = walk_ensemble(
         env, seed, n_steps, n_walkers, r=r, track_corrector=True, threads=threads
     )
-    L = len(env.laws) if env.kind == "periodic" else 1
-    endpoint = cor.potential[sample.positions % L] - cor.potential[0]
+    endpoint = cor.potential[sample.positions % env.period] - cor.potential[0]
     telescope_err = float(np.max(np.abs(sample.corrector_sums - endpoint)))
     worst = float(np.max(np.abs(sample.corrector_sums)))
     span = cor.span

@@ -29,7 +29,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dgeev
 
-from .environment import Environment, law_at, offsets, reflect
+from .environment import (
+    Environment,
+    class_cycle,
+    class_probs,
+    law_at,
+    offset_index,
+    offsets,
+    reflect,
+)
 from .errors import (
     DriftMismatchError,
     SlowConvergenceError,
@@ -381,14 +389,6 @@ def zeta_nn(
 
 
 @lru_cache(maxsize=256)
-def _class_probs(env: Environment) -> np.ndarray:
-    """p_i(z) as an (L, 2B) array aligned with offsets(B); read-only."""
-    probs = np.stack([law.as_array() for law in env.laws])
-    probs.flags.writeable = False
-    return probs
-
-
-@lru_cache(maxsize=256)
 def _ratio_index(env: Environment) -> tuple[tuple[np.ndarray, float], ...]:
     """Per offset z: the (L, |z|) wrapped classes whose theta sum to
     log u(i, z) up to the sign of z, and that sign."""
@@ -414,7 +414,7 @@ def _log_u(env: Environment, theta: np.ndarray) -> np.ndarray:
 def _ratio_residual(env: Environment, r: float, theta: np.ndarray):
     """Phi(theta) and its terms pi_i(z) exp(r + S_iz(theta)), an (L, 2B)
     array from which `_ratio_jacobian` builds J."""
-    t = _class_probs(env) * np.exp(r + _log_u(env, theta))
+    t = class_probs(env) * np.exp(r + _log_u(env, theta))
     return t.sum(axis=1) - 1.0, t
 
 
@@ -476,19 +476,6 @@ def _newton_ratios(
 # (Ney & Nummelin 1987; Dembo & Zeitouni, section 3.1). Lambda is convex.
 
 
-def _class_kernel(env: Environment, w: np.ndarray) -> np.ndarray:
-    """sum_j w_j P_j with P_j[i, (i+z_j) mod L] = p_i(z_j): K_s for the
-    weights w_j = e^{s z_j}, K'_s for z_j e^{s z_j}."""
-    L = env.period
-    probs = _class_probs(env)
-    rows = np.arange(L)
-    K = np.zeros((L, L))
-    for j, z in enumerate(offsets(env.b)):
-        # rows are distinct, so no index pair repeats within one update
-        K[rows, (rows + int(z)) % L] += w[j] * probs[:, j]
-    return K
-
-
 @dataclass(frozen=True, eq=False)
 class PerronPoint:
     """Lambda(s) = log rho(K_s), its slope, and the right Perron vector."""
@@ -507,9 +494,10 @@ def log_perron(env: Environment, s: float) -> PerronPoint:
     unchanged and keeps the entries finite for large |s|.
     """
     offs = offsets(env.b)
+    probs = class_probs(env)
     shift = abs(s) * env.b
     w = np.exp(s * offs - shift)
-    wr, wi, vl, vr, info = dgeev(_class_kernel(env, w))
+    wr, wi, vl, vr, info = dgeev(class_cycle(probs * w))
     if info != 0:
         raise SlowConvergenceError(
             f"eigen-solve of K_s failed at s={s}", diagnostics={"lapack_info": int(info)}
@@ -519,7 +507,7 @@ def log_perron(env: Environment, s: float) -> PerronPoint:
     rho = float(wr[k])
     l_vec = vl[:, k] / vl[:, k].sum()
     r_vec = vr[:, k] / vr[:, k].sum()
-    dK = _class_kernel(env, w * offs)
+    dK = class_cycle(probs * (w * offs))
     slope = float(l_vec @ dK @ r_vec) / (rho * float(l_vec @ r_vec))
     return PerronPoint(s=s, value=math.log(rho) + shift, slope=slope, right=r_vec)
 
@@ -530,7 +518,7 @@ def _class_mean_start(env: Environment, r: float, safe: float) -> float:
     of K_s, by a few Newton steps from `safe`. The class-averaged cumulant
     is convex and close to Lambda, and costs no eigen-solve."""
     offs = offsets(env.b).astype(float)
-    probs = _class_probs(env)
+    probs = class_probs(env)
     L = len(probs)
     s = safe
     for _ in range(8):
@@ -632,7 +620,7 @@ def _max_cycle_mean(env: Environment, sign: float) -> tuple[float, np.ndarray]:
     is <= 0 on every edge and 0 on the edges of maximal-mean cycles."""
     L = env.period
     offs = offsets(env.b)
-    probs = _class_probs(env)
+    probs = class_probs(env)
     idx = np.arange(L)
     D = np.full((L + 1, L), NEG_INF)  # D[k, j]: heaviest k-step walk 0 -> j
     D[0, 0] = 0.0
@@ -662,13 +650,12 @@ def edge_rate(env: Environment, sign: float) -> float:
     mean, u = _max_cycle_mean(env, sign)
     L = env.period
     offs = offsets(env.b)
-    tight = np.zeros((L, L))
-    for i, row in enumerate(_class_probs(env)):
-        for j, p in enumerate(row):
-            dst = (i + int(offs[j])) % L
-            if p > 0 and sign * offs[j] - mean + u[i] - u[dst] > -1e-9:
-                tight[i, dst] += p
-    wr, wi, _, _, info = dgeev(tight, compute_vl=0, compute_vr=0)
+    probs = class_probs(env)
+    dst = (np.arange(L)[:, None] + offs) % L
+    tight = (probs > 0) & (sign * offs - mean + u[:, None] - u[dst] > -1e-9)
+    wr, wi, _, _, info = dgeev(
+        class_cycle(np.where(tight, probs, 0.0)), compute_vl=0, compute_vr=0
+    )
     if info != 0:
         raise SlowConvergenceError(
             "eigen-solve of the edge matrix failed", diagnostics={"lapack_info": int(info)}
@@ -741,9 +728,7 @@ class ULimit:
         return i
 
     def log_u_at(self, x: int, z: int) -> float:
-        offs = offsets(self.b)
-        j = int(np.where(offs == z)[0][0])
-        return float(self.log_u[self._row(x), j])
+        return float(self.log_u[self._row(x), offset_index(self.b, z)])
 
     def u_at(self, x: int, z: int) -> float:
         return math.exp(self.log_u_at(x, z))
@@ -751,9 +736,7 @@ class ULimit:
     @property
     def log_a(self) -> np.ndarray:
         """log u(., +1) per row."""
-        offs = offsets(self.b)
-        j = int(np.where(offs == 1)[0][0])
-        return self.log_u[:, j]
+        return self.log_u[:, offset_index(self.b, 1)]
 
 
 def u_limit(

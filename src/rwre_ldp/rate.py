@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .environment import Environment, JumpLaw, reflect
+from .environment import Environment, JumpLaw, reflect, require_periodic
 from .errors import SlowConvergenceError
 from .passage import (
     RcEstimate,
@@ -40,11 +40,6 @@ _rc_cached = lru_cache(maxsize=256)(estimate_rc)
 
 # speeds this close to an end of the drift range take the end's limit value
 _EDGE_TOL = 1e-12
-
-
-def _require_periodic(env: Environment) -> None:
-    if env.kind not in ("homogeneous", "periodic"):
-        raise ValueError("rate evaluation requires a homogeneous or periodic environment")
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,7 @@ def rate(env: Environment, xi: float, rc_tol: float = 1e-8) -> RateResult:
     return s* xi - Lambda(s*), with the drift residual reported. Velocity
     zero returns the midpoint of the threshold bracket, of width <= rc_tol.
     """
-    _require_periodic(env)
+    require_periodic(env, "rate evaluation")
     if xi < 0:
         inner = rate(reflect(env), -xi, rc_tol=rc_tol)
         return replace(inner, xi=xi, slope=-inner.slope, mirrored=True)
@@ -137,7 +132,7 @@ class XiCritical:
 
 
 def xi_critical(env: Environment, rc_est: RcEstimate | None = None) -> XiCritical:
-    _require_periodic(env)
+    require_periodic(env, "rate evaluation")
     rc = rc_est if rc_est is not None else _rc_cached(env)
     a, b = rc.argmin
     da, db = log_perron(env, a).slope, log_perron(env, b).slope
@@ -171,7 +166,7 @@ def rate_curve(env: Environment, xi_grid, rc_tol: float = 1e-8) -> RateCurve:
     """Evaluate the rate on a velocity grid, attach the threshold bracket and
     critical drift of both directions, and check convexity along the finite
     part."""
-    _require_periodic(env)
+    require_periodic(env, "rate evaluation")
     rc = _rc_cached(env, tol=rc_tol)
     rc_bar = _rc_cached(reflect(env), tol=rc_tol)
     results = [rate(env, float(xi), rc_tol=rc_tol) for xi in xi_grid]
@@ -221,17 +216,20 @@ def cramer_oracle(law: JumpLaw, xi: float) -> float:
 
 @dataclass(frozen=True)
 class SymmetryGap:
-    """I(xi) - I(-xi) against the skew predicted by the log odds of the
-    unit jumps; the defect vanishes for nearest-neighbor environments."""
+    """I(xi) - I(-xi) against the skew predicted by the mean log odds of
+    the unit jumps; the defect vanishes for nearest-neighbor environments."""
 
     xi: float
+    rate_right: float  # I(xi)
+    rate_left: float  # I(-xi)
+    log_odds: float  # mean over classes of log(p(-1) / p(+1))
     gap: float
     predicted: float
     defect: float
 
 
 def symmetry_gap(env: Environment, xi: float, rc_tol: float = 1e-8) -> SymmetryGap:
-    _require_periodic(env)
+    require_periodic(env, "rate evaluation")
     right = rate(env, abs(xi), rc_tol=rc_tol)
     left = rate(env, -abs(xi), rc_tol=rc_tol)
     log_odds = float(
@@ -240,7 +238,8 @@ def symmetry_gap(env: Environment, xi: float, rc_tol: float = 1e-8) -> SymmetryG
     gap = right.value - left.value
     predicted = abs(xi) * log_odds
     return SymmetryGap(
-        xi=abs(xi), gap=gap, predicted=predicted, defect=abs(gap - predicted)
+        xi=abs(xi), rate_right=right.value, rate_left=left.value, log_odds=log_odds,
+        gap=gap, predicted=predicted, defect=abs(gap - predicted),
     )
 
 
@@ -257,7 +256,7 @@ class AsymmetryDemo:
 def asymmetry_demo(env: Environment, rs) -> AsymmetryDemo:
     from .passage import lyapunov_bar
 
-    _require_periodic(env)
+    require_periodic(env, "rate evaluation")
     gaps = []
     for r in rs:
         r = float(r)

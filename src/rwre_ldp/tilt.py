@@ -7,89 +7,78 @@ Once the ratios u_r(x, z) exist, the recipe
 defines a genuine Markov kernel: rows sum to one exactly when the ratios
 solve their stationarity system, so the row defect doubles as a convergence
 meter and is never papered over by renormalizing. The tilted chain is the
-walk conditioned to realize a prescribed passage-time tilt, and everything
-level-2 needs lives here: its stationary environment density, the raw
-occupation profile, the corrector making the tilted increments a telescoping
-sum, and the induced pair measure on (environment class, jump).
+walk conditioned to realize a prescribed passage-time tilt. `tilted_chain`
+builds it once per (environment, tilt) from one ratio solve: kernel rows,
+stationary class law, drift and growth rate. Everything level-2 needs reads
+that object: the stationary environment density, the corrector making the
+tilted increments a telescoping sum, and the induced pair measure on
+(environment class, jump). The raw occupation profile stays a separate
+route, as an independent check on the stationary law.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .environment import Environment, offsets
+from .environment import (
+    Environment,
+    class_cycle,
+    class_probs,
+    offset_index,
+    offsets,
+    require_periodic,
+)
 from .errors import SlowConvergenceError
-from .passage import ULimit, u_limit
-
-
-def _require_periodic(env: Environment, what: str) -> None:
-    if env.kind not in ("homogeneous", "periodic"):
-        raise ValueError(f"{what} requires a homogeneous or periodic environment")
+from .passage import u_limit
 
 
 @dataclass(frozen=True, eq=False)
-class TiltedKernel:
-    """Markov kernel of the tilted walk, rows indexed by environment class."""
+class TiltedChain:
+    """The tilted walk at one tilt, built once: its kernel rows, indexed by
+    environment class, the stationary class law, the drift and the growth
+    rate. Every array is (L, 2B) or (L,) and read-only."""
 
     env: Environment
     r: float
-    probs: np.ndarray  # (L, 2B), aligned with offsets(B)
+    probs: np.ndarray  # (L, 2B) kernel rows, aligned with offsets(B)
     row_defect: float  # max |row sum - 1|; inherited from the ratio solve
     floor: float  # (delta e^r)^2, a lower bound for the +-1 entries
-
-    @property
-    def period(self) -> int:
-        return self.probs.shape[0]
-
-    def transition_matrix(self) -> np.ndarray:
-        """Projection onto the class cycle: T[i, (i+z) % L]."""
-        L = self.period
-        T = np.zeros((L, L))
-        offs = offsets(self.env.b)
-        for i in range(L):
-            for j, z in enumerate(offs):
-                T[i, (i + int(z)) % L] += self.probs[i, j]
-        return T
+    log_u: np.ndarray  # (L, 2B) harmonic log-ratios the rows are built from
+    lam: float  # growth rate: minus the mean of log u(., +1)
+    stat: np.ndarray  # (L,) stationary class law
+    drift: float  # mean jump under stat
 
     def local_drift(self) -> np.ndarray:
         offs = offsets(self.env.b).astype(float)
         return self.probs @ offs
 
 
-def tilt_kernel(env: Environment, r: float, ulim: ULimit | None = None) -> TiltedKernel:
-    """Tilted kernel from the stabilized ratios; periodic environments only."""
-    _require_periodic(env, "the tilted kernel")
-    if ulim is None:
-        ulim = u_limit(env, r)
-    L = env.period
-    b = env.b
-    offs = offsets(b)
-    probs = np.zeros((L, 2 * b))
-    for i in range(L):
-        arr = env.laws[i].as_array()
-        for j in range(2 * b):
-            if arr[j] > 0:
-                probs[i, j] = arr[j] * math.exp(r + ulim.log_u[i, j])
-    defect = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
-    floor = (env.delta * math.exp(r)) ** 2
-    return TiltedKernel(env=env, r=r, probs=probs, row_defect=defect, floor=floor)
+def _kernel_rows(env: Environment, r: float, log_u: np.ndarray) -> np.ndarray:
+    """k(i, z) = p_i(z) e^{r + log u(i, z)} on the support, 0 off it."""
+    p = class_probs(env)
+    on = p > 0
+    probs = np.zeros(p.shape)
+    probs[on] = p[on] * np.fromiter((math.exp(x) for x in r + log_u[on]), float)
+    return probs
 
 
-def stationary_distribution(kern: TiltedKernel) -> np.ndarray:
-    """Stationary law of the class cycle under the tilted kernel.
+def _stationary(probs: np.ndarray) -> np.ndarray:
+    """Stationary law of the class cycle under the kernel rows.
 
     Solved as a bordered linear system; the cycle is irreducible because
-    +-1 jumps carry at least the ellipticity floor.
+    +-1 jumps carry at least the ellipticity floor. The dense L x L matrix
+    lives only inside this call.
     """
-    T = kern.transition_matrix()
-    L = T.shape[0]
+    L = probs.shape[0]
     if L == 1:
         return np.ones(1)
-    A = np.eye(L) - T.T
+    A = np.eye(L)
+    A -= class_cycle(probs).T
     A[-1, :] = 1.0  # replace one redundant balance row with normalization
     rhs = np.zeros(L)
     rhs[-1] = 1.0
@@ -103,12 +92,38 @@ def stationary_distribution(kern: TiltedKernel) -> np.ndarray:
     return stat / stat.sum()
 
 
+@lru_cache(maxsize=256)
+def tilted_chain(env: Environment, r: float) -> TiltedChain:
+    """The tilted chain at r from one ratio solve; periodic environments
+    only. Pure in (env, r), so it is memoised."""
+    require_periodic(env, "the tilted kernel")
+    log_u = u_limit(env, r).log_u
+    probs = _kernel_rows(env, r, log_u)
+    stat = _stationary(probs)
+    for arr in (log_u, probs, stat):
+        arr.flags.writeable = False
+    return TiltedChain(
+        env=env,
+        r=r,
+        probs=probs,
+        row_defect=float(np.max(np.abs(probs.sum(axis=1) - 1.0))),
+        floor=(env.delta * math.exp(r)) ** 2,
+        log_u=log_u,
+        lam=-float(np.mean(log_u[:, offset_index(env.b, 1)])),
+        stat=stat,
+        drift=float(stat @ (probs @ offsets(env.b).astype(float))),
+    )
+
+
+def tilt_kernel(env: Environment, r: float) -> TiltedChain:
+    """Tilted kernel from the stabilized ratios: the memoised chain."""
+    return tilted_chain(env, r)
+
+
 def stationary_speed(env: Environment, r: float) -> float:
     """Mean displacement per step of the tilted walk in its stationary
     environment: the reciprocal slope of the growth-rate curve."""
-    kern = tilt_kernel(env, r)
-    stat = stationary_distribution(kern)
-    speed = float(stat @ kern.local_drift())
+    speed = tilted_chain(env, r).drift
     if speed <= 0:
         raise SlowConvergenceError(
             f"tilted walk has nonpositive speed {speed}; ratios are stale",
@@ -190,16 +205,14 @@ def invariant_density(
     occupation: visit frequencies from resolvent solves on doubling boxes,
     kept as an independent check on the exact route.
     """
-    _require_periodic(env, "the invariant density")
     if mode not in ("exact", "occupation"):
         raise ValueError(f"unknown invariant density mode {mode!r}")
-    kern = tilt_kernel(env, r)
+    chain = tilted_chain(env, r)
     if mode == "exact":
-        stat = stationary_distribution(kern)
-        gap = 0.0
+        stat, gap, speed = chain.stat, 0.0, chain.drift
     else:
         stat, gap = _occupation_stat(env, r, tol)
-    speed = float(stat @ kern.local_drift())
+        speed = float(stat @ chain.local_drift())
     slope = 1.0 / speed
     phi = stat * env.period * slope
     floor = (env.delta * math.exp(r)) ** (2 * env.b)
@@ -233,9 +246,7 @@ class Corrector:
     span: float
 
     def increment(self, x: int, z: int) -> float:
-        offs = offsets(self.env.b)
-        j = int(np.where(offs == z)[0][0])
-        return float(self.values[x % self.env.period, j])
+        return float(self.values[x % self.env.period, offset_index(self.env.b, z)])
 
     def path_sum(self, start: int, steps) -> float:
         """Telescoped corrector sum along a concrete path."""
@@ -248,27 +259,19 @@ class Corrector:
 
 
 def corrector(env: Environment, r: float) -> Corrector:
-    """Build the corrector from the stabilized ratios.
+    """Build the corrector from the tilted chain's log-ratios.
 
     The per-class potential is the cumulative log-ratio plus linear drift;
     exact periodicity follows because the growth rate is exactly the mean
     log-ratio, making the corrector a closed discrete gradient.
     """
-    _require_periodic(env, "the corrector")
-    ulim = u_limit(env, r)
-    L = env.period
-    b = env.b
-    offs = offsets(b)
-    j1 = int(np.where(offs == 1)[0][0])
-    theta = ulim.log_u[:, j1]
-    lam = -float(np.mean(theta))
+    chain = tilted_chain(env, r)
+    L, lam = env.period, chain.lam
+    theta = chain.log_u[:, offset_index(env.b, 1)]
     potential = np.zeros(L)
     for i in range(1, L):
         potential[i] = potential[i - 1] + theta[i - 1] + lam
-    values = np.zeros((L, 2 * b))
-    for i in range(L):
-        for j, z in enumerate(offs):
-            values[i, j] = ulim.log_u[i, j] + int(z) * lam
+    values = chain.log_u + offsets(env.b) * lam
     span = float(potential.max() - potential.min()) if L > 1 else 0.0
     return Corrector(env=env, r=r, lam=lam, values=values, potential=potential, span=span)
 
@@ -291,15 +294,12 @@ class AnsatzMeasure:
 
 
 def ansatz_measure(env: Environment, r: float) -> AnsatzMeasure:
-    _require_periodic(env, "the tilted pair measure")
-    ulim = u_limit(env, r)
-    kern = tilt_kernel(env, r, ulim=ulim)
-    stat = stationary_distribution(kern)
-    weights = stat[:, None] * kern.probs
-    drift = float(stat @ kern.local_drift())
-    offs = offsets(env.b)
-    j1 = int(np.where(offs == 1)[0][0])
-    lam = -float(np.mean(ulim.log_u[:, j1]))
+    chain = tilted_chain(env, r)
     return AnsatzMeasure(
-        env=env, r=r, lam=lam, weights=weights, stat=stat, drift=drift
+        env=env,
+        r=r,
+        lam=chain.lam,
+        weights=chain.stat[:, None] * chain.probs,
+        stat=chain.stat,
+        drift=chain.drift,
     )

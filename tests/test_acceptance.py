@@ -25,7 +25,7 @@ from rwre_ldp.environment import (
 from rwre_ldp.passage import brute_mgf, estimate_rc, hit_mgf, lambda_curve, lyapunov, lyapunov_bar
 from rwre_ldp.rate import asymmetry_demo, cramer_oracle, rate, rate_curve, xi_critical
 from rwre_ldp.rng import stream_key, uniform
-from rwre_ldp.tilt import ansatz_measure, corrector, stationary_distribution, tilt_kernel
+from rwre_ldp.tilt import ansatz_measure, corrector, tilt_kernel
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -242,7 +242,7 @@ def test_structural_invariants_across_corpus():
                 for j, z in enumerate(offs)
             )
             assert grad_err <= 1e-11, (name, r, "corrector gradient")
-            pi = stationary_distribution(kern)
+            pi = kern.stat
             step = np.zeros((L, L))
             for i in range(L):
                 for j, z in enumerate(offs):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rwre_ldp import mc
+from rwre_ldp import mc, passage, tilt
 from rwre_ldp.cli import main, parse_config
 
 SYM = {"type": "homogeneous", "B": 1, "laws": [{"-1": 0.5, "1": 0.5}]}
@@ -22,6 +22,11 @@ WIDE = {
     "laws": [{"-2": 0.1, "-1": 0.2, "1": 0.5, "2": 0.2}],
 }
 MC_SMALL = {"n_steps": 1500, "n_walkers": 80, "mgf_walkers": 15000, "level": 6, "r": -0.3}
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run_cfg(tmp: Path, cfg: dict, *flags: str, name: str = "cfg.json") -> tuple[int, Path]:
@@ -199,6 +204,50 @@ class TestTiltReport:
         assert rep["row_defect"] <= 1e-12
         assert math.isfinite(rep["growth_rate"])
 
+    # digests written when each reader of the tilted chain rebuilt its own
+    # kernel and stationary law; building the chain once must not move a byte
+    def test_committed_config_matches_pinned_report(self, tmp_path):
+        out = tmp_path / "per2"
+        assert main(["run", str(CONFIG_DIR / "tilt_report_per2.json"), "--out", str(out)]) == 0
+        assert sha256(out / "tilt_report.json") == (
+            "95ab13819d35dc6f0600bf7df32f5973a782ef4454c8149fd5a9c1de4c8456bb"
+        )
+
+    def test_long_period_matches_pinned_report(self, tmp_path):
+        laws = []
+        for i in range(1024):
+            p = 0.55 + 0.25 * ((37 * i) % 101) / 100
+            laws.append({"-1": 1.0 - p, "1": p})
+        env = {"type": "periodic", "B": 1, "laws": laws}
+        code, out = run_cfg(tmp_path, {"task": "tilt-report", "environment": env, "r": -0.6})
+        assert code == 0
+        assert sha256(out / "tilt_report.json") == (
+            "8b1107368f690f71d15f73a0853318775b526e4eab9ec9519ec18d441976b697"
+        )
+
+    def test_one_chain_per_report(self, tmp_path, monkeypatch):
+        # one ratio solve at r for the chain, two for the slope stencil r +- h
+        calls = {"u_limit": 0, "_kernel_rows": 0, "_stationary": 0}
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        u_limit = counted(passage.u_limit, "u_limit")
+        monkeypatch.setattr(passage, "u_limit", u_limit)
+        monkeypatch.setattr(tilt, "u_limit", u_limit)
+        monkeypatch.setattr(tilt, "_kernel_rows", counted(tilt._kernel_rows, "_kernel_rows"))
+        monkeypatch.setattr(tilt, "_stationary", counted(tilt._stationary, "_stationary"))
+        tilt.tilted_chain.cache_clear()
+        env = {"type": "periodic", "B": 1,
+               "laws": [{"-1": 0.3, "1": 0.7}, {"-1": 0.55, "1": 0.45}, {"-1": 0.4, "1": 0.6}]}
+        code, _ = run_cfg(tmp_path, {"task": "tilt-report", "environment": env, "r": -0.35})
+        assert code == 0
+        assert calls == {"u_limit": 3, "_kernel_rows": 1, "_stationary": 1}
+
     def test_supercritical_tilt_exits_3_with_diagnostics(self, tmp_path, capsys):
         code, out = run_cfg(tmp_path, {"task": "tilt-report", "environment": PER2,
                                        "r": 0.5})
@@ -269,11 +318,9 @@ class TestMcVerify:
     def test_committed_config_matches_pinned_artifacts(self, tmp_path):
         # digests written by the kernels that drew for every walker at every
         # step; skipping the draws of arrived walkers must not move a byte
-        config = Path(__file__).resolve().parents[1] / "configs" / "mc_verify_per2.json"
         out = tmp_path / "per2"
-        assert main(["run", str(config), "--out", str(out)]) == 0
-        digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                  for name in ("mc_report.jsonl", "mc_summary.json")}
+        assert main(["run", str(CONFIG_DIR / "mc_verify_per2.json"), "--out", str(out)]) == 0
+        digest = {name: sha256(out / name) for name in ("mc_report.jsonl", "mc_summary.json")}
         assert digest == {
             "mc_report.jsonl": "83852f5331430ef8a4584a19d6b258e8ff9fa8a5080eb19c1a05e216a3c75049",
             "mc_summary.json": "9bd7de245cf532914e38ee39b9a1c657e225d99495692e32d798a9734f83e1fe",
@@ -328,6 +375,14 @@ class TestSymmetryCheck:
         assert len(rep["rows"]) == 2
         row = rep["rows"][0]
         assert row["gap"] == pytest.approx(row["predicted"], abs=1e-10)
+
+    def test_committed_config_matches_pinned_report(self, tmp_path):
+        # digest written when the task repeated the arithmetic of symmetry_gap
+        out = tmp_path / "per3"
+        assert main(["run", str(CONFIG_DIR / "symmetry_check_per3.json"), "--out", str(out)]) == 0
+        assert sha256(out / "symmetry_check.json") == (
+            "7073f6cc59e79c75112b34417668d18de72756c8672d5edee1235eec922ea61b"
+        )
 
     def test_rejects_nonpositive_speeds(self, tmp_path):
         cfg = {"task": "symmetry-check", "environment": PER2,

@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 from rwre_ldp.environment import (
     Environment,
     JumpLaw,
+    class_cycle,
+    class_probs,
     env_from_json,
     env_to_json,
     homogeneous,
     law_at,
+    offset_index,
     offsets,
     periodic,
     reflect,
+    require_periodic,
     sample_iid,
     validate,
 )
@@ -25,6 +29,46 @@ from .strategies import environments, jump_laws
 
 def test_offsets_order():
     assert offsets(2).tolist() == [-2, -1, 1, 2]
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_offset_index_inverts_offsets(b):
+    for j, z in enumerate(offsets(b)):
+        assert offset_index(b, int(z)) == j
+    for z in (0, b + 1, -b - 1):
+        with pytest.raises(ValueError):
+            offset_index(b, z)
+
+
+class TestClassLayout:
+    ENV = periodic([
+        JumpLaw.from_dict({"-2": 0.1, "-1": 0.3, "1": 0.3, "2": 0.3}),
+        JumpLaw.from_dict({"-1": 0.35, "1": 0.35, "2": 0.3}, b=2),
+        JumpLaw.from_dict({"-2": 0.2, "-1": 0.3, "1": 0.25, "2": 0.25}),
+    ])
+
+    def test_class_probs_rows_are_the_laws(self):
+        probs = class_probs(self.ENV)
+        assert probs.shape == (3, 4)
+        assert not probs.flags.writeable
+        for i, law in enumerate(self.ENV.laws):
+            np.testing.assert_array_equal(probs[i], law.as_array())
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 5])
+    def test_class_cycle_matches_site_loop(self, L):
+        rows = np.random.default_rng(L).random((L, 4))
+        want = np.zeros((L, L))
+        for i in range(L):
+            for j, z in enumerate(offsets(2)):
+                want[i, (i + int(z)) % L] += rows[i, j]
+        # same additions in the same order, so equal to the last bit
+        np.testing.assert_array_equal(class_cycle(rows), want)
+
+    def test_require_periodic(self):
+        require_periodic(self.ENV, "this check")
+        window = sample_iid([(1.0, self.ENV.laws[0])], -5, 5, seed=3)
+        with pytest.raises(ValueError, match="this check requires"):
+            require_periodic(window, "this check")
 
 
 class TestJumpLaw:

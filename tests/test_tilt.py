@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from rwre_ldp.environment import JumpLaw, homogeneous, offsets, periodic
+from rwre_ldp.environment import JumpLaw, class_cycle, homogeneous, offsets, periodic
 from rwre_ldp.passage import lyapunov, lyapunov_prime
 from rwre_ldp.tilt import (
     ansatz_measure,
     corrector,
     invariant_density,
-    stationary_distribution,
     stationary_speed,
     tilt_kernel,
+    tilted_chain,
 )
 
 from .strategies import jump_laws
@@ -50,7 +50,7 @@ class TestKernel:
 
     def test_transition_matrix_stochastic(self):
         kern = tilt_kernel(PER2_NN, -0.2)
-        T = kern.transition_matrix()
+        T = class_cycle(kern.probs)
         assert T.shape == (2, 2)
         assert np.max(np.abs(T.sum(axis=1) - 1.0)) < 1e-12
 
@@ -70,11 +70,11 @@ class TestKernel:
 class TestStationary:
     @pytest.mark.parametrize("env,r", CASES)
     def test_invariance(self, env, r):
-        kern = tilt_kernel(env, r)
-        stat = stationary_distribution(kern)
+        chain = tilted_chain(env, r)
+        stat = chain.stat
         assert stat.sum() == pytest.approx(1.0, abs=1e-14)
         assert np.all(stat >= 0)
-        T = kern.transition_matrix()
+        T = class_cycle(chain.probs)
         assert np.max(np.abs(stat @ T - stat)) < 1e-13
 
     def test_symmetric_nn_speed_closed_form(self):
@@ -84,6 +84,49 @@ class TestStationary:
         zeta = (1.0 - math.sqrt(1.0 - e * e)) / e
         expect = 0.5 * e * (1.0 / zeta - zeta)
         assert stationary_speed(SYM_NN, r) == pytest.approx(expect, abs=1e-13)
+
+
+class TestChain:
+    def test_built_once_per_tilt(self):
+        chain = tilted_chain(PER2_NN, -0.25)
+        assert tilted_chain(PER2_NN, -0.25) is chain
+        assert tilt_kernel(PER2_NN, -0.25) is chain
+
+    def test_rows_match_site_loop(self):
+        # class 2 has no -2 jump; entries stay p * math.exp(r + log u), bit for bit
+        env = periodic([
+            JumpLaw.from_dict({"-2": 0.1, "-1": 0.3, "1": 0.3, "2": 0.3}),
+            JumpLaw.from_dict({"-2": 0.2, "-1": 0.3, "1": 0.25, "2": 0.25}),
+            JumpLaw.from_dict({"-1": 0.35, "1": 0.35, "2": 0.3}, b=2),
+        ])
+        r = -0.45
+        chain = tilted_chain(env, r)
+        want = np.zeros((3, 4))
+        for i, law in enumerate(env.laws):
+            arr = law.as_array()
+            for j in range(4):
+                if arr[j] > 0:
+                    want[i, j] = arr[j] * math.exp(r + chain.log_u[i, j])
+        np.testing.assert_array_equal(chain.probs, want)
+        assert chain.probs[2, 0] == 0.0
+
+    def test_arrays_are_read_only(self):
+        chain = tilted_chain(DRIFT2, -0.6)
+        for arr in (chain.probs, chain.log_u, chain.stat):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("env,r", CASES)
+    def test_readers_share_its_numbers(self, env, r):
+        chain = tilted_chain(env, r)
+        mu = ansatz_measure(env, r)
+        dens = invariant_density(env, r, mode="exact")
+        assert mu.stat is chain.stat and dens.stat is chain.stat
+        assert mu.drift == dens.speed == stationary_speed(env, r) == chain.drift
+        assert mu.lam == corrector(env, r).lam == chain.lam
+        assert chain.lam == lyapunov(env, r).value
+        np.testing.assert_array_equal(mu.weights, chain.stat[:, None] * chain.probs)
 
 
 class TestSlope:
