@@ -174,6 +174,22 @@ class Environment:
         elif self.window is not None:
             raise ValueError("only iid environments carry a window")
 
+    def __hash__(self) -> int:
+        # memo lookups hash the environment on every call, and hashing the
+        # fields walks all L laws; they are frozen, so hash them once
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.kind, self.b, self.delta, self.laws, self.window, self.seed))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # hash(None) and str hashes differ between processes, so the cached
+        # hash is left out of a pickle and recomputed after loading
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @property
     def period(self) -> int | None:
         """Number of site classes; None for window environments."""

@@ -80,32 +80,44 @@ class WalkSample:
     corrector_sums: np.ndarray | None  # (n_walkers,) accumulated increments
 
 
-# step codes pooled into one bincount; bounds the tally buffer at 8 MB
-_TALLY_CODES = 1 << 20
+# uniforms drawn per block of steps: a block is budget // live walkers
+# steps (at least one), which keeps its buffers at a few MB
+_DRAW_BUDGET = 1 << 16
+
+
+def _block_codes(smp, cls, u):
+    """Step codes for the rows of u, one step per row, from classes cls;
+    returns the codes and the classes after the last row. Only this
+    recursion runs step by step."""
+    codes = np.empty(u.shape, dtype=np.intp)
+    for i, row in enumerate(u):
+        codes[i] = code = smp.codes(cls, row)
+        cls = smp.next_cls[code]
+    return codes, cls
 
 
 def _walk_block(smp, seed, n_steps, j_lo, j_hi, fvals, count_pairs):
     """Walkers j_lo..j_hi-1; pure function of (seed, walker index), so any
-    split into blocks reproduces the serial run bit for bit."""
+    split into blocks reproduces the serial run bit for bit. Each block of
+    steps is drawn by one `uniform_at` call."""
     keys = rng.stream_keys(seed, j_lo, j_hi)
     n = j_hi - j_lo
     x = np.zeros(n, dtype=np.int64)
     cls = np.zeros(n, dtype=np.intp)
     counts = np.zeros(smp.jump.size, dtype=np.int64) if count_pairs else None
-    pending: list[np.ndarray] = []
-    flush = max(1, _TALLY_CODES // n)
     csums = np.zeros(n) if fvals is not None else None
-    for t in range(n_steps):
-        code = smp.codes(cls, rng.uniform_at(keys, t))
+    span = max(1, _DRAW_BUDGET // n)
+    for t in range(0, n_steps, span):
+        m = min(span, n_steps - t)
+        u = rng.uniform_at(rng.block_keys(keys, t, m), 0).reshape(m, n)
+        codes, cls = _block_codes(smp, cls, u)
+        x += smp.jump[codes].sum(axis=0)
         if count_pairs:
-            pending.append(code)
-            if len(pending) == flush or t == n_steps - 1:
-                counts += np.bincount(np.concatenate(pending), minlength=counts.size)
-                pending.clear()
+            counts += np.bincount(codes.ravel(), minlength=counts.size)
         if csums is not None:
-            csums += fvals[code]
-        x += smp.jump[code]
-        cls = smp.next_cls[code]
+            # cumsum runs down the step axis one row at a time, so each
+            # walker's sum is added in step order, as a step loop would
+            csums = np.cumsum(np.vstack([csums, fvals[codes]]), axis=0)[-1]
     return x, counts, csums
 
 
@@ -157,22 +169,27 @@ def walk_ensemble(
 
 def _passage_block(smp, seed, level, max_steps, j_lo, j_hi):
     """Only walkers still short of `level` draw: `live` holds their block
-    indices, with their keys, positions and classes alongside."""
+    indices, with their keys, positions and classes alongside. A block of
+    steps is at most ceil((level - x) / B) steps for every live walker, so
+    none can arrive before its last step and every draw feeds a step."""
     n = j_hi - j_lo
     tau = np.full(n, max_steps, dtype=np.int64)
     live = np.arange(n)
     keys = rng.stream_keys(seed, j_lo, j_hi)
     x = np.zeros(n, dtype=np.int64)
     cls = np.zeros(n, dtype=np.intp)
-    for t in range(max_steps):
-        if not live.size:
-            break
-        code = smp.codes(cls, rng.uniform_at(keys, t))
-        x += smp.jump[code]
-        cls = smp.next_cls[code]
+    reach = smp.width // 2  # B, the longest jump
+    t = 0
+    while t < max_steps and live.size:
+        lead = -(-int(level - x.max()) // reach)  # steps the leader needs
+        m = min(max(1, _DRAW_BUDGET // live.size), max_steps - t, max(1, lead))
+        u = rng.uniform_at(rng.block_keys(keys, t, m), 0).reshape(m, live.size)
+        codes, cls = _block_codes(smp, cls, u)
+        x += smp.jump[codes].sum(axis=0)
+        t += m
         arrived = x >= level
         if arrived.any():
-            tau[live[arrived]] = t + 1
+            tau[live[arrived]] = t
             running = ~arrived
             live, keys, x, cls = live[running], keys[running], x[running], cls[running]
     censored = np.zeros(n, dtype=bool)

@@ -10,6 +10,13 @@ replicas therefore never share a stream, and any draw can be regenerated
 from ``(master, j, k)`` alone. Every quantity here is pure 64-bit integer
 arithmetic, so the byte stream is reproducible across platforms and
 languages.
+
+Key shift: because ``mix64(s + (k+1) * GOLDEN)`` only ever sees the sum,
+draw k of the stream keyed ``s`` is draw 0 of the stream keyed
+``s + k * GOLDEN`` (mod 2**64). `block_keys` uses this to lay m draws of n
+streams out as one flat key vector, so a block of steps is one finalizer
+pass: ``uniform_at(block_keys(keys, k0, m), 0).reshape(m, n)[i]`` equals
+``uniform_at(keys, k0 + i)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -28,9 +35,13 @@ _MASK64 = (1 << 64) - 1
 
 def mix64(x: np.ndarray | int) -> np.ndarray | np.uint64:
     """splitmix64 finalizer, elementwise over uint64 input."""
-    # rounds run in place on a private array; array arithmetic wraps
+    z = _mix_inplace(np.array(x, dtype=np.uint64))
+    return z if z.ndim else z[()]
+
+
+def _mix_inplace(z: np.ndarray) -> np.ndarray:
+    # rounds run in place on a private uint64 array; array arithmetic wraps
     # without overflow warnings, unlike arithmetic on numpy scalars
-    z = np.array(x, dtype=np.uint64)
     t = np.empty_like(z)
     np.right_shift(z, _S30, out=t)
     z ^= t
@@ -40,7 +51,7 @@ def mix64(x: np.ndarray | int) -> np.ndarray | np.uint64:
     z *= _MIX2
     np.right_shift(z, _S31, out=t)
     z ^= t
-    return z if z.ndim else z[()]
+    return z
 
 
 def stream_key(master_seed: int, replica: int) -> np.uint64:
@@ -69,6 +80,13 @@ def uniform(key: np.uint64, start: int, count: int) -> np.ndarray:
     return (raw(key, start, count) >> np.uint64(11)).astype(np.float64) * _U53
 
 
+def block_keys(keys: np.ndarray, k0: int, m: int) -> np.ndarray:
+    """Keys whose draw 0 is draw k0 + i of stream keys[j], flattened row by
+    row over (i, j) for i < m: m * len(keys) entries."""
+    shifts = np.arange(k0, k0 + m, dtype=np.uint64) * GOLDEN
+    return (shifts[:, None] + np.asarray(keys, dtype=np.uint64)).ravel()
+
+
 def uniform_at(keys: np.ndarray, k: int) -> np.ndarray:
     """Draw number k of every stream in `keys` at once.
 
@@ -76,7 +94,7 @@ def uniform_at(keys: np.ndarray, k: int) -> np.ndarray:
     finalizer pass over the key vector.
     """
     step = np.uint64((k + 1) * int(GOLDEN) & _MASK64)
-    z = mix64(np.asarray(keys, dtype=np.uint64) + step)
+    z = _mix_inplace(np.asarray(keys, dtype=np.uint64) + step)
     z >>= _S11
     u = z.astype(np.float64)
     u *= _U53

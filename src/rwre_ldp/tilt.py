@@ -77,8 +77,10 @@ def _stationary(probs: np.ndarray) -> np.ndarray:
     L = probs.shape[0]
     if L == 1:
         return np.ones(1)
-    A = np.eye(L)
-    A -= class_cycle(probs).T
+    # eye - T.T from one L x L matrix: the negated cycle plus 1 on the
+    # diagonal, the same bits since 1 + (-t) == 1 - t
+    A = class_cycle(-probs).T
+    A.flat[:: L + 1] += 1.0
     A[-1, :] = 1.0  # replace one redundant balance row with normalization
     rhs = np.zeros(L)
     rhs[-1] = 1.0

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -177,12 +178,44 @@ class TestReflect:
     @given(environments())
     def test_reflect_is_involution(self, env):
         assert reflect(reflect(env)) == env
+        assert hash(reflect(reflect(env))) == hash(env)
 
     @given(environments(), st.integers(-10, 10))
     def test_reflect_pointwise_identity(self, env, x):
         ref = reflect(env)
         for z in offsets(env.b):
             assert law_at(ref, x).prob(int(z)) == law_at(env, -x).prob(int(-z))
+
+
+class TestHash:
+    @staticmethod
+    def build() -> Environment:
+        return periodic([
+            {"-1": 0.3, "1": 0.7},
+            JumpLaw.from_dict({"-2": 0.1, "-1": 0.3, "1": 0.4, "2": 0.2}),
+        ])
+
+    def test_equal_environments_hash_equal(self):
+        a, b = self.build(), self.build()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        twice = reflect(reflect(a))
+        assert twice == a and hash(twice) == hash(a)
+
+    def test_equality_stays_fieldwise(self):
+        a = self.build()
+        hash(a)  # a cached hash takes no part in equality
+        other = Environment(kind=a.kind, b=a.b, delta=a.delta / 2, laws=a.laws)
+        assert other != a
+        assert Environment(kind=a.kind, b=a.b, delta=a.delta, laws=a.laws) == a
+
+    def test_cached_hash_is_not_pickled(self):
+        env = self.build()
+        h = hash(env)
+        back = pickle.loads(pickle.dumps(env))
+        # the hash of None and of strings changes between processes
+        assert "_hash" not in vars(back)
+        assert back == env and hash(back) == h
 
 
 class TestValidate:

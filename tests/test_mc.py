@@ -92,6 +92,65 @@ class TestStreams:
         assert s.pair_counts.shape == (2, 2)
 
 
+class TestDrawBlocks:
+    """The kernels step in blocks of draws from one `uniform_at` call each;
+    the block length must not show in any output."""
+
+    @pytest.mark.parametrize("k0", [0, 5, 2**40])
+    def test_block_keys_match_per_step_draws(self, k0):
+        # keys near 2**64 - 1 wrap in the uint64 addition
+        top = np.array([2**64 - 1, 2**64 - 2], dtype=np.uint64)
+        keys = np.concatenate([rng.stream_keys(5, 0, 4), top])
+        m = 7
+        block = rng.uniform_at(rng.block_keys(keys, k0, m), 0)
+        assert block.shape == (m * keys.size,)
+        for i, row in enumerate(block.reshape(m, keys.size)):
+            assert np.array_equal(row, rng.uniform_at(keys, k0 + i))
+
+    @staticmethod
+    def outputs() -> list:
+        out = []
+        for threads in (1, 3):
+            for n_walkers in (5, 41):
+                s = mc.walk_ensemble(
+                    PER2_NN, 7, 300, n_walkers, r=-0.3,
+                    count_pairs=True, track_corrector=True, threads=threads,
+                )
+                out += [s.positions, s.pair_counts, s.corrector_sums]
+        for env in (PER2_NN, DRIFT2):
+            for n_walkers in (5, 41):
+                out += mc.passage_ensemble(env, 8, 30, n_walkers, 2000)
+                out += mc.passage_ensemble(env, 8, 0, n_walkers, 50)  # level 0
+                out += mc.passage_ensemble(env, 8, 30, n_walkers, 0)  # no steps
+                out += mc.passage_ensemble(env, 8, 10_000, n_walkers, 25)  # censored
+        return out
+
+    def test_block_length_is_invisible(self, monkeypatch):
+        want = self.outputs()
+        for budget in (1, 3):
+            monkeypatch.setattr(mc, "_DRAW_BUDGET", budget)
+            got = self.outputs()
+            assert len(got) == len(want)
+            for a, b in zip(want, got):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+    def test_one_draw_call_per_block(self, monkeypatch):
+        calls, drawn = [], []
+        uniform_at = rng.uniform_at
+
+        def counting(keys, k):
+            calls.append(k)
+            drawn.append(len(keys))
+            return uniform_at(keys, k)
+
+        monkeypatch.setattr(rng, "uniform_at", counting)
+        n_steps, n_walkers = 10_000, 200
+        mc.walk_ensemble(PER2_NN, 3, n_steps, n_walkers)
+        assert sum(drawn) == n_steps * n_walkers
+        assert len(calls) <= math.ceil(n_steps / (mc._DRAW_BUDGET // n_walkers))
+
+
 class TestPassageEnsemble:
     def test_passage_matches_pinned_values(self):
         # computed by the kernel that drew for every walker at every step
