@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .environment import (
     Environment,
@@ -30,6 +29,7 @@ from .environment import (
     require_periodic,
 )
 from .errors import InfeasibleDriftError, SlowConvergenceError
+from .passage import drift_limits
 from .tilt import AnsatzMeasure
 
 FLOOR = 1e-12
@@ -135,7 +135,14 @@ def _constraints(env: Environment, xi: float, mask: np.ndarray):
 
 def drift_range(env: Environment) -> tuple[float, float]:
     """Extreme mean jumps over shift-stationary pair measures, by linear
-    programming over the supported polytope."""
+    programming over the supported polytope.
+
+    An independent oracle for passage.drift_limits (Karp's extreme cycle
+    means), which the minimizer uses; scipy.optimize loads only when this
+    runs.
+    """
+    from scipy.optimize import linprog
+
     require_periodic(env, "a pair measure")
     mask = class_probs(env) > 0
     A, rhs, idx = _constraints(env, 0.0, mask)
@@ -181,11 +188,11 @@ def minimize_entropy(
     Projected gradient with BB steps; the projection is Dykstra's alternation
     between the affine constraint set and the floor box, so iterates stay
     feasible to machine precision. Infeasible drifts are rejected up front
-    with the attainable range in the error.
+    with the attainable range (Karp's extreme cycle means) in the error.
     """
     require_periodic(env, "a pair measure")
     mask = class_probs(env) > 0
-    lo, hi = drift_range(env)
+    lo, hi = drift_limits(env)
     margin = 1e-12
     if not (lo - margin <= xi <= hi + margin):
         raise InfeasibleDriftError(

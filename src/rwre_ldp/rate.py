@@ -11,8 +11,10 @@ r_c = -min Lambda. Speeds strictly inside the attainable drift range (the
 extreme cycle means of the class jump graph) are interior; its two ends take
 the limit of s xi - Lambda(s) as s runs off to infinity, and speeds outside
 it are impossible. Leftward velocities go through the reflected environment.
-A classical one-step Legendre transform for homogeneous environments rides
-along as an independent cross-check.
+The drift equation is solved by a port of Brent's bracketed root finder
+(Brent 1973, as in scipy's brentq), so the analytic tasks never load
+scipy.optimize. A classical one-step Legendre transform for homogeneous
+environments rides along as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .environment import Environment, JumpLaw, reflect, require_periodic
 from .errors import SlowConvergenceError
@@ -56,6 +57,90 @@ class RateResult:
     mirrored: bool  # solved through the reflected environment
 
 
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
+
+
+def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int,
+           fa: float | None = None, fb: float | None = None) -> float:
+    """Root of f in [a, b] by Brent's method.
+
+    A line-for-line port of scipy's brentq.c, with the same floating-point
+    operations in the same order, so it returns the same float. fa and fb,
+    when given, are f(a) and f(b) already in hand. A NaN value, a bracket
+    without a sign change or an exhausted budget raises SlowConvergenceError
+    whose diagnostics carry the bracket and the iteration count.
+    """
+
+    def fail(message: str, it: int, **extra) -> SlowConvergenceError:
+        return SlowConvergenceError(
+            message, diagnostics={"bracket": [a, b], "iterations": it, **extra}
+        )
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre) if fa is None else fa
+    fcur = f(xcur) if fb is None else fb
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise fail("root finder met NaN at an end of its bracket", 0, f_bracket=[fpre, fcur])
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise fail("root finder bracket has no sign change", 0, f_bracket=[fpre, fcur])
+    for it in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise fail(f"root finder met NaN at x={xcur}", it, x=xcur)
+    raise fail(f"root finder did not converge in {maxiter} iterations", maxiter, x=xcur)
+
+
 def _slope_root(env: Environment, xi: float) -> float:
     """The tilt s with Lambda'(s) = xi, for xi inside the drift range."""
 
@@ -66,17 +151,26 @@ def _slope_root(env: Environment, xi: float) -> float:
     if f0 == 0.0:
         return 0.0
     # Lambda' increases; walk outward from 0 until the sign flips
-    step = 1.0 if f0 < 0.0 else -1.0
-    a, b = 0.0, step
-    while (f(b) < 0.0) == (f0 < 0.0):
-        a, b = b, 2.0 * b
+    a, fa = 0.0, f0
+    b = 1.0 if f0 < 0.0 else -1.0
+    fb = f(b)
+    while (fb < 0.0) == (f0 < 0.0):
+        a, fa = b, fb
+        b = 2.0 * b
         if abs(b) > 1e4:
             raise SlowConvergenceError(
                 f"drift equation has no bracket within |s| <= 1e4 at xi={xi}",
                 diagnostics={"xi": xi},
             )
-    lo, hi = min(a, b), max(a, b)
-    return float(brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=300))
+        fb = f(b)
+    if a > b:
+        a, fa, b, fb = b, fb, a, fa
+    try:
+        return _brent(f, a, b, xtol=1e-13, rtol=8.9e-16, maxiter=300, fa=fa, fb=fb)
+    except SlowConvergenceError as e:
+        raise SlowConvergenceError(
+            f"drift equation at xi={xi}: {e}", diagnostics={"xi": xi, **e.diagnostics}
+        ) from e
 
 
 def rate(env: Environment, xi: float, rc_tol: float = 1e-8) -> RateResult:
@@ -196,6 +290,8 @@ def rate_curve(env: Environment, xi_grid, rc_tol: float = 1e-8) -> RateCurve:
 def cramer_oracle(law: JumpLaw, xi: float) -> float:
     """Independent check for homogeneous environments: the one-step Legendre
     transform sup_s [s xi - log sum_z p(z) e^{s z}]."""
+    from scipy.optimize import minimize_scalar  # an oracle, kept off the import path
+
     zs = np.array([z for z, _ in law.probs], dtype=float)
     ps = np.array([p for _, p in law.probs])
     if xi > zs.max() or xi < zs.min():

@@ -1,13 +1,18 @@
 """Batch front end: config validation, artifacts, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from rwre_ldp import mc, passage, tilt
+from rwre_ldp import mc, passage, rate, tilt
 from rwre_ldp.cli import main, parse_config
 
 SYM = {"type": "homogeneous", "B": 1, "laws": [{"-1": 0.5, "1": 0.5}]}
@@ -22,7 +27,8 @@ WIDE = {
     "laws": [{"-2": 0.1, "-1": 0.2, "1": 0.5, "2": 0.2}],
 }
 MC_SMALL = {"n_steps": 1500, "n_walkers": 80, "mgf_walkers": 15000, "level": 6, "r": -0.3}
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 
 def sha256(path: Path) -> str:
@@ -178,6 +184,24 @@ class TestRateCurve:
         assert rep["rc"]["value"] == pytest.approx(rep["rc_reflected"]["value"], abs=1e-6)
         assert rep["xi_critical"] == pytest.approx(0.0, abs=1e-3)
 
+    def test_drift_root_failure_exits_3_with_diagnostics(self, tmp_path, monkeypatch):
+        real = rate.log_perron
+
+        def poisoned(env, s):
+            # the outward bracket walk visits integers only; Brent's steps don't
+            pt = real(env, s)
+            return dataclasses.replace(pt, slope=math.nan) if s != int(s) else pt
+
+        monkeypatch.setattr(rate, "log_perron", poisoned)
+        code, out = run_cfg(tmp_path, {"task": "rate-curve", "environment": PER2,
+                                       "grid": [0.3]})
+        assert code == 3
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "SlowConvergenceError"
+        assert diag["diagnostics"]["xi"] == 0.3
+        assert diag["diagnostics"]["iterations"] >= 1
+        assert len(diag["diagnostics"]["bracket"]) == 2
+
 
 class TestTiltReport:
     def test_report_contents(self, tmp_path):
@@ -276,7 +300,8 @@ class TestLevel2Min:
         code, out = run_cfg(tmp_path, {"task": "level2-min", "environment": PER2,
                                        "xi": 1.5})
         assert code == 3
-        assert (out / "diagnostics.json").exists()
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert (diag["xi_min"], diag["xi_max"]) == (-1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -404,3 +429,50 @@ class TestThreadsFlag:
                                    "grid": [-0.5]}))
         with pytest.raises(SystemExit):
             main(["run", str(cfg), "--threads", "0"])
+
+
+LEAN_IMPORT_PROBE = textwrap.dedent(
+    """
+    import json
+    import sys
+    from pathlib import Path
+
+    import rwre_ldp.cli as cli
+
+    configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+    names = ["rate_curve_sym.json", "symmetry_check_per3.json", "level2_min_per2.json"]
+    codes = [cli.run(configs / n, out_dir=out / n) for n in names]
+    lean = "scipy.optimize" not in sys.modules
+
+    from rwre_ldp import level2, rate
+    from rwre_ldp.environment import JumpLaw, homogeneous
+
+    law = JumpLaw(b=1, probs=((-1, 0.5), (1, 0.5)))
+    print(json.dumps({
+        "codes": codes,
+        "lean": lean,
+        "drift_range": level2.drift_range(homogeneous(law)),
+        "cramer": rate.cramer_oracle(law, 0.5),
+        "oracles_loaded_optimize": "scipy.optimize" in sys.modules,
+    }))
+    """
+)
+
+
+def test_cli_runs_without_scipy_optimize(tmp_path):
+    # a fresh interpreter: the analytic tasks must not load scipy.optimize,
+    # neither at import nor lazily, while the LP and Cramer oracles still work
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", LEAN_IMPORT_PROBE, str(CONFIG_DIR), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    rep = json.loads(proc.stdout.splitlines()[-1])
+    assert rep["codes"] == [0, 0, 0]
+    assert rep["lean"]
+    assert rep["drift_range"] == pytest.approx([-1.0, 1.0], abs=1e-9)
+    assert rep["cramer"] == pytest.approx(0.13081203594113697, abs=1e-12)
+    assert rep["oracles_loaded_optimize"]

@@ -17,9 +17,10 @@ from rwre_ldp.level2 import (
     from_ansatz,
     minimize_entropy,
 )
+from rwre_ldp.passage import drift_limits
 from rwre_ldp.tilt import ansatz_measure
 
-from .strategies import jump_laws
+from .strategies import environments, jump_laws
 
 SYM_NN = homogeneous(JumpLaw(b=1, probs=((-1, 0.5), (1, 0.5))))
 PER2_NN = periodic(
@@ -113,6 +114,16 @@ class TestDriftRange:
         assert hi == pytest.approx(1.0, abs=1e-9)
 
 
+@settings(max_examples=25, deadline=None)
+@given(environments(max_b=2, max_period=4))
+def test_cycle_means_match_the_lp_oracle(env):
+    # the minimizer's feasibility check (Karp) against the LP over the
+    # polytope, including laws with zero-mass offsets at |z| >= 2
+    lo, hi = drift_limits(env)
+    lo_lp, hi_lp = drift_range(env)
+    assert abs(lo - lo_lp) <= 1e-9 and abs(hi - hi_lp) <= 1e-9
+
+
 class TestMinimizer:
     @pytest.mark.parametrize("env,r", [(PER2_NN, -0.2), (WIDE, -0.5)])
     def test_recovers_tilted_measure(self, env, r):
@@ -137,6 +148,15 @@ class TestMinimizer:
         with pytest.raises(InfeasibleDriftError) as exc:
             minimize_entropy(WIDE, 2.5)
         assert exc.value.xi_max == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("env", [PER2_NN, WIDE, DRIFT2])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_just_outside_the_range_carries_the_cycle_means(self, env, side):
+        lo, hi = drift_limits(env)
+        xi = hi + 1e-9 if side > 0 else lo - 1e-9
+        with pytest.raises(InfeasibleDriftError) as exc:
+            minimize_entropy(env, xi)
+        assert (exc.value.xi_min, exc.value.xi_max) == (lo, hi)
 
     def test_zero_drift_minimum_nonnegative(self):
         res = minimize_entropy(WIDE, 0.0, tol=1e-9)

@@ -1,9 +1,11 @@
 """Rate function as the Legendre transform of the Perron core, checked
 against one-step Legendre transforms (exact for homogeneous environments),
 the constrained pair-entropy minimizer, closed-form thresholds, and boundary
-values read off the jump probabilities."""
+values read off the jump probabilities; the drift-equation root finder against
+scipy's brentq, float for float."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwre_ldp import level2
+from rwre_ldp import rate as rate_module
 from rwre_ldp.environment import JumpLaw, homogeneous, periodic, reflect, sample_iid
+from rwre_ldp.errors import SlowConvergenceError
+from rwre_ldp.passage import drift_limits
 from rwre_ldp.rate import (
+    _brent,
     asymmetry_demo,
     cramer_oracle,
     rate,
@@ -33,6 +39,13 @@ PER2_NN = periodic(
 )
 WIDE_LAW = JumpLaw(b=2, probs=((-2, 1 / 7), (-1, 3 / 7), (1, 1 / 7), (2, 2 / 7)))
 WIDE = homogeneous(WIDE_LAW)
+PER3_NN = periodic(
+    [
+        JumpLaw(b=1, probs=((-1, 0.25), (1, 0.75))),
+        JumpLaw(b=1, probs=((-1, 0.55), (1, 0.45))),
+        JumpLaw(b=1, probs=((-1, 0.35), (1, 0.65))),
+    ]
+)
 # class 2 has no -2 jump, so the attainable drifts are [-1.5, 2.0]
 B2_NO_MINUS2 = periodic(
     [
@@ -274,3 +287,110 @@ def test_duality_property_biased(xi):
     assert rate(BIASED_NN, xi).value == pytest.approx(
         cramer_oracle(BIASED_NN.laws[0], xi), abs=1e-8
     )
+
+
+# scipy.optimize.brentq's default tolerances, and the drift equation's
+BRENT_TOLS = ((2e-12, 4 * np.finfo(float).eps), (1e-13, 8.9e-16))
+
+
+def _monotone_family(kind: int, c: np.ndarray, root: float):
+    """Increasing functions that vanish at root, from easy to bisection-bound."""
+    if kind == 0:
+        return lambda x: c[0] * (x - root) ** 3 + c[1] * (x - root)
+    if kind == 1:
+        return lambda x: math.tanh(c[0] * (x - root))
+    if kind == 2:
+        return lambda x: math.exp(c[0] * x) - math.exp(c[0] * root)
+    if kind == 3:
+        return lambda x: x**5 + c[1] * x - (root**5 + c[1] * root)
+    return lambda x: math.atan(50.0 * c[0] * (x - root))
+
+
+class TestBrent:
+    def test_matches_brentq_bit_for_bit_on_random_brackets(self):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(20240601)
+        n = 10_000
+        for k in range(n):
+            c = rng.uniform(0.1, 3.0, size=2)
+            root = float(rng.normal(scale=2.0))
+            a = root - float(rng.exponential(2.0))
+            b = root + float(rng.exponential(2.0))
+            if k % 97 == 0:
+                a = root  # a root sitting on the bracket's end
+            f = _monotone_family(k % 5, c, root)
+            for xtol, rtol in BRENT_TOLS:
+                ref = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=300)
+                got = _brent(f, a, b, xtol, rtol, 300)
+                assert got == ref, (k, a, b, xtol, rtol, got, ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(environments(max_b=2, max_period=4), st.floats(0.02, 0.98))
+    def test_matches_brentq_on_the_drift_equation(self, env, frac):
+        from scipy.optimize import brentq
+
+        compared = []
+
+        def checked(f, a, b, xtol, rtol, maxiter, fa=None, fb=None):
+            got = _brent(f, a, b, xtol, rtol, maxiter, fa=fa, fb=fb)
+            assert got == brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+            compared.append(got)
+            return got
+
+        lo, hi = drift_limits(env)
+        with mock.patch.object(rate_module, "_brent", checked):
+            for xi in (lo + (hi - lo) * frac, 0.5 * (lo + hi), hi * frac, lo * frac):
+                if abs(xi) > 1e-12:
+                    rate(env, float(xi))
+        assert compared
+
+    def test_nan_inside_the_bracket_raises(self):
+        def f(x):
+            return math.nan if 0.0 < x < 1.0 else x - 0.5
+
+        with pytest.raises(SlowConvergenceError) as exc:
+            _brent(f, 0.0, 1.0, 1e-13, 8.9e-16, 300)
+        diag = exc.value.diagnostics
+        assert diag["bracket"] == [0.0, 1.0]
+        assert diag["iterations"] == 1
+        assert 0.0 < diag["x"] < 1.0
+
+    def test_nan_at_an_end_raises(self):
+        with pytest.raises(SlowConvergenceError) as exc:
+            _brent(lambda x: math.nan if x == 1.0 else -1.0, 0.0, 1.0, 1e-13, 8.9e-16, 300)
+        assert exc.value.diagnostics["bracket"] == [0.0, 1.0]
+        assert exc.value.diagnostics["iterations"] == 0
+
+    def test_bracket_without_sign_change_raises(self):
+        with pytest.raises(SlowConvergenceError) as exc:
+            _brent(lambda x: x + 1.0, 0.0, 1.0, 1e-13, 8.9e-16, 300)
+        assert exc.value.diagnostics["bracket"] == [0.0, 1.0]
+        assert exc.value.diagnostics["f_bracket"] == [1.0, 2.0]
+
+    def test_exhausted_budget_raises(self):
+        def f(x):
+            return math.atan(50.0 * (x - 0.3))
+
+        with pytest.raises(SlowConvergenceError) as exc:
+            _brent(f, -7.0, 9.0, 1e-13, 8.9e-16, 3)
+        assert exc.value.diagnostics["iterations"] == 3
+        assert exc.value.diagnostics["bracket"] == [-7.0, 9.0]
+        assert _brent(f, -7.0, 9.0, 1e-13, 8.9e-16, 300) == pytest.approx(0.3, abs=1e-13)
+
+
+def test_log_perron_calls_per_interior_rate_point():
+    # f(0), the outward walk to the bracket s in [0, 1], Brent's interior
+    # steps and the final point; the bracket ends are not solved twice
+    calls = []
+    real = rate_module.log_perron
+
+    def counted(env, s):
+        calls.append(s)
+        return real(env, s)
+
+    with mock.patch.object(rate_module, "log_perron", counted):
+        res = rate(PER3_NN, 0.3)
+    assert res.branch == "interior"
+    assert calls[:2] == [0.0, 1.0]
+    assert len(calls) == 9
