@@ -27,9 +27,12 @@ from .errors import ConfigError, WindowExhaustedError
 _NORM_TOL = 1e-12
 
 
+@lru_cache(maxsize=None)
 def offsets(b: int) -> np.ndarray:
-    """Jump offsets in canonical order: -b, ..., -1, 1, ..., b."""
-    return np.concatenate([np.arange(-b, 0), np.arange(1, b + 1)])
+    """Jump offsets in canonical order: -b, ..., -1, 1, ..., b; read-only."""
+    offs = np.concatenate([np.arange(-b, 0), np.arange(1, b + 1)])
+    offs.flags.writeable = False
+    return offs
 
 
 def offset_index(b: int, z: int) -> int:
@@ -53,17 +56,25 @@ def class_probs(env: Environment) -> np.ndarray:
     return probs
 
 
+@lru_cache(maxsize=64)
+def class_targets(L: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The class-cycle layout of (L, 2B) rows: dst[i, j] = (i + z_j) mod L,
+    and the offset-major flat index i*L + dst[i, j] into the L x L cycle
+    that `class_cycle` scatters through. Both read-only."""
+    dst = (np.arange(L)[:, None] + offsets(b)) % L
+    flat = (np.arange(L)[:, None] * L + dst).T.ravel()
+    for arr in (dst, flat):
+        arr.flags.writeable = False
+    return dst, flat
+
+
 def class_cycle(rows: np.ndarray) -> np.ndarray:
     """Scatter per-(class, offset) values onto the class cycle: the L x L
     matrix M[i, (i+z_j) mod L] = sum_j rows[i, j], added in ascending
-    offset order."""
+    offset order (bincount adds its weights in input order, from 0.0)."""
     L, width = rows.shape
-    idx = np.arange(L)
-    M = np.zeros((L, L))
-    for j, z in enumerate(offsets(width // 2)):
-        # rows are distinct, so no index pair repeats within one update
-        M[idx, (idx + int(z)) % L] += rows[:, j]
-    return M
+    flat = class_targets(L, width // 2)[1]
+    return np.bincount(flat, weights=rows.T.ravel(), minlength=L * L).reshape(L, L)
 
 
 @dataclass(frozen=True)

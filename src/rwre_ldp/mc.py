@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .environment import Environment, class_probs, env_to_json, offsets, require_periodic
+from .environment import (
+    Environment,
+    class_probs,
+    class_targets,
+    env_to_json,
+    offsets,
+    require_periodic,
+)
 from .errors import SupercriticalError
 from .passage import estimate_rc, hit_mgf, lyapunov_prime
 from .tilt import ansatz_measure, corrector, stationary_speed, tilt_kernel
@@ -64,7 +71,7 @@ def _sampler(env: Environment, r: float | None) -> _Sampler:
         width=width,
         thresholds=tuple(np.ascontiguousarray(cum[:, k]) for k in range(width - 1)),
         jump=np.tile(offs, L),
-        next_cls=((np.arange(L)[:, None] + offs) % L).ravel(),
+        next_cls=class_targets(L, env.b)[0].ravel(),
     )
 
 

@@ -27,12 +27,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgeev
 
 from .environment import (
     Environment,
     class_cycle,
     class_probs,
+    class_targets,
     law_at,
     offset_index,
     offsets,
@@ -478,38 +478,112 @@ def _newton_ratios(
 
 @dataclass(frozen=True, eq=False)
 class PerronPoint:
-    """Lambda(s) = log rho(K_s), its slope, and the right Perron vector."""
+    """Lambda(s) = log rho(K_s), its slope, the right Perron vector, and a
+    Collatz-Wielandt bracket on Lambda(s) from that vector."""
 
     s: float
     value: float
-    slope: float  # <l, K'_s r> / (rho <l, r>), the tilted drift at s
-    right: np.ndarray  # positive, sums to 1
+    slope: float  # <l, K'_s phi> / (rho <l, phi>), the tilted drift at s
+    right: np.ndarray  # phi: positive, sums to 1
+    bracket: tuple[float, float]  # log min/max (K_s phi)_i / phi_i; holds log rho(K_s)
+
+
+# A bordered solve leaves one equation to the rounding of rho: accept the
+# first border while its class holds at least this share of the largest
+# stationary weight (its Collatz-Wielandt width is then at most this many
+# times the best border's).
+_BORDER_SLACK = 8.0
+
+
+def _bordered_solve(K: np.ndarray, rho: float, k: int, s: float) -> np.ndarray:
+    """(rho I - K) phi = 0 and (rho I - K)^T l = 0 with equation k of each
+    replaced by sum = 1, in one stacked LU call; returns the rows phi, l."""
+    L = len(K)
+    M = np.empty((2, L, L))
+    np.negative(K, out=M[0])
+    M[0].reshape(-1)[:: L + 1] += rho
+    M[1] = M[0].T
+    M[:, k] = 1.0
+    rhs = np.zeros((2, L, 1))
+    rhs[:, k] = 1.0
+    try:
+        return np.linalg.solve(M, rhs)[..., 0]
+    except np.linalg.LinAlgError as e:
+        raise SlowConvergenceError(
+            f"bordered Perron-vector solve failed at s={s}",
+            diagnostics={"s": s, "linalg": str(e)},
+        ) from None
+
+
+def _perron_vectors(K: np.ndarray, rho: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Right and left Perron vectors phi, l of K from bordered solves.
+
+    Every equation kept in `_bordered_solve` holds at the computed rho, so
+    every Collatz-Wielandt quotient (K phi)_i / phi_i but the k-th is rho
+    itself, and the k-th is off by about (rho' - rho) <l, phi> / (l_k phi_k),
+    rho' - rho being the eigenvalue's rounding. The pair is solved at k = 0,
+    and once more at the class of largest stationary weight l_k phi_k when
+    class 0 holds less than 1/_BORDER_SLACK of it.
+    """
+    if len(K) == 1:
+        return np.ones(1), np.ones(1)
+    phi, left = _bordered_solve(K, rho, 0, s)
+    weight = phi * left
+    k = int(weight.argmax())
+    if weight[k] > _BORDER_SLACK * weight[0]:
+        phi, left = _bordered_solve(K, rho, k, s)
+    return phi, left
 
 
 def log_perron(env: Environment, s: float) -> PerronPoint:
-    """Lambda and Lambda' at one tilt from a single eigen-solve (LAPACK
-    dgeev, both eigenvector sides at once).
+    """Lambda and Lambda' at one tilt, with numpy's LAPACK only: rho from
+    the eigenvalues of K_s, the right and left Perron vectors phi and l from
+    bordered solves of (rho I - K_s) (`_perron_vectors`; l_i phi_i is the
+    stationary law of the tilted chain), then the slope
+    <l, K'_s phi> / (rho <l, phi>) and the Collatz-Wielandt quotients
+    (K_s phi)_i / phi_i from the (L, 2B) rows, in O(L B).
 
     K_s is scaled by e^{-|s| B}, which leaves the vectors and the slope
     unchanged and keeps the entries finite for large |s|.
     """
     offs = offsets(env.b)
     probs = class_probs(env)
+    L = len(probs)
     shift = abs(s) * env.b
-    w = np.exp(s * offs - shift)
-    wr, wi, vl, vr, info = dgeev(class_cycle(probs * w))
-    if info != 0:
+    rows = probs * np.exp(s * offs - shift)
+    K = class_cycle(rows)
+    if L == 1:  # homogeneous: K_s is the scalar sum_z p(z) e^{s z - shift}
+        top = K[0, 0]
+    else:
+        try:
+            eig = np.linalg.eigvals(K)
+        except np.linalg.LinAlgError as e:
+            raise SlowConvergenceError(
+                f"eigen-solve of K_s failed at s={s}", diagnostics={"s": s, "linalg": str(e)}
+            ) from None
+        top = eig[eig.real.argmax()]  # the Perron root has the largest real part
+    rho = float(top.real)
+    if top.imag != 0.0 or not (math.isfinite(rho) and rho > 0.0):
         raise SlowConvergenceError(
-            f"eigen-solve of K_s failed at s={s}", diagnostics={"lapack_info": int(info)}
+            f"no finite positive real Perron root of K_s at s={s}",
+            diagnostics={"s": s, "eigenvalue": [rho, float(top.imag)]},
         )
-    # the Perron root is the real eigenvalue of largest real part
-    k = int(np.argmax(np.where(wi == 0.0, wr, NEG_INF)))
-    rho = float(wr[k])
-    l_vec = vl[:, k] / vl[:, k].sum()
-    r_vec = vr[:, k] / vr[:, k].sum()
-    dK = class_cycle(probs * (w * offs))
-    slope = float(l_vec @ dK @ r_vec) / (rho * float(l_vec @ r_vec))
-    return PerronPoint(s=s, value=math.log(rho) + shift, slope=slope, right=r_vec)
+    phi, left = _perron_vectors(K, rho, s)  # phi sums to 1 up to rounding
+    if not phi.min() > 0.0:
+        raise SlowConvergenceError(
+            f"Perron vector of K_s not positive at s={s}",
+            diagnostics={"s": s, "min": float(phi.min())},
+        )
+    terms = rows * phi[class_targets(L, env.b)[0]]  # K_s phi and K'_s phi, term by term
+    quot = terms.sum(axis=1) / phi  # Collatz-Wielandt quotients
+    value = math.log(rho) + shift
+    return PerronPoint(
+        s=s,
+        value=value,
+        slope=float(left @ (terms @ offs)) / (rho * float(left @ phi)),
+        right=phi,
+        bracket=(value + math.log(quot.min() / rho), value + math.log(quot.max() / rho)),
+    )
 
 
 def _class_mean_start(env: Environment, r: float, safe: float) -> float:
@@ -651,16 +725,21 @@ def edge_rate(env: Environment, sign: float) -> float:
     L = env.period
     offs = offsets(env.b)
     probs = class_probs(env)
-    dst = (np.arange(L)[:, None] + offs) % L
+    dst = class_targets(L, env.b)[0]
     tight = (probs > 0) & (sign * offs - mean + u[:, None] - u[dst] > -1e-9)
-    wr, wi, _, _, info = dgeev(
-        class_cycle(np.where(tight, probs, 0.0)), compute_vl=0, compute_vr=0
-    )
-    if info != 0:
+    try:
+        rho = float(np.max(np.abs(np.linalg.eigvals(class_cycle(np.where(tight, probs, 0.0))))))
+    except np.linalg.LinAlgError as e:
         raise SlowConvergenceError(
-            "eigen-solve of the edge matrix failed", diagnostics={"lapack_info": int(info)}
+            "eigen-solve of the edge matrix failed",
+            diagnostics={"sign": sign, "linalg": str(e)},
+        ) from None
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise SlowConvergenceError(
+            "edge matrix has no finite positive spectral radius",
+            diagnostics={"sign": sign, "rho": rho},
         )
-    return -math.log(float(np.max(np.hypot(wr, wi))))
+    return -math.log(rho)
 
 
 @lru_cache(maxsize=512)

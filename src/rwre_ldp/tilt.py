@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .environment import (
     Environment,
@@ -67,7 +66,7 @@ def _kernel_rows(env: Environment, r: float, log_u: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _stationary(probs: np.ndarray) -> np.ndarray:
+def _stationary(probs: np.ndarray, r: float) -> np.ndarray:
     """Stationary law of the class cycle under the kernel rows.
 
     Solved as a bordered linear system; the cycle is irreducible because
@@ -84,12 +83,18 @@ def _stationary(probs: np.ndarray) -> np.ndarray:
     A[-1, :] = 1.0  # replace one redundant balance row with normalization
     rhs = np.zeros(L)
     rhs[-1] = 1.0
-    stat = np.linalg.solve(A, rhs)
+    try:
+        stat = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as e:
+        raise SlowConvergenceError(
+            f"stationary solve of the tilted chain failed at r={r}",
+            diagnostics={"r": r, "linalg": str(e)},
+        ) from None
     stat = np.where(np.abs(stat) < 1e-18, 0.0, stat)
     if np.any(stat < -1e-12):
         raise SlowConvergenceError(
             "stationary solve produced negative mass",
-            diagnostics={"min": float(stat.min())},
+            diagnostics={"r": r, "min": float(stat.min())},
         )
     return stat / stat.sum()
 
@@ -101,7 +106,7 @@ def tilted_chain(env: Environment, r: float) -> TiltedChain:
     require_periodic(env, "the tilted kernel")
     log_u = u_limit(env, r).log_u
     probs = _kernel_rows(env, r, log_u)
-    stat = _stationary(probs)
+    stat = _stationary(probs, r)
     for arr in (log_u, probs, stat):
         arr.flags.writeable = False
     return TiltedChain(
@@ -156,7 +161,9 @@ class InvariantDensity:
 def _occupation_stat(env: Environment, r: float, tol: float) -> tuple[np.ndarray, float]:
     """Class-visit frequencies of the tilted walk from banded resolvent
     solves on growing boxes: g = (I - K^T)^{-1} e_0 counts expected visits
-    before the walk escapes the box."""
+    before the walk escapes the box. An oracle: scipy loads only here."""
+    from scipy.linalg import solve_banded
+
     kern = tilt_kernel(env, r)
     L = env.period
     b = env.b

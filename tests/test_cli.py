@@ -10,6 +10,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rwre_ldp import mc, passage, rate, tilt
@@ -29,10 +30,29 @@ WIDE = {
 MC_SMALL = {"n_steps": 1500, "n_walkers": 80, "mgf_walkers": 15000, "level": 6, "r": -0.3}
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def assert_close_tree(got, want, rel: float, abs_: float, path: str = "") -> None:
+    """Same JSON structure and non-float values; floats within
+    max(rel * |want|, abs_)."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for k in want:
+            assert_close_tree(got[k], want[k], rel, abs_, f"{path}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close_tree(g, w, rel, abs_, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), path
+        assert abs(got - want) <= max(rel * abs(want), abs_), (path, got, want)
+    else:
+        assert got == want, path
 
 
 def run_cfg(tmp: Path, cfg: dict, *flags: str, name: str = "cfg.json") -> tuple[int, Path]:
@@ -201,6 +221,19 @@ class TestRateCurve:
         assert diag["diagnostics"]["xi"] == 0.3
         assert diag["diagnostics"]["iterations"] >= 1
         assert len(diag["diagnostics"]["bracket"]) == 2
+
+    def test_eigen_solve_failure_exits_3_with_diagnostics(self, tmp_path, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        code, out = run_cfg(tmp_path, {"task": "rate-curve", "environment": PER2,
+                                       "grid": [0.3]})
+        assert code == 3
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "SlowConvergenceError"
+        assert "s" in diag["diagnostics"]
+        assert "Eigenvalues did not converge" in diag["diagnostics"]["linalg"]
 
 
 class TestTiltReport:
@@ -402,12 +435,24 @@ class TestSymmetryCheck:
         assert row["gap"] == pytest.approx(row["predicted"], abs=1e-10)
 
     def test_committed_config_matches_pinned_report(self, tmp_path):
-        # digest written when the task repeated the arithmetic of symmetry_gap
+        # digest written when Lambda' came from numpy's eigenvalues and the
+        # bordered Perron-vector solves; test_agrees_with_the_dgeev_report
+        # holds it to the report of the dgeev core it replaced
         out = tmp_path / "per3"
         assert main(["run", str(CONFIG_DIR / "symmetry_check_per3.json"), "--out", str(out)]) == 0
         assert sha256(out / "symmetry_check.json") == (
-            "7073f6cc59e79c75112b34417668d18de72756c8672d5edee1235eec922ea61b"
+            "66818b8d00e68bffbfbd688d0a00c9c3cd454adcd72d511f890cf08196ed8446"
         )
+
+    def test_agrees_with_the_dgeev_report(self, tmp_path):
+        # the report the dgeev Perron core wrote (digest 7073f6cc...), as a
+        # fixture: every float to 1e-12 relative or 1e-14 absolute,
+        # whichever is larger (the defects are rounding residuals near 1e-16)
+        out = tmp_path / "per3"
+        assert main(["run", str(CONFIG_DIR / "symmetry_check_per3.json"), "--out", str(out)]) == 0
+        got = json.loads((out / "symmetry_check.json").read_text())
+        want = json.loads((FIXTURES / "symmetry_check_per3.parent.json").read_text())
+        assert_close_tree(got, want, rel=1e-12, abs_=1e-14)
 
     def test_rejects_nonpositive_speeds(self, tmp_path):
         cfg = {"task": "symmetry-check", "environment": PER2,
@@ -431,7 +476,7 @@ class TestThreadsFlag:
             main(["run", str(cfg), "--threads", "0"])
 
 
-LEAN_IMPORT_PROBE = textwrap.dedent(
+SCIPY_FREE_PROBE = textwrap.dedent(
     """
     import json
     import sys
@@ -439,40 +484,54 @@ LEAN_IMPORT_PROBE = textwrap.dedent(
 
     import rwre_ldp.cli as cli
 
-    configs, out = Path(sys.argv[1]), Path(sys.argv[2])
-    names = ["rate_curve_sym.json", "symmetry_check_per3.json", "level2_min_per2.json"]
-    codes = [cli.run(configs / n, out_dir=out / n) for n in names]
-    lean = "scipy.optimize" not in sys.modules
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m.startswith("scipy"))
 
-    from rwre_ldp import level2, rate
-    from rwre_ldp.environment import JumpLaw, homogeneous
+    configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+    codes = {p.name: cli.run(p, out_dir=out / p.stem) for p in sorted(configs.glob("*.json"))}
+    after_cli = scipy_modules()
+
+    from rwre_ldp import level2, rate, tilt
+    from rwre_ldp.environment import JumpLaw, homogeneous, periodic
 
     law = JumpLaw(b=1, probs=((-1, 0.5), (1, 0.5)))
+    drift_range = level2.drift_range(homogeneous(law))
+    cramer = rate.cramer_oracle(law, 0.5)
+    per2 = periodic([JumpLaw(b=1, probs=((-1, 0.2), (1, 0.8))),
+                     JumpLaw(b=1, probs=((-1, 0.6), (1, 0.4)))])
+    occ = tilt.invariant_density(per2, -0.3, mode="occupation")
+    exact = tilt.invariant_density(per2, -0.3)
     print(json.dumps({
         "codes": codes,
-        "lean": lean,
-        "drift_range": level2.drift_range(homogeneous(law)),
-        "cramer": rate.cramer_oracle(law, 0.5),
-        "oracles_loaded_optimize": "scipy.optimize" in sys.modules,
+        "after_cli": after_cli,
+        "drift_range": drift_range,
+        "cramer": cramer,
+        "occupation_gap": float(abs(occ.stat - exact.stat).max()),
+        "loaded": {m: m in sys.modules for m in ("scipy.optimize", "scipy.linalg")},
     }))
     """
 )
 
 
-def test_cli_runs_without_scipy_optimize(tmp_path):
-    # a fresh interpreter: the analytic tasks must not load scipy.optimize,
-    # neither at import nor lazily, while the LP and Cramer oracles still work
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh interpreter: import and every committed config must not load
+    # any scipy module, while the LP, Cramer and banded-occupation oracles
+    # still work and load scipy when they run
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", LEAN_IMPORT_PROBE, str(CONFIG_DIR), str(tmp_path)],
+        [sys.executable, "-c", SCIPY_FREE_PROBE, str(CONFIG_DIR), str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
     rep = json.loads(proc.stdout.splitlines()[-1])
-    assert rep["codes"] == [0, 0, 0]
-    assert rep["lean"]
+    assert sorted(rep["codes"]) == sorted(p.name for p in CONFIG_DIR.glob("*.json"))
+    assert {"mc_verify_per2.json", "tilt_report_per2.json",
+            "counterexample_sevenths.json"} <= set(rep["codes"])
+    assert all(code == 0 for code in rep["codes"].values()), rep["codes"]
+    assert rep["after_cli"] == []
     assert rep["drift_range"] == pytest.approx([-1.0, 1.0], abs=1e-9)
     assert rep["cramer"] == pytest.approx(0.13081203594113697, abs=1e-12)
-    assert rep["oracles_loaded_optimize"]
+    assert rep["occupation_gap"] < 1e-6
+    assert rep["loaded"] == {"scipy.optimize": True, "scipy.linalg": True}

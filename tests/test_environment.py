@@ -11,6 +11,7 @@ from rwre_ldp.environment import (
     JumpLaw,
     class_cycle,
     class_probs,
+    class_targets,
     env_from_json,
     env_to_json,
     homogeneous,
@@ -64,6 +65,18 @@ class TestClassLayout:
                 want[i, (i + int(z)) % L] += rows[i, j]
         # same additions in the same order, so equal to the last bit
         np.testing.assert_array_equal(class_cycle(rows), want)
+
+    @pytest.mark.parametrize("L,b", [(1, 1), (2, 3), (5, 2)])
+    def test_layout_is_cached_and_read_only(self, L, b):
+        assert offsets(b) is offsets(b)
+        dst, flat = class_targets(L, b)
+        assert class_targets(L, b)[0] is dst
+        for arr in (offsets(b), dst, flat):
+            assert not arr.flags.writeable
+        for i in range(L):
+            for j, z in enumerate(offsets(b)):
+                assert dst[i, j] == (i + z) % L
+                assert flat[j * L + i] == i * L + dst[i, j]
 
     def test_require_periodic(self):
         require_periodic(self.ENV, "this check")

@@ -13,8 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwre_ldp.environment import Environment, JumpLaw, homogeneous, periodic, reflect, sample_iid
-from rwre_ldp.errors import SupercriticalError, WindowExhaustedError
+from rwre_ldp.environment import (
+    Environment,
+    JumpLaw,
+    class_cycle,
+    class_probs,
+    homogeneous,
+    offsets,
+    periodic,
+    reflect,
+    sample_iid,
+)
+from rwre_ldp.errors import SlowConvergenceError, SupercriticalError, WindowExhaustedError
 from rwre_ldp.passage import (
     brute_mgf,
     char_poly_roots,
@@ -32,7 +42,7 @@ from rwre_ldp.passage import (
 )
 from rwre_ldp.tilt import tilt_kernel
 
-from .strategies import jump_laws
+from .strategies import environments, jump_laws
 
 SYM_NN = homogeneous(JumpLaw(b=1, probs=((-1, 0.5), (1, 0.5))))
 BIASED_NN = homogeneous(JumpLaw(b=1, probs=((-1, 0.25), (1, 0.75))))
@@ -393,6 +403,86 @@ class TestPerronCore:
         vals = [-1.5 * s - log_perron(B2_NO_MINUS2, s).value for s in (-10.0, -20.0, -40.0)]
         assert vals[0] < vals[1] < vals[2]
         assert edge_rate(B2_NO_MINUS2, -1.0) == pytest.approx(vals[2], abs=1e-9)
+
+
+def dgeev_oracle(env: Environment, s: float) -> tuple[float, float]:
+    """Lambda(s) and Lambda'(s) from LAPACK dgeev's left and right
+    eigenvectors of the same scaled K_s, with K'_s built as its own matrix."""
+    from scipy.linalg.lapack import dgeev  # the oracle only: the library is numpy-only
+
+    offs = offsets(env.b)
+    probs = class_probs(env)
+    shift = abs(s) * env.b
+    w = np.exp(s * offs - shift)
+    wr, wi, vl, vr, info = dgeev(class_cycle(probs * w))
+    assert info == 0
+    k = int(np.argmax(np.where(wi == 0.0, wr, -np.inf)))
+    rho, l_vec, r_vec = float(wr[k]), vl[:, k], vr[:, k]
+    slope = float(l_vec @ class_cycle(probs * (w * offs)) @ r_vec) / (rho * float(l_vec @ r_vec))
+    return math.log(rho) + shift, slope
+
+
+class TestPerronOracle:
+    """numpy's eigenvalues and bordered Perron-vector solves against dgeev,
+    with the Collatz-Wielandt bracket as the certificate."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(environments(max_b=3, max_period=64), st.floats(-3.0, 3.0))
+    def test_matches_dgeev_with_a_certified_bracket(self, env, s):
+        value, slope = dgeev_oracle(env, s)
+        pt = log_perron(env, s)
+        assert abs(pt.value - value) <= 1e-15
+        assert abs(pt.slope - slope) <= 1e-12
+        lo, hi = pt.bracket
+        assert lo - 1e-15 <= value <= hi + 1e-15
+        assert 0.0 <= hi - lo <= 1e-10
+        assert np.all(pt.right > 0.0)
+        assert pt.right.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_bracket_is_the_collatz_wielandt_span_of_the_vector(self):
+        s = 0.7
+        pt = log_perron(B2_NO_MINUS2, s)
+        K = class_cycle(class_probs(B2_NO_MINUS2) * np.exp(s * offsets(2)))
+        quot = (K @ pt.right) / pt.right
+        assert pt.bracket == pytest.approx((math.log(quot.min()), math.log(quot.max())), abs=1e-14)
+
+    def test_homogeneous_bracket_is_exact(self):
+        pt = log_perron(DRIFT2, 0.4)
+        assert pt.bracket == (pt.value, pt.value)
+        mgf = sum(p * math.exp(0.4 * z) for z, p in DRIFT2_LAW.probs)
+        assert pt.value == pytest.approx(math.log(mgf), abs=1e-15)
+
+
+class TestLinalgFailures:
+    """numpy.linalg failures surface as SlowConvergenceError with the tilt."""
+
+    def test_eigen_solve_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(SlowConvergenceError) as exc:
+            log_perron(PER2_NN, 0.25)
+        assert exc.value.diagnostics["s"] == 0.25
+        with pytest.raises(SlowConvergenceError) as exc:
+            edge_rate(B2_NO_MINUS2, -1.0)
+        assert exc.value.diagnostics["sign"] == -1.0
+
+    @pytest.mark.parametrize("eig", [[np.nan, 0.5], [0.9 + 0.1j, 0.9 - 0.1j, 0.2], [-0.5, -0.7]])
+    def test_no_finite_positive_real_root(self, monkeypatch, eig):
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array(eig))
+        with pytest.raises(SlowConvergenceError) as exc:
+            log_perron(PER2_NN, -0.5)
+        assert exc.value.diagnostics["s"] == -0.5
+
+    def test_singular_bordered_solve(self, monkeypatch):
+        def fail(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", fail)
+        with pytest.raises(SlowConvergenceError) as exc:
+            log_perron(B2_NO_MINUS2, 1.5)
+        assert exc.value.diagnostics["s"] == 1.5
 
 
 class TestLongPeriodRatios:

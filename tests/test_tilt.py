@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from rwre_ldp import tilt
 from rwre_ldp.environment import JumpLaw, class_cycle, homogeneous, offsets, periodic
+from rwre_ldp.errors import SlowConvergenceError
 from rwre_ldp.passage import lyapunov, lyapunov_prime
 from rwre_ldp.tilt import (
     ansatz_measure,
@@ -84,6 +86,14 @@ class TestStationary:
         zeta = (1.0 - math.sqrt(1.0 - e * e)) / e
         expect = 0.5 * e * (1.0 / zeta - zeta)
         assert stationary_speed(SYM_NN, r) == pytest.approx(expect, abs=1e-13)
+
+    def test_singular_solve_raises_with_the_tilt(self):
+        # rows that send class 0 to class 1 with weight 1 and class 1 back
+        # with weight -1 make the bordered matrix singular
+        rows = np.array([[0.5, 0.5], [-0.5, -0.5]])
+        with pytest.raises(SlowConvergenceError) as exc:
+            tilt._stationary(rows, -0.3)
+        assert exc.value.diagnostics["r"] == -0.3
 
 
 class TestChain:
