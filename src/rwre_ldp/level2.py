@@ -22,8 +22,8 @@ import numpy as np
 
 from .environment import (
     Environment,
-    class_cycle,
     class_probs,
+    class_targets,
     offset_index,
     offsets,
     require_periodic,
@@ -53,8 +53,11 @@ class PairMeasure:
         return self.weights.sum(axis=1)
 
     def m2(self) -> np.ndarray:
-        """Class marginal after the jump: mass arriving at each class."""
-        return class_cycle(self.weights).sum(axis=0)
+        """Class marginal after the jump: mass arriving at each class,
+        added in ascending source class."""
+        L, w = self.env.period, self.weights
+        dst = class_targets(L, self.env.b)[0]
+        return np.bincount(dst.ravel(), weights=w.ravel(), minlength=L)
 
     def drift(self) -> float:
         offs = offsets(self.env.b).astype(float)

@@ -9,11 +9,13 @@ solve their stationarity system, so the row defect doubles as a convergence
 meter and is never papered over by renormalizing. The tilted chain is the
 walk conditioned to realize a prescribed passage-time tilt. `tilted_chain`
 builds it once per (environment, tilt) from one ratio solve: kernel rows,
-stationary class law, drift and growth rate. Everything level-2 needs reads
-that object: the stationary environment density, the corrector making the
-tilted increments a telescoping sum, and the induced pair measure on
-(environment class, jump). The raw occupation profile stays a separate
-route, as an independent check on the stationary law.
+stationary class law, drift and growth rate. The stationary law comes
+from GTH state reduction along the class cycle, which subtracts nothing and
+holds only a (2B+1)-square block of the chain at a time. Everything level-2
+needs reads that object: the stationary environment density, the corrector
+making the tilted increments a telescoping sum, and the induced pair
+measure on (environment class, jump). The raw occupation profile stays a
+separate route, as an independent check on the stationary law.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 
 from .environment import (
     Environment,
-    class_cycle,
     class_probs,
     offset_index,
     offsets,
@@ -67,36 +68,94 @@ def _kernel_rows(env: Environment, r: float, log_u: np.ndarray) -> np.ndarray:
 
 
 def _stationary(probs: np.ndarray, r: float) -> np.ndarray:
-    """Stationary law of the class cycle under the kernel rows.
+    """Stationary law of the class cycle under the kernel rows, by
+    Grassmann-Taksar-Heyman (GTH) state reduction (Grassmann, Taksar &
+    Heyman 1985).
 
-    Solved as a bordered linear system; the cycle is irreducible because
-    +-1 jumps carry at least the ellipticity floor. The dense L x L matrix
-    lives only inside this call.
+    Classes L-1, L-2, ..., 1 are eliminated in turn. Each pivot is the
+    eliminated class's remaining out-flow, never 1 - p, so the reduction
+    only adds and multiplies nonnegative numbers and every component comes
+    out to a few ulps (O'Cinneide 1993). On the cycle the classes still
+    coupled to class n are the wrap border 0..B-1 and the band n-B..n-1, so
+    the reduction works on one dense block over border and band (at most
+    2B+1 classes) that slides down the cycle: class m enters it before its
+    top neighbour m+B is eliminated, and on the last classes the block just
+    drains. O(L B^2) time, O(L B) memory, no L x L matrix. The +-1 entries
+    carry at least the ellipticity floor, so every pivot of a tilted chain
+    is positive; a negative row entry, or a pivot that is not positive and
+    finite (a reducible or broken chain), raises.
     """
-    L = probs.shape[0]
-    if L == 1:
-        return np.ones(1)
-    # eye - T.T from one L x L matrix: the negated cycle plus 1 on the
-    # diagonal, the same bits since 1 + (-t) == 1 - t
-    A = class_cycle(-probs).T
-    A.flat[:: L + 1] += 1.0
-    A[-1, :] = 1.0  # replace one redundant balance row with normalization
-    rhs = np.zeros(L)
-    rhs[-1] = 1.0
-    try:
-        stat = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as e:
+    L, width = probs.shape
+    b = width // 2
+    if not np.all(probs >= 0.0):
         raise SlowConvergenceError(
-            f"stationary solve of the tilted chain failed at r={r}",
-            diagnostics={"r": r, "linalg": str(e)},
-        ) from None
-    stat = np.where(np.abs(stat) < 1e-18, 0.0, stat)
-    if np.any(stat < -1e-12):
-        raise SlowConvergenceError(
-            "stationary solve produced negative mass",
-            diagnostics={"r": r, "min": float(stat.min())},
+            f"tilted kernel rows have a negative or NaN entry at r={r}",
+            diagnostics={"r": r, "min": float(probs.min())},
         )
-    return stat / stat.sum()
+    rows = probs.ravel().tolist()
+    offs = offsets(b).tolist()
+    # the block before class n is eliminated: border 0..b-1, then band lo..n
+    lo = max(b, L - 1 - b)
+    block = list(range(min(b, L))) + list(range(lo, L))
+    W = [[0.0] * len(block) for _ in block]
+    for Wa, i in zip(W, block):
+        for j, z in enumerate(offs):
+            t = (i + z) % L
+            if t < b:
+                Wa[t] += rows[i * width + j]
+            elif t >= lo:
+                Wa[b + t - lo] += rows[i * width + j]
+    cols = []  # in-flows into n over its pivot, for n = L-1 down to 1
+    for n in range(L - 1, 0, -1):
+        out = W.pop()
+        del out[-1]
+        pivot = sum(out)
+        if not 0.0 < pivot < math.inf:
+            raise SlowConvergenceError(
+                f"stationary reduction of the tilted chain hit pivot {pivot} at r={r}",
+                diagnostics={"r": r, "class": n, "pivot": pivot},
+            )
+        inflow = [Wa.pop() / pivot for Wa in W]
+        for Wa, f in zip(W, inflow):
+            for k, v in enumerate(out):
+                Wa[k] += f * v
+        cols.extend(inflow)
+        m = n - b - 1
+        if m >= b:
+            # class m enters at the band's foot; its row and the in-flows
+            # from its band neighbours m+1..m+b and from the border are
+            # still the kernel's own entries
+            new = [0.0] * (len(W) + 1)
+            into = [0.0] * len(W)
+            for j, z in enumerate(offs):
+                if z > 0:
+                    new[b + z] = rows[m * width + j]
+                    # k(m+z, -z); offset -z sits in column width-1-j
+                    into[b + z - 1] = rows[(m + z) * width + width - 1 - j]
+                    if m - z < b:
+                        into[m - z] = rows[(m - z) * width + j]
+                elif m + z < b:
+                    new[m + z] = rows[m * width + j]
+            for Wa, v in zip(W, into):
+                Wa.insert(b, v)
+            W.insert(b, new)
+    # back-substitution in ascending order from x_0 = 1: when n was
+    # eliminated the block held border 0..min(n, b)-1 and band max(b, n-b)..n-1
+    x = [1.0] * L
+    end = len(cols)
+    for n in range(1, L):
+        lo = max(b, n - b)
+        k = min(n, b) + max(0, n - lo)
+        end -= k
+        x[n] = sum(cols[end + a] * x[a if a < b else lo + a - b] for a in range(k))
+    stat = np.array(x)
+    total = float(stat.sum())
+    if not total < math.inf:
+        raise SlowConvergenceError(
+            f"stationary law of the tilted chain overflowed at r={r}",
+            diagnostics={"r": r, "total": total},
+        )
+    return stat / total
 
 
 @lru_cache(maxsize=256)
@@ -210,7 +269,8 @@ def invariant_density(
 ) -> InvariantDensity:
     """Stationary environment density of the tilted walk.
 
-    exact: stationary vector of the projected class cycle (linear solve).
+    exact: stationary vector of the projected class cycle, the tilted
+    chain's own (GTH state reduction, O(L B^2)).
     occupation: visit frequencies from resolvent solves on doubling boxes,
     kept as an independent check on the exact route.
     """

@@ -270,7 +270,8 @@ class TestTiltReport:
             "95ab13819d35dc6f0600bf7df32f5973a782ef4454c8149fd5a9c1de4c8456bb"
         )
 
-    def test_long_period_matches_pinned_report(self, tmp_path):
+    @staticmethod
+    def _long_period_report(tmp_path) -> Path:
         laws = []
         for i in range(1024):
             p = 0.55 + 0.25 * ((37 * i) % 101) / 100
@@ -278,9 +279,23 @@ class TestTiltReport:
         env = {"type": "periodic", "B": 1, "laws": laws}
         code, out = run_cfg(tmp_path, {"task": "tilt-report", "environment": env, "r": -0.6})
         assert code == 0
-        assert sha256(out / "tilt_report.json") == (
-            "8b1107368f690f71d15f73a0853318775b526e4eab9ec9519ec18d441976b697"
+        return out / "tilt_report.json"
+
+    # digest written when the stationary class law came from GTH state
+    # reduction; test_long_period_agrees_with_the_dense_report holds it to
+    # the report of the dense bordered solve it replaced
+    def test_long_period_matches_pinned_report(self, tmp_path):
+        assert sha256(self._long_period_report(tmp_path)) == (
+            "8e17eb429913402ba9cbc3019fff882c8343f81542cfd5b98525d96781dfa40e"
         )
+
+    def test_long_period_agrees_with_the_dense_report(self, tmp_path):
+        # the report the dense bordered stationary solve wrote (digest
+        # 8b110736...), as a fixture: every float to 1e-12 relative or
+        # 1e-14 absolute, whichever is larger
+        got = json.loads(self._long_period_report(tmp_path).read_text())
+        want = json.loads((FIXTURES / "tilt_report_b1_L1024.parent.json").read_text())
+        assert_close_tree(got, want, rel=1e-12, abs_=1e-14)
 
     def test_one_chain_per_report(self, tmp_path, monkeypatch):
         # one ratio solve at r for the chain, two for the slope stencil r +- h

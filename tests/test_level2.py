@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from rwre_ldp.environment import JumpLaw, homogeneous, periodic
+from rwre_ldp.environment import JumpLaw, class_cycle, homogeneous, periodic
 from rwre_ldp.errors import InfeasibleDriftError
 from rwre_ldp.level2 import (
     PairMeasure,
@@ -51,6 +51,27 @@ class TestPairMeasure:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PairMeasure(env=PER2_NN, weights=np.ones((3, 2)) / 6)
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    @pytest.mark.parametrize("L", [1, 2, 3, 5, 33])
+    def test_m2_matches_the_cycle_scatter(self, L, b):
+        # column sums of the L x L scatter: the same floats once every jump
+        # of a class lands on a different class (L >= 2B + 1); below that
+        # the per-class partial sums group differently
+        rng = np.random.default_rng(1000 * b + L)
+        offs = [z for z in range(-b, b + 1) if z]
+        laws = [JumpLaw.from_dict(dict(zip(offs, w / w.sum())), b=b)
+                for w in rng.random((L, 2 * b)) + 0.1]
+        env = periodic(laws) if L > 1 else homogeneous(laws[0])
+        w = rng.random((L, 2 * b))
+        if b > 1:
+            w[:, 0] = 0.0  # no mass on offset -b
+        mu = PairMeasure(env=env, weights=w / w.sum())
+        want = class_cycle(mu.weights).sum(axis=0)
+        if L >= 2 * b + 1:
+            np.testing.assert_array_equal(mu.m2(), want)
+        else:
+            np.testing.assert_allclose(mu.m2(), want, rtol=1e-15, atol=0)
 
 
 class TestEntropy:

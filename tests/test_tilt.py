@@ -1,10 +1,12 @@
 """Tilted kernel structure: row sums, stationary laws, correctors, ansatz."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwre_ldp import tilt
 from rwre_ldp.environment import JumpLaw, class_cycle, homogeneous, offsets, periodic
@@ -19,7 +21,7 @@ from rwre_ldp.tilt import (
     tilted_chain,
 )
 
-from .strategies import jump_laws
+from .strategies import environments, jump_laws
 
 SYM_NN = homogeneous(JumpLaw(b=1, probs=((-1, 0.5), (1, 0.5))))
 PER2_NN = periodic(
@@ -94,6 +96,54 @@ class TestStationary:
         with pytest.raises(SlowConvergenceError) as exc:
             tilt._stationary(rows, -0.3)
         assert exc.value.diagnostics["r"] == -0.3
+
+    def test_nan_entry_raises_with_the_tilt(self):
+        rows = np.array([[0.5, 0.5], [0.5, 0.5], [np.nan, 1.0]])
+        with pytest.raises(SlowConvergenceError) as exc:
+            tilt._stationary(rows, -0.4)
+        assert exc.value.diagnostics["r"] == -0.4
+
+    def test_zero_pivot_raises_with_the_tilt(self):
+        # class 2 has no out-flow: the chain is reducible
+        rows = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 0.0]])
+        with pytest.raises(SlowConvergenceError) as exc:
+            tilt._stationary(rows, -0.5)
+        assert exc.value.diagnostics["r"] == -0.5
+        assert exc.value.diagnostics["pivot"] == 0.0
+
+    def test_overflowing_law_raises_with_the_tilt(self):
+        # every class pushes toward class 50 with odds 1e10 : 1, so the law
+        # relative to class 0 grows past the float range
+        rows = np.array([[1e-10, 1.0] if i < 50 else [1.0, 1e-10] for i in range(100)])
+        with pytest.raises(SlowConvergenceError) as exc:
+            tilt._stationary(rows / rows.sum(axis=1, keepdims=True), -0.6)
+        assert exc.value.diagnostics["r"] == -0.6
+
+    def test_matches_long_double_reduction(self):
+        for probs in _banded_row_sets():
+            want = _gth_long_double(probs)
+            got = tilt._stationary(probs, -0.1)
+            assert np.all(np.abs(got - want) <= 1e-13 * want), probs.shape
+
+    def test_matches_dense_bordered_solve(self):
+        # the dense solve is accurate normwise only: on rows whose law
+        # spans many orders of magnitude its small components lose digits
+        for probs in _banded_row_sets():
+            np.testing.assert_allclose(
+                tilt._stationary(probs, -0.1), _dense_bordered(probs), rtol=0, atol=1e-9
+            )
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_memory_stays_linear_in_the_period(self, b):
+        # the dense route needs two 4096 x 4096 float matrices, over 268 MB
+        probs = _banded_rows(np.random.default_rng(b), 4096, b)
+        tracemalloc.start()
+        try:
+            tilt._stationary(probs, -0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestChain:
@@ -238,3 +288,58 @@ def test_kernel_row_sums_property(law):
     assert np.max(np.abs(kern.probs.sum(axis=1) - 1.0)) < 1e-11
     speed = stationary_speed(env, -0.7)
     assert 0.0 < speed <= env.b
+
+
+@settings(max_examples=100, deadline=None)
+@given(environments(max_b=3, max_period=64), st.floats(-2.0, -0.01))
+def test_stationary_invariance_property(env, r):
+    # stat T - stat = stat * (row sum - 1) exactly, so each class may miss
+    # by its row's own defect; rounding in the reduction and in stat T
+    # stays under 1e-14 relative
+    chain = tilted_chain(env, r)
+    T = class_cycle(chain.probs)
+    defect = np.abs(T.sum(axis=1) - 1.0)
+    assert np.all(np.abs(chain.stat @ T - chain.stat) <= chain.stat * (defect + 1e-14))
+
+
+def _banded_rows(rng, L: int, b: int) -> np.ndarray:
+    """Kernel rows on the class cycle: zero-mass offsets beyond +-1 and a
+    drift skew of up to e^3 either way."""
+    w = rng.random((L, 2 * b))
+    w[:, [0, -1]] *= rng.random((L, 2)) > 0.3
+    w[:, [b - 1, b]] += 0.05
+    w[:, b:] *= math.exp(rng.uniform(-3.0, 3.0))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _banded_row_sets():
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        yield _banded_rows(rng, int(rng.integers(1, 80)), int(rng.integers(1, 4)))
+
+
+def _gth_long_double(probs: np.ndarray) -> np.ndarray:
+    """Dense GTH state reduction in long double: the accuracy oracle."""
+    A = class_cycle(probs).astype(np.longdouble)
+    L = A.shape[0]
+    for n in range(L - 1, 0, -1):
+        A[:n, n] /= A[n, :n].sum()
+        A[:n, :n] += np.outer(A[:n, n], A[n, :n])
+    x = np.zeros(L, dtype=np.longdouble)
+    x[0] = 1.0
+    for n in range(1, L):
+        x[n] = x[:n] @ A[:n, n]
+    return (x / x.sum()).astype(float)
+
+
+def _dense_bordered(probs: np.ndarray) -> np.ndarray:
+    """The dense bordered solve the reduction replaced: (I - T^T) pi = 0
+    with one balance equation swapped for the normalisation."""
+    L = probs.shape[0]
+    A = np.eye(L) - class_cycle(probs).T
+    A[-1, :] = 1.0
+    rhs = np.zeros(L)
+    rhs[-1] = 1.0
+    stat = np.linalg.solve(A, rhs)
+    return stat / stat.sum()
+
