@@ -15,9 +15,13 @@ case.
 
 Periodic and homogeneous environments go through a finite Perron core:
 h(x) = e^{s x} phi(x mod L) with phi the Perron vector of the class-cycle
-kernel K_s, so the ratios, lambda(r), r_c and the rate function all follow
-from log rho(K_s). Sampled windows use the fixed-point solve, on log h to
-avoid underflow across long windows.
+kernel K_s, so lambda(r), r_c and the rate function all follow from
+log rho(K_s). The harmonic ratios come in closed form from one of two
+routes: the zeta recursion for B = 1, and the Perron vector at the root
+of log rho(K_s) = -r for B >= 2. Each is checked against the
+row-stochasticity of the tilted kernel, and a miss above 1e-10 raises.
+Sampled windows use the fixed-point solve, on log h to avoid underflow
+across long windows.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ from .environment import (
     class_cycle,
     class_probs,
     class_targets,
-    law_at,
     offset_index,
     offsets,
     reflect,
+    require_periodic,
 )
 from .errors import (
     DriftMismatchError,
@@ -129,13 +133,12 @@ def hit_mgf(
     m_trunc: int | None = None,
     tol: float = 1e-12,
     max_iter: int | None = None,
-    warm: MgfSolve | None = None,
 ) -> MgfSolve:
     """Monotone fixed-point solve for the truncated passage-time MGF.
 
-    Starts from the indicator of the target slab (or from a previous solve)
-    and applies the transfer operator until the sup-norm update falls below
-    tol. Cold starts increase pointwise at every step. Divergence is
+    Starts from the indicator of the target slab and applies the transfer
+    operator until the sup-norm update falls below tol; the iterates
+    increase pointwise at every step. Divergence is
     declared when any site exceeds a rigorous envelope for subcritical
     values, or when updates keep growing over 50 consecutive sweeps.
     """
@@ -151,11 +154,6 @@ def hit_mgf(
     pad = b
     logh = np.full(pad + W + b, NEG_INF)
     logh[pad + W:] = 0.0  # target slab [level, level+b)
-    if warm is not None:
-        # copy overlapping interior values; safe because the fixed point is
-        # unique in the subcritical box and iterates stay sandwiched
-        for x in range(max(-warm.m_trunc, -m_trunc), min(warm.level, level)):
-            logh[pad + x + m_trunc] = warm.log_h[x + warm.m_trunc]
 
     # envelope: true subcritical values satisfy h(x) <= (delta e^r)^{-B(level-x)}
     # (and h <= 1 when r <= 0); crossing it certifies divergence
@@ -279,15 +277,13 @@ def brute_mgf(env: Environment, r: float, level: int, max_len: int) -> BruteMgf:
 @dataclass(frozen=True, eq=False)
 class ZetaSolve:
     """Per-class one-level passage MGFs zeta(x) = E_x[e^{r tau_{x+1}}] for
-    nearest-neighbor environments."""
+    nearest-neighbor periodic environments."""
 
     r: float
     zeta: np.ndarray
     cycles: int
     residual: float
     converged: bool
-    spread: np.ndarray  # window mode: per-site bracketing-seed disagreement
-    edge_spread: float  # spread over the right half, where it has contracted
 
 
 def zeta_nn(
@@ -295,174 +291,51 @@ def zeta_nn(
 ) -> ZetaSolve:
     """One-level passage MGFs for B = 1 via the forward recursion
 
-        zeta(x) = p(x) e^r / (1 - q(x) e^r zeta(x-1)).
+        zeta(x) = p(x) e^r / (1 - q(x) e^r zeta(x-1)),
 
-    Periodic environments iterate the cycle to its minimal fixed point;
-    a nonpositive denominator or unbounded growth signals a supercritical
-    tilt. Window environments run the recursion twice from bracketing
-    seeds and report the residual spread at the window's left edge.
+    iterated around the class cycle to its minimal fixed point. A
+    nonpositive denominator or unbounded growth signals a supercritical
+    tilt.
     """
     if env.b != 1:
         raise ValueError("zeta recursion requires nearest-neighbor jumps")
+    require_periodic(env, "the zeta recursion")
     e = math.exp(r)
-    if env.kind in ("homogeneous", "periodic"):
-        L = env.period
-        p = np.array([law.prob(1) for law in env.laws])
-        q = np.array([law.prob(-1) for law in env.laws])
-        zeta = np.zeros(L)
-        upper = 1.0 if r <= 0 else 1.0 / (env.delta * e)
-        cycles = 0
-        prev = zeta.copy()
-        while cycles < max_cycles:
-            cycles += 1
-            for i in range(L):
-                den = 1.0 - q[i] * e * zeta[(i - 1) % L]
-                if den <= 0.0:
-                    raise SupercriticalError(
-                        f"zeta recursion denominator {den} <= 0 at class {i}",
-                        r=r,
-                        diagnostics={"cycles": cycles, "class": i},
-                    )
-                zeta[i] = p[i] * e / den
-            if np.any(zeta > 1.01 * upper):
-                raise SupercriticalError(
-                    "zeta recursion exceeded its subcritical bound",
-                    r=r,
-                    diagnostics={"cycles": cycles, "max_zeta": float(zeta.max())},
-                )
-            change = float(np.max(np.abs(zeta - prev)))
-            if change <= tol:
-                break
-            prev = zeta.copy()
-        resid = 0.0
+    L = env.period
+    p = np.array([law.prob(1) for law in env.laws])
+    q = np.array([law.prob(-1) for law in env.laws])
+    zeta = np.zeros(L)
+    upper = 1.0 if r <= 0 else 1.0 / (env.delta * e)
+    cycles = 0
+    prev = zeta.copy()
+    while cycles < max_cycles:
+        cycles += 1
         for i in range(L):
-            resid = max(
-                resid,
-                abs(p[i] * e / zeta[i] + q[i] * e * zeta[(i - 1) % L] - 1.0),
-            )
-        return ZetaSolve(
-            r=r,
-            zeta=zeta,
-            cycles=cycles,
-            residual=resid,
-            converged=change <= tol,
-            spread=np.zeros(L),
-            edge_spread=0.0,
-        )
-
-    lo, hi = env.window
-    upper_seed = 1.0 if r <= 0 else 1.0 / (env.delta * e)
-    runs = []
-    for seed in (0.0, upper_seed):
-        z_prev = seed
-        vals = np.empty(hi - lo + 1)
-        for k, x in enumerate(range(lo, hi + 1)):
-            law = law_at(env, x)
-            den = 1.0 - law.prob(-1) * e * z_prev
+            den = 1.0 - q[i] * e * zeta[(i - 1) % L]
             if den <= 0.0:
                 raise SupercriticalError(
-                    f"zeta recursion denominator {den} <= 0 at site {x}", r=r
+                    f"zeta recursion denominator {den} <= 0 at class {i}",
+                    r=r,
+                    diagnostics={"cycles": cycles, "class": i},
                 )
-            z_prev = law.prob(1) * e / den
-            vals[k] = z_prev
-        runs.append(vals)
-    spread = np.abs(runs[0] - runs[1])
-    edge = float(spread[len(spread) // 2:].max())
-    return ZetaSolve(
-        r=r,
-        zeta=runs[0],
-        cycles=1,
-        residual=edge,
-        converged=True,
-        spread=spread,
-        edge_spread=edge,
-    )
-
-
-# ---------------------------------------------------------------------------
-# harmonic ratio system for periodic environments
-#
-# theta_i = log u_r(T_i omega, 1). Row-stochasticity of the tilted kernel
-# gives one equation per class:
-#   Phi_i(theta) = sum_z pi_i(z) exp(r + S_iz(theta)) - 1 = 0,
-# with S_iz the signed partial sums of theta along the jump.
-
-
-@lru_cache(maxsize=256)
-def _ratio_index(env: Environment) -> tuple[tuple[np.ndarray, float], ...]:
-    """Per offset z: the (L, |z|) wrapped classes whose theta sum to
-    log u(i, z) up to the sign of z, and that sign."""
-    L = env.period
-    idx = np.arange(L)[:, None]
-    out = []
-    for z in offsets(env.b):
-        z = int(z)
-        if z > 0:
-            ks, sgn = (idx + np.arange(z)) % L, 1.0
-        else:
-            ks, sgn = (idx - np.arange(1, -z + 1)) % L, -1.0
-        ks.flags.writeable = False
-        out.append((ks, sgn))
-    return tuple(out)
-
-
-def _log_u(env: Environment, theta: np.ndarray) -> np.ndarray:
-    """log u(i, z) = S_iz(theta) as an (L, 2B) array."""
-    return np.stack([sgn * theta[ks].sum(axis=1) for ks, sgn in _ratio_index(env)], axis=1)
-
-
-def _ratio_residual(env: Environment, r: float, theta: np.ndarray):
-    """Phi(theta) and its terms pi_i(z) exp(r + S_iz(theta)), an (L, 2B)
-    array from which `_ratio_jacobian` builds J."""
-    t = class_probs(env) * np.exp(r + _log_u(env, theta))
-    return t.sum(axis=1) - 1.0, t
-
-
-def _ratio_jacobian(env: Environment, t: np.ndarray) -> np.ndarray:
-    """Dense L x L Jacobian of Phi from the terms of `_ratio_residual`."""
-    L = t.shape[0]
-    J = np.zeros((L, L))
-    rows = np.arange(L)
-    for j, (ks, sgn) in enumerate(_ratio_index(env)):
-        for m in range(ks.shape[1]):
-            # rows are distinct, so no index pair repeats within one update
-            J[rows, ks[:, m]] += sgn * t[:, j]
-    return J
-
-
-def _newton_ratios(
-    env: Environment, r: float, theta0: np.ndarray, tol: float = 1e-14, max_iter: int = 40
-):
-    theta = theta0.astype(float).copy()
-    bound = -(math.log(env.delta) + r) + 1e-6  # |log u(.,1)| <= -log(delta e^r)
-    res = math.inf
-    best = math.inf
-    worse = 0
-    for _ in range(max_iter):
-        Phi, t = _ratio_residual(env, r, theta)
-        res = float(np.max(np.abs(Phi)))
-        if res <= tol:
-            return theta, res, True
-        if res > 10.0 * best:
-            worse += 1
-            if worse >= 2:  # residual blowing up: no solution nearby
-                return theta, res, False
-        else:
-            worse = 0
-        best = min(best, res)
-        try:
-            step = np.linalg.solve(_ratio_jacobian(env, t), Phi)
-        except np.linalg.LinAlgError:
-            return theta, res, False
-        ns = float(np.max(np.abs(step)))
-        if ns > 2.0:
-            step *= 2.0 / ns
-        theta = theta - step
-        if np.max(np.abs(theta)) > 4 * bound + 10:
-            return theta, res, False
-    Phi, _ = _ratio_residual(env, r, theta)
-    res = float(np.max(np.abs(Phi)))
-    return theta, res, res <= tol
+            zeta[i] = p[i] * e / den
+        if np.any(zeta > 1.01 * upper):
+            raise SupercriticalError(
+                "zeta recursion exceeded its subcritical bound",
+                r=r,
+                diagnostics={"cycles": cycles, "max_zeta": float(zeta.max())},
+            )
+        change = float(np.max(np.abs(zeta - prev)))
+        if change <= tol:
+            break
+        prev = zeta.copy()
+    resid = 0.0
+    for i in range(L):
+        resid = max(
+            resid,
+            abs(p[i] * e / zeta[i] + q[i] * e * zeta[(i - 1) % L] - 1.0),
+        )
+    return ZetaSolve(r=r, zeta=zeta, cycles=cycles, residual=resid, converged=change <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -742,43 +615,59 @@ def edge_rate(env: Environment, sign: float) -> float:
     return -math.log(rho)
 
 
-@lru_cache(maxsize=512)
-def _theta_cached(env: Environment, r: float) -> tuple[tuple[float, ...], float, float, int, int]:
-    """Polished per-class log ratios for periodic environments.
+# ---------------------------------------------------------------------------
+# harmonic ratios for periodic environments
+#
+# log u(i, z) is the log ratio h(x+z) / h(x) at a site x of class i. For
+# B = 1 it follows from theta_i = -log zeta_i of the zeta recursion; for
+# B >= 2 from h(x) = e^{s x} phi(x mod L) in the Perron core. Either way the
+# tilted rows sum_z p_i(z) e^{r + log u(i, z)} must sum to 1, and the
+# largest miss is the residual that certifies the ratios.
 
-    Returns (theta, residual, seed_gap, n_used, m_used). The seed is the
-    zeta recursion for B=1 (n_used counts its cycles) and otherwise
-    theta_i = s + log phi_{i+1} - log phi_i off the right Perron vector phi
-    at the larger root s of Lambda(s) = -r (n_used = m_used = 0). A Newton
-    polish of the row-stochasticity system certifies the residual.
+# Largest accepted row miss: well above the rounding of both routes and
+# below the 1e-9 row-defect gate of the tilt report.
+_RATIO_RESIDUAL_TOL = 1e-10
+
+
+@lru_cache(maxsize=512)
+def _harmonic_ratios(env: Environment, r: float) -> tuple[np.ndarray, float, int]:
+    """Per-class harmonic log-ratios of a periodic environment at r.
+
+    Returns (log_u, residual, cycles): the read-only (L, 2B) array
+    log u(i, z), its largest row miss
+    max_i |sum_z p_i(z) e^{r + log u(i, z)} - 1|, and the zeta recursion's
+    cycle count (0 for B >= 2). Raises SlowConvergenceError when the
+    residual exceeds _RATIO_RESIDUAL_TOL.
     """
+    diagnostics = {"r": r}
+    cycles = 0
     if env.b == 1:
         zs = zeta_nn(env, r)
         theta = -np.log(zs.zeta)
-        theta, res, ok = _newton_ratios(env, r, theta)
-        if not ok:
-            raise SlowConvergenceError(
-                f"ratio polish failed at r={r}", diagnostics={"residual": res}
-            )
-        return tuple(theta), res, zs.residual, zs.cycles, 0
-
-    pt = _perron_root(env, r)
-    log_phi = np.log(pt.right)
-    seed = pt.s + np.roll(log_phi, -1) - log_phi
-    theta, res, ok = _newton_ratios(env, r, seed)
-    if not ok:
+        log_u = np.stack([-np.roll(theta, 1), theta], axis=1)
+        cycles = zs.cycles
+    else:
+        pt = _perron_root(env, r)
+        log_phi = np.log(pt.right)
+        dst = class_targets(env.period, env.b)[0]
+        log_u = pt.s * offsets(env.b) + log_phi[dst] - log_phi[:, None]
+        diagnostics["s"] = pt.s
+    res = float(np.max(np.abs((class_probs(env) * np.exp(r + log_u)).sum(axis=1) - 1.0)))
+    if not res <= _RATIO_RESIDUAL_TOL:
         raise SlowConvergenceError(
-            f"ratio polish failed at r={r}", diagnostics={"residual": res, "s": pt.s}
+            f"harmonic ratios miss row-stochasticity by {res:g} at r={r}",
+            diagnostics={**diagnostics, "residual": res},
         )
-    return tuple(theta), res, float(np.max(np.abs(theta - seed))), 0, 0
+    log_u.flags.writeable = False
+    return log_u, res, cycles
 
 
 @dataclass(frozen=True, eq=False)
 class ULimit:
     """Stabilized harmonic ratios u_r(T_x omega, z).
 
-    For periodic environments rows are indexed by site class and the values
-    solve the row-stochasticity system exactly (to `residual`); for window
+    For periodic environments rows are indexed by site class and come in
+    closed form, with their row-stochasticity miss as `residual`; for window
     environments rows are ratios of one large truncated solve and carry an
     observed Cauchy gap instead.
     """
@@ -790,9 +679,8 @@ class ULimit:
     log_u: np.ndarray  # shape (len(sites), 2B)
     n_used: int
     m_used: int
-    cauchy_gap: float
+    cauchy_gap: float  # 0.0 for periodic rows
     residual: float
-    contraction: float
 
     @property
     def b(self) -> int:
@@ -826,15 +714,14 @@ def u_limit(
 ) -> ULimit:
     """Harmonic ratios in the stabilized (large-level) limit.
 
-    Periodic and homogeneous environments get the exactly-periodic solution;
-    sampled windows get finite-level ratios with a doubling-based gap
-    estimate over `site_range` (defaults to the widest range the window
-    supports).
+    Periodic and homogeneous environments get the exactly-periodic ratios
+    of `_harmonic_ratios`; sampled windows get finite-level ratios with a
+    doubling-based gap estimate over `site_range` (defaults to the widest
+    range the window supports).
     """
     if env.kind in ("homogeneous", "periodic"):
-        theta_t, res, gap, n_used, m_used = _theta_cached(env, r)
-        theta = np.array(theta_t)
-        log_u = _log_u(env, theta)
+        log_u, res, cycles = _harmonic_ratios(env, r)
+        theta = log_u[:, offset_index(env.b, 1)]
         bound = -(math.log(env.delta) + r)
         if float(np.max(np.abs(theta))) > bound + 1e-8:
             raise SlowConvergenceError(
@@ -847,11 +734,10 @@ def u_limit(
             mode="periodic-exact",
             sites=tuple(range(env.period)),
             log_u=log_u,
-            n_used=n_used,
-            m_used=m_used,
-            cauchy_gap=gap,
+            n_used=cycles,
+            m_used=0,
+            cauchy_gap=0.0,
             residual=res,
-            contraction=contraction_rate(env, r),
         )
 
     lo, hi = env.window
@@ -889,7 +775,6 @@ def u_limit(
         m_used=m,
         cauchy_gap=gap,
         residual=math.nan,
-        contraction=contraction_rate(env, r),
     )
 
 

@@ -248,8 +248,8 @@ class TestTiltReport:
         assert 0.0 < rep["drift"] <= 1.0
         assert rep["growth_rate"] < 0.0
 
-    def test_long_period_wide_jumps(self, tmp_path):
-        # B=2 with 4*B*L > 256 once sent the ratio solver into unbounded recursion
+    @staticmethod
+    def _wide_jump_report(tmp_path) -> dict:
         laws = []
         for i in range(33):
             w = [1.0 + ((3 * i + 5 * j) % 7) / 4.0 for j in range(4)]
@@ -257,9 +257,28 @@ class TestTiltReport:
         env = {"type": "periodic", "B": 2, "laws": laws}
         code, out = run_cfg(tmp_path, {"task": "tilt-report", "environment": env, "r": -0.4})
         assert code == 0
-        rep = json.loads((out / "tilt_report.json").read_text())
+        return json.loads((out / "tilt_report.json").read_text())
+
+    def test_long_period_wide_jumps(self, tmp_path):
+        # B=2 with 4*B*L > 256 once sent the ratio solver into unbounded recursion
+        rep = self._wide_jump_report(tmp_path)
         assert rep["row_defect"] <= 1e-12
         assert math.isfinite(rep["growth_rate"])
+
+    def test_wide_jumps_agree_with_the_polished_report(self, tmp_path):
+        # the report written when a Newton polish of the row-stochasticity
+        # system refined the Perron-vector ratios, as a fixture. The finite
+        # difference slope.fd (and slope.gap with it) amplifies the ratios'
+        # rounding by 1/h; the two defects are rounding residuals and are
+        # held to their bounds instead
+        got = self._wide_jump_report(tmp_path)
+        want = json.loads((FIXTURES / "tilt_report_b2_L33.parent.json").read_text())
+        for key in ("fd", "gap"):
+            assert abs(got["slope"].pop(key) - want["slope"].pop(key)) <= 1e-9, key
+        assert got.pop("row_defect") <= 1e-12
+        assert abs(got.pop("entropy_identity_residual")) < 1e-10
+        del want["row_defect"], want["entropy_identity_residual"]
+        assert_close_tree(got, want, rel=1e-12, abs_=1e-14)
 
     # digests written when each reader of the tilted chain rebuilt its own
     # kernel and stationary law; building the chain once must not move a byte
@@ -319,6 +338,26 @@ class TestTiltReport:
         code, _ = run_cfg(tmp_path, {"task": "tilt-report", "environment": env, "r": -0.35})
         assert code == 0
         assert calls == {"u_limit": 3, "_kernel_rows": 1, "_stationary": 1}
+
+    def test_uncertified_ratios_exit_3_with_diagnostics(self, tmp_path, monkeypatch):
+        # a ratio solve that misses row-stochasticity raises instead of
+        # feeding the kernel; the environment is used nowhere else, so the
+        # memoised ratios and chain are cold
+        solve = passage.zeta_nn
+
+        def perturbed(env, r):
+            zs = solve(env, r)
+            return dataclasses.replace(zs, zeta=zs.zeta * (1.0 + 1e-6))
+
+        monkeypatch.setattr(passage, "zeta_nn", perturbed)
+        env = {"type": "periodic", "B": 1,
+               "laws": [{"-1": 0.25, "1": 0.75}, {"-1": 0.65, "1": 0.35}]}
+        code, out = run_cfg(tmp_path, {"task": "tilt-report", "environment": env, "r": -0.55})
+        assert code == 3
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "SlowConvergenceError"
+        assert diag["diagnostics"]["r"] == -0.55
+        assert diag["diagnostics"]["residual"] > 1e-10
 
     def test_supercritical_tilt_exits_3_with_diagnostics(self, tmp_path, capsys):
         code, out = run_cfg(tmp_path, {"task": "tilt-report", "environment": PER2,

@@ -6,6 +6,7 @@ used throughout, exhaustive finite-horizon enumeration for small levels,
 and a one-cycle discriminant for the 2-periodic threshold.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from rwre_ldp.environment import (
     reflect,
     sample_iid,
 )
+from rwre_ldp import passage
 from rwre_ldp.errors import SlowConvergenceError, SupercriticalError, WindowExhaustedError
 from rwre_ldp.passage import (
     brute_mgf,
@@ -110,7 +112,7 @@ class TestZeta:
         with pytest.raises(ValueError):
             zeta_nn(WIDE, -0.5)
 
-    def test_window_bracketing_seeds(self):
+    def test_window_rejected(self):
         env = sample_iid(
             [
                 (0.5, JumpLaw(b=1, probs=((-1, 0.3), (1, 0.7)))),
@@ -120,10 +122,8 @@ class TestZeta:
             x_hi=60,
             seed=7,
         )
-        zs = zeta_nn(env, -0.3)
-        # left-edge seed uncertainty decays within a few sites
-        assert zs.edge_spread < 1e-6
-        assert np.all(zs.zeta > 0) and np.all(zs.zeta <= 1.0)
+        with pytest.raises(ValueError):
+            zeta_nn(env, -0.3)
 
 
 class TestLyapunov:
@@ -234,6 +234,72 @@ class TestULimit:
             ul.log_u_at(45, 1)
 
 
+class TestHarmonicRatios:
+    """Closed-form periodic ratios: the zeta route for B=1, the Perron
+    vector for B>=2, both certified by their row-stochasticity residual."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(environments(max_b=3, max_period=64), st.floats(-2.0, -0.01))
+    def test_rows_and_chain_rule(self, env, r):
+        ul = u_limit(env, r)
+        assert ul.residual <= 1e-11
+        L = env.period
+        theta = ul.log_a
+        for j, z in enumerate(offsets(env.b)):
+            z = int(z)
+            for i in range(L):
+                if z > 0:
+                    want = sum(theta[(i + k) % L] for k in range(z))
+                else:
+                    want = -sum(theta[(i - k) % L] for k in range(1, -z + 1))
+                assert ul.log_u[i, j] == pytest.approx(want, abs=1e-12)
+        if env.b == 1:
+            assert np.array_equal(theta, -np.log(zeta_nn(env, r).zeta))
+
+    # environments no other test solves, so the memoised ratios are cold
+    NN = periodic(
+        [
+            JumpLaw(b=1, probs=((-1, 0.45), (1, 0.55))),
+            JumpLaw(b=1, probs=((-1, 0.35), (1, 0.65))),
+            JumpLaw(b=1, probs=((-1, 0.6), (1, 0.4))),
+        ]
+    )
+    B2 = periodic(
+        [
+            JumpLaw(b=2, probs=((-2, 0.15), (-1, 0.3), (1, 0.3), (2, 0.25))),
+            JumpLaw(b=2, probs=((-2, 0.05), (-1, 0.4), (1, 0.35), (2, 0.2))),
+        ]
+    )
+
+    def test_perturbed_zeta_raises(self, monkeypatch):
+        solve = passage.zeta_nn
+
+        def perturbed(env, r):
+            zs = solve(env, r)
+            return dataclasses.replace(zs, zeta=zs.zeta * (1.0 + 1e-6))
+
+        monkeypatch.setattr(passage, "zeta_nn", perturbed)
+        with pytest.raises(SlowConvergenceError) as exc:
+            u_limit(self.NN, -0.45)
+        assert exc.value.diagnostics["r"] == -0.45
+        assert exc.value.diagnostics["residual"] > 1e-10
+
+    def test_perturbed_perron_root_raises(self, monkeypatch):
+        root = passage._perron_root
+
+        def perturbed(env, r):
+            pt = root(env, r)
+            return dataclasses.replace(pt, s=pt.s + 1e-6)
+
+        monkeypatch.setattr(passage, "_perron_root", perturbed)
+        with pytest.raises(SlowConvergenceError) as exc:
+            u_limit(self.B2, -0.55)
+        diag = exc.value.diagnostics
+        assert diag["r"] == -0.55
+        assert diag["residual"] > 1e-10
+        assert math.isfinite(diag["s"])
+
+
 class TestHitMgf:
     def test_matches_exhaustive_enumeration(self):
         brute = brute_mgf(WIDE, -0.5, level=1, max_len=26)
@@ -254,17 +320,6 @@ class TestHitMgf:
         deep = hit_mgf(WIDE, -0.4, level=6, m_trunc=24, tol=1e-13)
         for x in range(-12, 6):
             assert deep.log_h_at(x) >= shallow.log_h_at(x) - 1e-12
-
-    def test_warm_start_agrees_with_cold(self):
-        small = hit_mgf(WIDE, -0.5, level=8, m_trunc=40, tol=1e-13)
-        cold = hit_mgf(WIDE, -0.5, level=16, m_trunc=40, tol=1e-13)
-        warm = hit_mgf(WIDE, -0.5, level=16, m_trunc=40, tol=1e-13, warm=small)
-        shared = [
-            (warm.log_h_at(x), cold.log_h_at(x))
-            for x in range(-40, 16)
-            if math.isfinite(cold.log_h_at(x))
-        ]
-        assert max(abs(a - b) for a, b in shared) < 1e-9
 
     def test_divergence_flagged(self):
         sol = hit_mgf(BIASED_NN, 0.5, level=8, m_trunc=32, tol=1e-12)
