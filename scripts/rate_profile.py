@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print the position-level cost profile of an environment.
 
-Reads the same environment schema the batch runner uses, sweeps a speed
-grid, and prints speed, cost, the maximizing tilt, and the branch taken.
+Reads the same environment schema the batch runner uses, solves a speed
+grid in one lockstep pass (`rate_grid`), and prints speed, cost, the
+maximizing tilt, and the branch taken.
 For homogeneous input the shared-environment dual value is printed next
 to each row as an independent cross-check.
 
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from rwre_ldp.environment import env_from_json
-from rwre_ldp.rate import cramer_oracle, rate
+from rwre_ldp.rate import cramer_oracle, rate_grid
 
 
 def main() -> int:
@@ -41,8 +42,7 @@ def main() -> int:
         header += f" {'dual':>20s} {'diff':>10s}"
     print(header)
     worst = 0.0
-    for xi in grid:
-        res = rate(env, float(xi))
+    for xi, res in zip(grid, rate_grid(env, grid)):
         line = f"{xi:8.3f} {res.value:20.12f} "
         line += f"{res.r_star:14.6f} " if math.isfinite(res.r_star) else f"{'-':>14s} "
         line += f"{res.branch:>10s}"

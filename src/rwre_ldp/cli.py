@@ -38,8 +38,8 @@ from .errors import (
     SupercriticalError,
     WindowExhaustedError,
 )
-from .passage import lambda_curve, lyapunov, lyapunov_bar, lyapunov_prime
-from .rate import asymmetry_demo, rate_curve, symmetry_gap
+from .passage import lambda_curve, lyapunov_prime
+from .rate import asymmetry_demo, rate_curve, symmetry_gaps
 from .tilt import ansatz_measure, corrector, invariant_density, tilt_kernel
 
 TASKS = (
@@ -451,19 +451,17 @@ def _task_mc_verify(cfg: RunConfig, w: _Writer, threads: int):
     return warnings, hard
 
 
-def _direction_gap_rows(env: Environment, r_values) -> list[list]:
-    rows = []
-    for r in r_values:
-        lam = lyapunov(env, r).value
-        lam_bar = lyapunov_bar(env, r).value
-        rows.append([r, lam, lam_bar, lam_bar - lam])
-    return rows
+def _direction_gap_rows(demo) -> list[list]:
+    return [
+        [r, lam, lam_bar, gap]
+        for r, lam, lam_bar, gap in zip(demo.rs, demo.lambdas, demo.lambdas_bar, demo.gaps)
+    ]
 
 
 def _task_counterexample(cfg: RunConfig, w: _Writer):
-    rows = _direction_gap_rows(cfg.env, cfg.r_values)
-    w.csv("counterexample.csv", ["r", "lambda", "lambda_bar", "gap"], rows)
     demo = asymmetry_demo(cfg.env, cfg.r_values)
+    rows = _direction_gap_rows(demo)
+    w.csv("counterexample.csv", ["r", "lambda", "lambda_bar", "gap"], rows)
     lines = [
         "Direction dependence of the passage-time growth rate",
         "",
@@ -487,10 +485,9 @@ def _task_counterexample(cfg: RunConfig, w: _Writer):
     summary = {"variation": demo.variation, "threshold": cfg.threshold, "varies": verdict}
     if cfg.control_env is not None:
         control = asymmetry_demo(cfg.control_env, cfg.r_values)
-        crows = _direction_gap_rows(cfg.control_env, cfg.r_values)
         lines.append("")
         lines.append("control environment (unit jumps: gap must be constant):")
-        for r, lam, lam_bar, gap in crows:
+        for r, lam, lam_bar, gap in _direction_gap_rows(control):
             lines.append(f"{r:>10.4f} {lam:>22.15f} {lam_bar:>22.15f} {gap:>22.15f}")
         lines.append(f"control gap variation: {control.variation:.15g}")
         summary["control_variation"] = control.variation
@@ -507,7 +504,7 @@ def _task_symmetry_check(cfg: RunConfig, w: _Writer):
     env = cfg.env
     if not all(xi > 0 for xi in cfg.grid):
         raise ConfigError("grid", "symmetry-check needs strictly positive speeds")
-    gaps = [symmetry_gap(env, xi, rc_tol=cfg.rc_tol) for xi in cfg.grid]
+    gaps = symmetry_gaps(env, cfg.grid, rc_tol=cfg.rc_tol)
     rows = [
         {
             "xi": g.xi,

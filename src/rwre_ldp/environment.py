@@ -71,10 +71,16 @@ def class_targets(L: int, b: int) -> tuple[np.ndarray, np.ndarray]:
 def class_cycle(rows: np.ndarray) -> np.ndarray:
     """Scatter per-(class, offset) values onto the class cycle: the L x L
     matrix M[i, (i+z_j) mod L] = sum_j rows[i, j], added in ascending
-    offset order (bincount adds its weights in input order, from 0.0)."""
-    L, width = rows.shape
+    offset order (bincount adds its weights in input order, from 0.0).
+    A stack of rows, shape (n, L, 2B), gives the stack of n cycles, each
+    added in the same order."""
+    L, width = rows.shape[-2:]
     flat = class_targets(L, width // 2)[1]
-    return np.bincount(flat, weights=rows.T.ravel(), minlength=L * L).reshape(L, L)
+    n = rows.size // flat.size
+    if n > 1:
+        flat = (flat + (L * L) * np.arange(n)[:, None]).ravel()
+    weights = rows.swapaxes(-1, -2).ravel()
+    return np.bincount(flat, weights=weights, minlength=n * L * L).reshape(rows.shape[:-1] + (L,))
 
 
 @dataclass(frozen=True)

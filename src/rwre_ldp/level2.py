@@ -34,6 +34,12 @@ from .tilt import AnsatzMeasure
 
 FLOOR = 1e-12
 
+# Dykstra sweeps per projection. A projection that ends them farther from
+# the constraints than the floor forces (`reach` in minimize_entropy) is
+# never accepted as an iterate: the line search treats it as a failed trial,
+# and the last-resort step raises.
+_DYKSTRA_ITERS = 200
+
 
 @dataclass(frozen=True, eq=False)
 class PairMeasure:
@@ -205,22 +211,30 @@ def minimize_entropy(
         )
     A, rhs, idx = _constraints(env, xi, mask)
     AAt_pinv = np.linalg.pinv(A @ A.T)
+    # At an end of the drift range some weights must vanish, and the floor
+    # box misses the constraints by up to FLOOR per coordinate, times the
+    # longest jump: no projection gets closer than that, so that is how
+    # close one must get.
+    reach = FLOOR * env.b * len(idx)
 
     def proj_affine(v: np.ndarray) -> np.ndarray:
         return v - A.T @ (AAt_pinv @ (A @ v - rhs))
 
-    def proj(v: np.ndarray, iters: int = 200) -> np.ndarray:
+    def proj(v: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Dykstra's projection of v, and whether it lands on the
+        constraints: within 1e-14 in at most _DYKSTRA_ITERS sweeps, or
+        within `reach` once they are spent."""
         x = v.copy()
         p = np.zeros_like(v)
         q = np.zeros_like(v)
-        for _ in range(iters):
+        for _ in range(_DYKSTRA_ITERS):
             y = proj_affine(x + p)
             p = x + p - y
             x = np.maximum(y + q, FLOOR)
             q = y + q - x
             if np.max(np.abs(A @ x - rhs)) < 1e-14 and x.min() >= FLOOR - 1e-15:
-                break
-        return x
+                return x, True
+        return x, float(np.max(np.abs(A @ x - rhs))) <= reach
 
     L = env.period
     P = class_probs(env)
@@ -244,7 +258,7 @@ def minimize_entropy(
     else:
         # untilted product measure, then made feasible
         v = np.array([P[i, j] / L for (i, j) in idx])
-    v = proj(v)
+    v = proj(v)[0]
     f = fval(v)
     step = 1.0
     v_prev = None
@@ -263,17 +277,29 @@ def minimize_entropy(
         t = step
         v_new, f_new = v, f
         for _ in range(60):
-            cand = proj(v - t * g)
-            fc = fval(cand)
-            if fc <= f - 1e-4 * float(g @ (v - cand)) + 1e-16:
-                v_new, f_new = cand, fc
-                break
+            cand, feasible = proj(v - t * g)
+            if feasible:
+                fc = fval(cand)
+                if fc <= f - 1e-4 * float(g @ (v - cand)) + 1e-16:
+                    v_new, f_new = cand, fc
+                    break
             t *= 0.5
         else:
-            v_new = proj(v - t * g)
+            v_new, feasible = proj(v - t * g)
+            if not feasible:
+                raise SlowConvergenceError(
+                    "entropy minimization: the projection of the last-resort step "
+                    f"missed the constraints after {_DYKSTRA_ITERS} Dykstra sweeps",
+                    diagnostics={
+                        "iterations": it,
+                        "step": t,
+                        "constraint_residual": float(np.max(np.abs(A @ v_new - rhs))),
+                        "reach": reach,
+                    },
+                )
             f_new = fval(v_new)
         v, f = v_new, f_new
-        gmap = float(np.linalg.norm(proj(v - gval(v)) - v))
+        gmap = float(np.linalg.norm(proj(v - gval(v))[0] - v))
         if gmap <= tol:
             break
     resid = float(np.max(np.abs(A @ v - rhs)))
@@ -286,7 +312,7 @@ def minimize_entropy(
         grad_map_norm=gmap,
         constraint_residual=resid,
         iterations=it,
-        converged=gmap <= tol,
+        converged=gmap <= tol and resid <= reach,
         floor=FLOOR,
     )
 

@@ -367,96 +367,175 @@ class PerronPoint:
 # times the best border's).
 _BORDER_SLACK = 8.0
 
+# K_s entries per stacked LAPACK call: a stack holds budget // L^2 tilts (at
+# least one), which keeps its matrices at a few hundred kB
+_STACK_BUDGET = 1 << 14
 
-def _bordered_solve(K: np.ndarray, rho: float, k: int, s: float) -> np.ndarray:
+
+def _refused(e: np.linalg.LinAlgError, ss: list[float], what: str) -> SlowConvergenceError:
+    """LAPACK refuses a whole stack for one bad matrix: on several tilts the
+    error propagates so the caller can retry them one by one; on one tilt it
+    becomes the SlowConvergenceError that names it."""
+    if len(ss) > 1:
+        raise e
+    return SlowConvergenceError(f"{what} at s={ss[0]}", diagnostics={"s": ss[0], "linalg": str(e)})
+
+
+def _bordered_solve(K: np.ndarray, rho: np.ndarray, k, ss: list[float]) -> np.ndarray:
     """(rho I - K) phi = 0 and (rho I - K)^T l = 0 with equation k of each
-    replaced by sum = 1, in one stacked LU call; returns the rows phi, l."""
-    L = len(K)
-    M = np.empty((2, L, L))
-    np.negative(K, out=M[0])
-    M[0].reshape(-1)[:: L + 1] += rho
-    M[1] = M[0].T
-    M[:, k] = 1.0
-    rhs = np.zeros((2, L, 1))
-    rhs[:, k] = 1.0
+    replaced by sum = 1, for a stack of n matrices K and their n roots rho,
+    as 2n systems in one LU call; returns the (n, 2, L) rows phi, l.
+    k is the class 0 for every matrix or an array of one class each."""
+    n, L, _ = K.shape
+    M = np.empty((n, 2, L, L))
+    np.negative(K, out=M[:, 0])
+    M.reshape(n, 2, L * L)[:, 0, :: L + 1] += rho[:, None]
+    M[:, 1] = M[:, 0].transpose(0, 2, 1)
+    M = M.reshape(2 * n, L, L)
+    rhs = np.zeros((2 * n, L, 1))
+    if isinstance(k, int):
+        M[:, k] = 1.0
+        rhs[:, k] = 1.0
+    else:
+        k = np.repeat(k, 2)
+        M[np.arange(2 * n), k] = 1.0
+        rhs[np.arange(2 * n), k] = 1.0
     try:
-        return np.linalg.solve(M, rhs)[..., 0]
+        return np.linalg.solve(M, rhs).reshape(n, 2, L)
     except np.linalg.LinAlgError as e:
-        raise SlowConvergenceError(
-            f"bordered Perron-vector solve failed at s={s}",
-            diagnostics={"s": s, "linalg": str(e)},
-        ) from None
+        raise _refused(e, ss, "bordered Perron-vector solve failed") from None
 
 
-def _perron_vectors(K: np.ndarray, rho: float, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Right and left Perron vectors phi, l of K from bordered solves.
+def _perron_vectors(K: np.ndarray, rho: np.ndarray, ss: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Right and left Perron vectors phi, l of a stack of K from bordered
+    solves, as (n, L) arrays.
 
     Every equation kept in `_bordered_solve` holds at the computed rho, so
     every Collatz-Wielandt quotient (K phi)_i / phi_i but the k-th is rho
     itself, and the k-th is off by about (rho' - rho) <l, phi> / (l_k phi_k),
-    rho' - rho being the eigenvalue's rounding. The pair is solved at k = 0,
-    and once more at the class of largest stationary weight l_k phi_k when
-    class 0 holds less than 1/_BORDER_SLACK of it.
+    rho' - rho being the eigenvalue's rounding. The pairs are solved at
+    k = 0, and once more, on the points that need it, at the class of
+    largest stationary weight l_k phi_k when class 0 holds less than
+    1/_BORDER_SLACK of it.
     """
-    if len(K) == 1:
-        return np.ones(1), np.ones(1)
-    phi, left = _bordered_solve(K, rho, 0, s)
+    n, L, _ = K.shape
+    if L == 1:
+        return np.ones((n, 1)), np.ones((n, 1))
+    vecs = _bordered_solve(K, rho, 0, ss)
+    phi, left = vecs[:, 0], vecs[:, 1]
     weight = phi * left
-    k = int(weight.argmax())
-    if weight[k] > _BORDER_SLACK * weight[0]:
-        phi, left = _bordered_solve(K, rho, k, s)
+    k = weight.argmax(axis=1)
+    redo = [m for m, (w, j) in enumerate(zip(weight.tolist(), k.tolist()))
+            if w[j] > _BORDER_SLACK * w[0]]
+    if redo:
+        vecs[redo] = _bordered_solve(K[redo], rho[redo], k[redo], [ss[m] for m in redo])
     return phi, left
 
 
-def log_perron(env: Environment, s: float) -> PerronPoint:
-    """Lambda and Lambda' at one tilt, with numpy's LAPACK only: rho from
-    the eigenvalues of K_s, the right and left Perron vectors phi and l from
-    bordered solves of (rho I - K_s) (`_perron_vectors`; l_i phi_i is the
-    stationary law of the tilted chain), then the slope
-    <l, K'_s phi> / (rho <l, phi>) and the Collatz-Wielandt quotients
+def _perron_chunk(env: Environment, ss: list[float]) -> list:
+    """`perron_stack` on one stack: one eigvals call and one or two stacked
+    bordered solves. A failure at one tilt becomes its entry; a LinAlgError
+    on a stack of several tilts propagates (see `_refused`)."""
+    offs = offsets(env.b)
+    probs = class_probs(env)
+    n, L = len(ss), len(probs)
+    shifts = [abs(s) * env.b for s in ss]
+    rows = probs * np.exp(np.array(ss)[:, None] * offs - np.array(shifts)[:, None])[:, None]
+    K = class_cycle(rows)
+    if L == 1:  # homogeneous: K_s is the scalar sum_z p(z) e^{s z - shift}
+        tops = K.ravel().tolist()
+    else:
+        try:
+            # one matrix goes in as one: the same LAPACK call, with less numpy overhead
+            eig = np.linalg.eigvals(K if n > 1 else K[0]).reshape(n, -1)
+        except np.linalg.LinAlgError as e:
+            raise _refused(e, ss, "eigen-solve of K_s failed") from None
+        # the Perron root has the largest real part
+        tops = [row[k] for row, k in zip(eig.tolist(), eig.real.argmax(axis=1).tolist())]
+    out: list = [None] * n
+    idx = range(n)  # positions in ss of the tilts still standing
+    bad = [m for m, top in enumerate(tops)
+           if top.imag != 0.0 or not (math.isfinite(top.real) and top.real > 0.0)]
+    if bad:
+        for m in bad:
+            out[m] = SlowConvergenceError(
+                f"no finite positive real Perron root of K_s at s={ss[m]}",
+                diagnostics={"s": ss[m], "eigenvalue": [tops[m].real, float(tops[m].imag)]},
+            )
+        idx = [m for m in idx if out[m] is None]
+        if not idx:
+            return out
+        K, rows = K[idx], rows[idx]
+    rho = np.array([tops[m].real for m in idx])
+    phi, left = _perron_vectors(K, rho, ss if len(idx) == n else [ss[m] for m in idx])  # phi sums to 1 up to rounding
+    lows = phi.min(axis=1).tolist()
+    bad = [j for j, low in enumerate(lows) if not low > 0.0]
+    if bad:
+        for j in bad:
+            out[idx[j]] = SlowConvergenceError(
+                f"Perron vector of K_s not positive at s={ss[idx[j]]}",
+                diagnostics={"s": ss[idx[j]], "min": lows[j]},
+            )
+        keep = [j for j in range(len(idx)) if j not in bad]
+        if not keep:
+            return out
+        phi, left, rows, rho = phi[keep], left[keep], rows[keep], rho[keep]
+        idx = [idx[j] for j in keep]
+    terms = rows * phi[:, class_targets(L, env.b)[0]]  # K_s phi and K'_s phi, term by term
+    quot = terms.sum(axis=2) / phi  # Collatz-Wielandt quotients
+    per_point = zip(
+        idx, rho.tolist(), np.vecdot(left, terms @ offs).tolist(),
+        np.vecdot(left, phi).tolist(), quot.min(axis=1).tolist(), quot.max(axis=1).tolist(), phi,
+    )
+    for m, r, num, den, q_lo, q_hi, right in per_point:
+        value = math.log(r) + shifts[m]
+        out[m] = PerronPoint(
+            s=ss[m],
+            value=value,
+            slope=num / (r * den),
+            right=right,
+            bracket=(value + math.log(q_lo / r), value + math.log(q_hi / r)),
+        )
+    return out
+
+
+def _perron_points(env: Environment, ss: list[float]) -> list:
+    try:
+        return _perron_chunk(env, ss)
+    except SlowConvergenceError as e:  # a one-tilt stack that LAPACK refused
+        return [e]
+    except np.linalg.LinAlgError:
+        return [pt for s in ss for pt in _perron_points(env, [s])]
+
+
+def perron_stack(env: Environment, ss) -> list:
+    """Lambda and Lambda' at every tilt of ss, with numpy's LAPACK only.
+
+    For each stack of at most _STACK_BUDGET // L^2 tilts: rho from one
+    eigvals call over the stacked K_s, the right and left Perron vectors phi
+    and l from stacked bordered solves of (rho I - K_s) (`_perron_vectors`;
+    l_i phi_i is the stationary law of the tilted chain), then per tilt the
+    slope <l, K'_s phi> / (rho <l, phi>) and the Collatz-Wielandt quotients
     (K_s phi)_i / phi_i from the (L, 2B) rows, in O(L B).
 
     K_s is scaled by e^{-|s| B}, which leaves the vectors and the slope
-    unchanged and keeps the entries finite for large |s|.
+    unchanged and keeps the entries finite for large |s|. Entry m is the
+    PerronPoint at ss[m], the same to the last bit whatever else the stack
+    holds, or the SlowConvergenceError that names ss[m].
     """
-    offs = offsets(env.b)
-    probs = class_probs(env)
-    L = len(probs)
-    shift = abs(s) * env.b
-    rows = probs * np.exp(s * offs - shift)
-    K = class_cycle(rows)
-    if L == 1:  # homogeneous: K_s is the scalar sum_z p(z) e^{s z - shift}
-        top = K[0, 0]
-    else:
-        try:
-            eig = np.linalg.eigvals(K)
-        except np.linalg.LinAlgError as e:
-            raise SlowConvergenceError(
-                f"eigen-solve of K_s failed at s={s}", diagnostics={"s": s, "linalg": str(e)}
-            ) from None
-        top = eig[eig.real.argmax()]  # the Perron root has the largest real part
-    rho = float(top.real)
-    if top.imag != 0.0 or not (math.isfinite(rho) and rho > 0.0):
-        raise SlowConvergenceError(
-            f"no finite positive real Perron root of K_s at s={s}",
-            diagnostics={"s": s, "eigenvalue": [rho, float(top.imag)]},
-        )
-    phi, left = _perron_vectors(K, rho, s)  # phi sums to 1 up to rounding
-    if not phi.min() > 0.0:
-        raise SlowConvergenceError(
-            f"Perron vector of K_s not positive at s={s}",
-            diagnostics={"s": s, "min": float(phi.min())},
-        )
-    terms = rows * phi[class_targets(L, env.b)[0]]  # K_s phi and K'_s phi, term by term
-    quot = terms.sum(axis=1) / phi  # Collatz-Wielandt quotients
-    value = math.log(rho) + shift
-    return PerronPoint(
-        s=s,
-        value=value,
-        slope=float(left @ (terms @ offs)) / (rho * float(left @ phi)),
-        right=phi,
-        bracket=(value + math.log(quot.min() / rho), value + math.log(quot.max() / rho)),
-    )
+    ss = [float(s) for s in ss]
+    per = max(1, _STACK_BUDGET // env.period ** 2)
+    if len(ss) <= per:
+        return _perron_points(env, ss)
+    return [pt for i in range(0, len(ss), per) for pt in _perron_points(env, ss[i:i + per])]
+
+
+def log_perron(env: Environment, s: float) -> PerronPoint:
+    """`perron_stack` at one tilt; raises its SlowConvergenceError."""
+    pt = _perron_points(env, [float(s)])[0]
+    if isinstance(pt, SlowConvergenceError):
+        raise pt
+    return pt
 
 
 def _class_mean_start(env: Environment, r: float, safe: float) -> float:
@@ -583,9 +662,11 @@ def _max_cycle_mean(env: Environment, sign: float) -> tuple[float, np.ndarray]:
     return mean, u
 
 
+@lru_cache(maxsize=256)
 def drift_limits(env: Environment) -> tuple[float, float]:
     """Attainable drift range (lim Lambda'(s) as s -> -inf and +inf): the
-    minimum and maximum mean jump over cycles of the class graph."""
+    minimum and maximum mean jump over cycles of the class graph. Memoised
+    per environment, like `class_probs`; the pair is immutable."""
     return -_max_cycle_mean(env, -1.0)[0], _max_cycle_mean(env, 1.0)[0]
 
 

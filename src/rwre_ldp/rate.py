@@ -13,27 +13,32 @@ the limit of s xi - Lambda(s) as s runs off to infinity, and speeds outside
 it are impossible. Leftward velocities go through the reflected environment.
 The drift equation is solved by a port of Brent's bracketed root finder
 (Brent 1973, as in scipy's brentq), so the analytic tasks never load
-scipy.optimize. A classical one-step Legendre transform for homogeneous
-environments rides along as an independent cross-check.
+scipy.optimize. It is written as a step generator, so that a whole grid of
+speeds advances in lockstep on stacked Perron evaluations (`rate_grid`). A
+classical one-step Legendre transform for homogeneous environments rides
+along as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .environment import Environment, JumpLaw, reflect, require_periodic
-from .errors import SlowConvergenceError
+from .errors import RwreError, SlowConvergenceError
 from .passage import (
+    PerronPoint,
     RcEstimate,
     drift_limits,
     edge_rate,
     estimate_rc,
     log_perron,
     lyapunov,
+    perron_stack,
 )
 
 # threshold brackets are deterministic and shared across every velocity query
@@ -61,9 +66,10 @@ def _signbit(x: float) -> bool:
     return math.copysign(1.0, x) < 0.0
 
 
-def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int,
-           fa: float | None = None, fb: float | None = None) -> float:
-    """Root of f in [a, b] by Brent's method.
+def _brent_steps(a: float, b: float, xtol: float, rtol: float, maxiter: int,
+                 fa: float | None = None, fb: float | None = None):
+    """Brent's method for a root in [a, b] as a step generator: it yields
+    each x to evaluate, is sent f(x), and returns the root.
 
     A line-for-line port of scipy's brentq.c, with the same floating-point
     operations in the same order, so it returns the same float. fa and fb,
@@ -79,8 +85,8 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int,
 
     xpre, xcur = a, b
     xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre) if fa is None else fa
-    fcur = f(xcur) if fb is None else fb
+    fpre = (yield xpre) if fa is None else fa
+    fcur = (yield xcur) if fb is None else fb
     if math.isnan(fpre) or math.isnan(fcur):
         raise fail("root finder met NaN at an end of its bracket", 0, f_bracket=[fpre, fcur])
     if fpre == 0.0:
@@ -135,25 +141,48 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int,
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
+        fcur = yield xcur
         if math.isnan(fcur):
             raise fail(f"root finder met NaN at x={xcur}", it, x=xcur)
     raise fail(f"root finder did not converge in {maxiter} iterations", maxiter, x=xcur)
 
 
-def _slope_root(env: Environment, xi: float) -> float:
-    """The tilt s with Lambda'(s) = xi, for xi inside the drift range."""
+def _drive(steps, f):
+    """Run a step generator serially: each x it yields is answered with
+    f(x), and an exception from f is raised inside it, where the step
+    stood. Returns the generator's result."""
+    try:
+        x = next(steps)
+        while True:
+            try:
+                fx = f(x)
+            except Exception as e:
+                x = steps.throw(e)
+            else:
+                x = steps.send(fx)
+    except StopIteration as stop:
+        return stop.value
 
-    def f(s: float) -> float:
-        return log_perron(env, s).slope - xi
 
-    f0 = f(0.0)
+def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int,
+           fa: float | None = None, fb: float | None = None) -> float:
+    """Root of f in [a, b] by Brent's method (`_brent_steps`, driven serially)."""
+    return _drive(_brent_steps(a, b, xtol, rtol, maxiter, fa=fa, fb=fb), f)
+
+
+def _slope_root_steps(xi: float):
+    """The tilt s with Lambda'(s) = xi, for xi inside the drift range, as a
+    step generator: it yields each s to evaluate, is sent Lambda'(s) - xi,
+    and returns the root. A walk outward from 0 brackets it, then Brent's
+    method finds it; an error raised inside the Brent phase is reported with
+    xi."""
+    f0 = yield 0.0
     if f0 == 0.0:
         return 0.0
     # Lambda' increases; walk outward from 0 until the sign flips
     a, fa = 0.0, f0
     b = 1.0 if f0 < 0.0 else -1.0
-    fb = f(b)
+    fb = yield b
     while (fb < 0.0) == (f0 < 0.0):
         a, fa = b, fb
         b = 2.0 * b
@@ -162,28 +191,20 @@ def _slope_root(env: Environment, xi: float) -> float:
                 f"drift equation has no bracket within |s| <= 1e4 at xi={xi}",
                 diagnostics={"xi": xi},
             )
-        fb = f(b)
+        fb = yield b
     if a > b:
         a, fa, b, fb = b, fb, a, fa
     try:
-        return _brent(f, a, b, xtol=1e-13, rtol=8.9e-16, maxiter=300, fa=fa, fb=fb)
+        return (yield from _brent_steps(a, b, xtol=1e-13, rtol=8.9e-16, maxiter=300, fa=fa, fb=fb))
     except SlowConvergenceError as e:
         raise SlowConvergenceError(
             f"drift equation at xi={xi}: {e}", diagnostics={"xi": xi, **e.diagnostics}
         ) from e
 
 
-def rate(env: Environment, xi: float, rc_tol: float = 1e-8) -> RateResult:
-    """Evaluate the rate function at one velocity.
-
-    Interior velocities solve Lambda'(s*) = xi by bracketed root finding and
-    return s* xi - Lambda(s*), with the drift residual reported. Velocity
-    zero returns the midpoint of the threshold bracket, of width <= rc_tol.
-    """
-    require_periodic(env, "rate evaluation")
-    if xi < 0:
-        inner = rate(reflect(env), -xi, rc_tol=rc_tol)
-        return replace(inner, xi=xi, slope=-inner.slope, mirrored=True)
+def _limit_rate(env: Environment, xi: float, rc_tol: float) -> RateResult | None:
+    """The rate at a speed xi >= 0 that needs no drift root: outside the
+    drift range, at its upper end, or at zero. None for interior speeds."""
     hi = drift_limits(env)[1]
     if xi > hi + _EDGE_TOL:
         return RateResult(
@@ -202,7 +223,75 @@ def rate(env: Environment, xi: float, rc_tol: float = 1e-8) -> RateResult:
             xi=xi, value=rc.value, branch="zero", r_star=rc.value, lam_star=math.nan,
             slope=math.nan, xi_residual=0.0, mirrored=False,
         )
-    pt = log_perron(env, _slope_root(env, xi))
+    return None
+
+
+@dataclass(eq=False)
+class _RootSolve:
+    """One interior grid point on its way to Lambda'(s*) = xi."""
+
+    index: int
+    xi: float
+    steps: Generator[float, float, float]  # its `_slope_root_steps`
+    s: float  # the tilt it asked for last
+    seen: dict  # float.hex(s) -> PerronPoint of each tilt evaluated
+
+
+def _rate_grid(env: Environment, bar: Environment | None, xis: list[float],
+               rc_tol: float) -> list[RateResult]:
+    """`rate_grid` with the reflected environment bar given (or None, to
+    build it when a leftward speed needs it)."""
+    results: list = [None] * len(xis)
+    errors: dict[int, RwreError] = {}
+    groups: dict[bool, tuple[Environment, list[_RootSolve]]] = {}
+    for i, xi in enumerate(xis):
+        mirrored = xi < 0
+        if mirrored and bar is None:
+            bar = reflect(env)
+        side = bar if mirrored else env
+        speed = -xi if mirrored else xi
+        try:
+            res = _limit_rate(side, speed, rc_tol)
+        except RwreError as e:
+            errors[i] = e
+            continue
+        if res is not None:
+            results[i] = res
+            continue
+        steps = _slope_root_steps(speed)
+        groups.setdefault(mirrored, (side, []))[1].append(
+            _RootSolve(index=i, xi=speed, steps=steps, s=next(steps), seen={})
+        )
+    # one round: every unfinished root takes one step, on one stacked
+    # Perron evaluation per environment
+    while any(solves for _, solves in groups.values()):
+        for mirrored, (side, solves) in groups.items():
+            if not solves:
+                continue
+            going = []
+            for sol, pt in zip(solves, perron_stack(side, [sol.s for sol in solves])):
+                try:
+                    if isinstance(pt, SlowConvergenceError):
+                        sol.s = sol.steps.throw(pt)
+                    else:
+                        sol.seen[sol.s.hex()] = pt
+                        sol.s = sol.steps.send(pt.slope - sol.xi)
+                except StopIteration as stop:
+                    results[sol.index] = _interior(sol.xi, sol.seen[stop.value.hex()])
+                except RwreError as e:
+                    errors[sol.index] = e
+                else:
+                    going.append(sol)
+            groups[mirrored] = (side, going)
+    if errors:
+        raise errors[min(errors)]
+    for i, xi in enumerate(xis):
+        if xi < 0:
+            results[i] = replace(results[i], xi=xi, slope=-results[i].slope, mirrored=True)
+    return results
+
+
+def _interior(xi: float, pt: PerronPoint) -> RateResult:
     return RateResult(
         xi=xi,
         value=pt.s * xi - pt.value,
@@ -213,6 +302,34 @@ def rate(env: Environment, xi: float, rc_tol: float = 1e-8) -> RateResult:
         xi_residual=abs(pt.slope - xi),
         mirrored=False,
     )
+
+
+def rate_grid(env: Environment, xi_grid, rc_tol: float = 1e-8) -> list[RateResult]:
+    """Evaluate the rate function on a velocity grid, the interior points
+    in lockstep.
+
+    Each interior speed walks out its own bracket and runs its own Brent
+    iteration on Lambda'(s) = xi (`_slope_root_steps`); every round moves
+    each unfinished point one step, on one stacked Perron evaluation
+    (`passage.perron_stack`) per environment, the reflected one serving the
+    leftward speeds. A point never sees the rest of the grid: its result is
+    a function of (env, xi) alone, the same to the last bit as a lone
+    `rate(env, xi)`. If points fail, the error of the first failing point
+    in grid order is raised, as a loop over the grid would.
+    """
+    require_periodic(env, "rate evaluation")
+    return _rate_grid(env, None, [float(xi) for xi in xi_grid], rc_tol)
+
+
+def rate(env: Environment, xi: float, rc_tol: float = 1e-8) -> RateResult:
+    """Evaluate the rate function at one velocity: `rate_grid` at one point.
+
+    Interior velocities solve Lambda'(s*) = xi by bracketed root finding and
+    return s* xi - Lambda(s*), with the drift residual reported. Velocity
+    zero returns the midpoint of the threshold bracket, of width <= rc_tol.
+    Leftward velocities are solved on the reflected environment.
+    """
+    return rate_grid(env, (xi,), rc_tol=rc_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -261,9 +378,10 @@ def rate_curve(env: Environment, xi_grid, rc_tol: float = 1e-8) -> RateCurve:
     critical drift of both directions, and check convexity along the finite
     part."""
     require_periodic(env, "rate evaluation")
+    bar = reflect(env)
     rc = _rc_cached(env, tol=rc_tol)
-    rc_bar = _rc_cached(reflect(env), tol=rc_tol)
-    results = [rate(env, float(xi), rc_tol=rc_tol) for xi in xi_grid]
+    rc_bar = _rc_cached(bar, tol=rc_tol)
+    results = _rate_grid(env, bar, [float(xi) for xi in xi_grid], rc_tol)
     fin = [(res.xi, res.value) for res in results if math.isfinite(res.value)]
     convex = True
     for (x0, v0), (x1, v1), (x2, v2) in zip(fin, fin[1:], fin[2:]):
@@ -283,7 +401,7 @@ def rate_curve(env: Environment, xi_grid, rc_tol: float = 1e-8) -> RateCurve:
         rc=rc,
         rc_reflected=rc_bar,
         xi_critical=xi_critical(env, rc_est=rc),
-        xi_critical_reflected=xi_critical(reflect(env), rc_est=rc_bar),
+        xi_critical_reflected=xi_critical(bar, rc_est=rc_bar),
     )
 
 
@@ -324,19 +442,30 @@ class SymmetryGap:
     defect: float
 
 
-def symmetry_gap(env: Environment, xi: float, rc_tol: float = 1e-8) -> SymmetryGap:
+def symmetry_gaps(env: Environment, xis, rc_tol: float = 1e-8) -> list[SymmetryGap]:
+    """`symmetry_gap` at every speed of xis, with I(|xi|) and I(-|xi|) for
+    all of them solved as one rate grid."""
     require_periodic(env, "rate evaluation")
-    right = rate(env, abs(xi), rc_tol=rc_tol)
-    left = rate(env, -abs(xi), rc_tol=rc_tol)
+    speeds = [abs(float(xi)) for xi in xis]
+    # right and left speed of each point in turn: the order a loop over
+    # symmetry_gap would meet them, and so the error it would raise first
+    rates = rate_grid(env, [v for xi in speeds for v in (xi, -xi)], rc_tol=rc_tol)
     log_odds = float(
         np.mean([math.log(law.prob(-1) / law.prob(1)) for law in env.laws])
     )
-    gap = right.value - left.value
-    predicted = abs(xi) * log_odds
-    return SymmetryGap(
-        xi=abs(xi), rate_right=right.value, rate_left=left.value, log_odds=log_odds,
-        gap=gap, predicted=predicted, defect=abs(gap - predicted),
-    )
+    out = []
+    for xi, right, left in zip(speeds, rates[::2], rates[1::2]):
+        gap = right.value - left.value
+        predicted = xi * log_odds
+        out.append(SymmetryGap(
+            xi=xi, rate_right=right.value, rate_left=left.value, log_odds=log_odds,
+            gap=gap, predicted=predicted, defect=abs(gap - predicted),
+        ))
+    return out
+
+
+def symmetry_gap(env: Environment, xi: float, rc_tol: float = 1e-8) -> SymmetryGap:
+    return symmetry_gaps(env, (xi,), rc_tol=rc_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -345,20 +474,24 @@ class AsymmetryDemo:
     nearest-neighbor environments, genuinely r-dependent beyond them."""
 
     rs: tuple[float, ...]
-    gaps: tuple[float, ...]
+    lambdas: tuple[float, ...]  # right-passage growth rate lambda(r)
+    lambdas_bar: tuple[float, ...]  # left-passage growth rate lambda_bar(r)
+    gaps: tuple[float, ...]  # lambda_bar(r) - lambda(r)
     variation: float
 
 
 def asymmetry_demo(env: Environment, rs) -> AsymmetryDemo:
-    from .passage import lyapunov_bar
-
+    """lambda and lambda_bar at each tilt of rs; lambda_bar is lambda of the
+    reflected environment, built once."""
     require_periodic(env, "rate evaluation")
-    gaps = []
-    for r in rs:
-        r = float(r)
-        gaps.append(lyapunov_bar(env, r).value - lyapunov(env, r).value)
+    bar = reflect(env)
+    rs = tuple(float(r) for r in rs)
+    pairs = [(lyapunov(env, r).value, lyapunov(bar, r).value) for r in rs]
+    gaps = tuple(lam_bar - lam for lam, lam_bar in pairs)
     return AsymmetryDemo(
-        rs=tuple(float(r) for r in rs),
-        gaps=tuple(gaps),
+        rs=rs,
+        lambdas=tuple(lam for lam, _ in pairs),
+        lambdas_bar=tuple(lam_bar for _, lam_bar in pairs),
+        gaps=gaps,
         variation=max(gaps) - min(gaps),
     )

@@ -205,14 +205,16 @@ class TestRateCurve:
         assert rep["xi_critical"] == pytest.approx(0.0, abs=1e-3)
 
     def test_drift_root_failure_exits_3_with_diagnostics(self, tmp_path, monkeypatch):
-        real = rate.log_perron
+        real = rate.perron_stack
 
-        def poisoned(env, s):
+        def poisoned(env, ss):
             # the outward bracket walk visits integers only; Brent's steps don't
-            pt = real(env, s)
-            return dataclasses.replace(pt, slope=math.nan) if s != int(s) else pt
+            return [
+                dataclasses.replace(pt, slope=math.nan) if s != int(s) else pt
+                for s, pt in zip(ss, real(env, ss))
+            ]
 
-        monkeypatch.setattr(rate, "log_perron", poisoned)
+        monkeypatch.setattr(rate, "perron_stack", poisoned)
         code, out = run_cfg(tmp_path, {"task": "rate-curve", "environment": PER2,
                                        "grid": [0.3]})
         assert code == 3

@@ -1,13 +1,15 @@
 """Pair-measure entropy: identities, gradients, and the constrained minimizer."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from rwre_ldp import level2
 from rwre_ldp.environment import JumpLaw, class_cycle, homogeneous, periodic
-from rwre_ldp.errors import InfeasibleDriftError
+from rwre_ldp.errors import InfeasibleDriftError, SlowConvergenceError
 from rwre_ldp.level2 import (
     PairMeasure,
     drift_range,
@@ -183,6 +185,25 @@ class TestMinimizer:
         res = minimize_entropy(WIDE, 0.0, tol=1e-9)
         # zero-drift law: the untilted measure itself has drift 0, entropy 0
         assert res.value == pytest.approx(0.0, abs=1e-9)
+
+    def test_a_projection_stopped_at_its_cap_is_never_accepted(self):
+        # near the end of the drift range the floor binds, and five Dykstra
+        # sweeps leave every projection off the constraints: each trial
+        # step fails, and the last-resort step raises instead of landing
+        with mock.patch.object(level2, "_DYKSTRA_ITERS", 5):
+            with pytest.raises(SlowConvergenceError) as exc:
+                minimize_entropy(PER2_NN, 0.9)
+        diag = exc.value.diagnostics
+        assert diag["constraint_residual"] > diag["reach"] and diag["iterations"] == 1
+        res = minimize_entropy(PER2_NN, 0.9)
+        assert res.converged and res.constraint_residual <= 1e-14
+
+    def test_the_end_of_the_drift_range_is_as_feasible_as_the_floor_allows(self):
+        # the -1 weights must vanish at xi = 1, and the floor keeps them at
+        # 1e-12: no projection gets closer than 2e-12 to the constraints
+        res = minimize_entropy(PER2_NN, 1.0)
+        assert res.converged
+        assert 1e-12 < res.constraint_residual <= 4 * 1e-12
 
 
 class TestEmpirical:

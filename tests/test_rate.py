@@ -4,6 +4,7 @@ the constrained pair-entropy minimizer, closed-form thresholds, and boundary
 values read off the jump probabilities; the drift-equation root finder against
 scipy's brentq, float for float."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -14,9 +15,18 @@ from hypothesis import strategies as st
 
 from rwre_ldp import level2
 from rwre_ldp import rate as rate_module
-from rwre_ldp.environment import JumpLaw, homogeneous, periodic, reflect, sample_iid
+from rwre_ldp.environment import (
+    JumpLaw,
+    class_cycle,
+    class_probs,
+    homogeneous,
+    offsets,
+    periodic,
+    reflect,
+    sample_iid,
+)
 from rwre_ldp.errors import SlowConvergenceError
-from rwre_ldp.passage import drift_limits
+from rwre_ldp.passage import drift_limits, log_perron
 from rwre_ldp.rate import (
     _brent,
     asymmetry_demo,
@@ -331,17 +341,25 @@ class TestBrent:
         from scipy.optimize import brentq
 
         compared = []
+        real_steps = rate_module._brent_steps
+        side = []  # the environment and speed rate() solves on
 
-        def checked(f, a, b, xtol, rtol, maxiter, fa=None, fb=None):
-            got = _brent(f, a, b, xtol, rtol, maxiter, fa=fa, fb=fb)
+        def checked(a, b, xtol, rtol, maxiter, fa=None, fb=None):
+            got = yield from real_steps(a, b, xtol, rtol, maxiter, fa=fa, fb=fb)
+            on, speed = side[-1]
+
+            def f(s):
+                return log_perron(on, s).slope - speed
+
             assert got == brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
             compared.append(got)
             return got
 
         lo, hi = drift_limits(env)
-        with mock.patch.object(rate_module, "_brent", checked):
+        with mock.patch.object(rate_module, "_brent_steps", checked):
             for xi in (lo + (hi - lo) * frac, 0.5 * (lo + hi), hi * frac, lo * frac):
                 if abs(xi) > 1e-12:
+                    side.append((env, xi) if xi > 0 else (reflect(env), -xi))
                     rate(env, float(xi))
         assert compared
 
@@ -380,17 +398,88 @@ class TestBrent:
 
 
 def test_log_perron_calls_per_interior_rate_point():
-    # f(0), the outward walk to the bracket s in [0, 1], Brent's interior
-    # steps and the final point; the bracket ends are not solved twice
+    # f(0), the outward walk to the bracket s in [0, 1] and Brent's interior
+    # steps; the bracket ends are not solved twice, and the root's point is
+    # the one Brent's last step evaluated
     calls = []
-    real = rate_module.log_perron
+    real = rate_module.perron_stack
 
-    def counted(env, s):
-        calls.append(s)
-        return real(env, s)
+    def counted(env, ss):
+        calls.extend(ss)
+        return real(env, ss)
 
-    with mock.patch.object(rate_module, "log_perron", counted):
+    with mock.patch.object(rate_module, "perron_stack", counted):
         res = rate(PER3_NN, 0.3)
     assert res.branch == "interior"
     assert calls[:2] == [0.0, 1.0]
-    assert len(calls) == 9
+    assert len(calls) == 8
+    assert res.slope in calls
+
+
+def _result_bits(res) -> tuple:
+    """Every field of a RateResult, floats by their hex form (nan and the
+    sign of zero included)."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(res))
+
+
+class TestLockstepGrid:
+    """Grids are solved in lockstep, yet each point is a function of
+    (env, xi) alone."""
+
+    GRID = (-2.0, -1.5, -1.1, -0.6, -0.2, 0.0, 0.15, 0.4, 0.9, 1.3, 1.75, 2.0, 2.3)
+
+    @settings(max_examples=15, deadline=None)
+    @given(environments(max_b=2, max_period=4), st.randoms(use_true_random=False))
+    def test_shuffled_grid_gives_the_same_floats_as_lone_points(self, env, rnd):
+        lo, hi = drift_limits(env)
+        grid = [lo - 0.1, lo, lo + 0.2 * (hi - lo), 0.0, 0.5 * (lo + hi), hi - 1e-3, hi, hi + 0.3]
+        grid = sorted(set(grid + [float(x) for x in np.linspace(lo, hi, 9)[1:-1]]))
+        shuffled = grid[:]
+        rnd.shuffle(shuffled)
+        by_xi = {res.xi: _result_bits(res) for res in rate_curve(env, grid).results}
+        for res in rate_curve(env, shuffled).results:
+            assert _result_bits(res) == by_xi[res.xi]
+            assert _result_bits(rate(env, res.xi)) == by_xi[res.xi]
+
+    def test_grid_matches_lone_points_on_a_missing_jump_law(self):
+        results = rate_module.rate_grid(B2_NO_MINUS2, self.GRID)
+        for xi, res in zip(self.GRID, results):
+            assert _result_bits(res) == _result_bits(rate(B2_NO_MINUS2, xi))
+        assert {res.branch for res in results} == {"outside", "edge", "zero", "interior"}
+
+    def test_first_failing_point_in_grid_order_raises_its_own_error(self):
+        # make the eigen-solve fail at the last tilt Brent visits for two
+        # grid points, one of them leftward (solved on the reflection)
+        grid = [0.3, 0.9, -0.7, 1.2, -1.1]
+        bar = reflect(B2_NO_MINUS2)
+        failing = {1: B2_NO_MINUS2, 4: bar}
+        bad = []
+        for i, on in failing.items():
+            s = abs(rate(B2_NO_MINUS2, grid[i]).slope)
+            probs = class_probs(on)
+            bad.append(class_cycle(probs * np.exp(s * offsets(2) - 2 * abs(s))))
+        real = np.linalg.eigvals
+
+        def refusing(a):
+            if any(np.array_equal(m, k) for m in a.reshape(-1, 3, 3) for k in bad):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a)
+
+        def first_error(xis):
+            with pytest.raises(SlowConvergenceError) as exc:
+                for xi in xis:
+                    rate(B2_NO_MINUS2, xi)
+            return exc.value
+
+        with mock.patch.object(np.linalg, "eigvals", refusing):
+            serial = first_error(grid)
+            later = first_error(grid[2:])
+            with pytest.raises(SlowConvergenceError) as exc:
+                rate_module.rate_grid(B2_NO_MINUS2, grid)
+            with pytest.raises(SlowConvergenceError) as exc_later:
+                rate_curve(B2_NO_MINUS2, grid[2:])
+        assert serial.diagnostics["xi"] == 0.9 and later.diagnostics["xi"] == 1.1
+        for got, want in ((exc.value, serial), (exc_later.value, later)):
+            assert str(got) == str(want)
+            assert got.diagnostics == want.diagnostics
+            assert "eigen-solve of K_s failed" in str(got)
