@@ -26,11 +26,13 @@ across long windows.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .environment import (
     Environment,
@@ -372,43 +374,29 @@ _BORDER_SLACK = 8.0
 _STACK_BUDGET = 1 << 14
 
 
-def _refused(e: np.linalg.LinAlgError, ss: list[float], what: str) -> SlowConvergenceError:
-    """LAPACK refuses a whole stack for one bad matrix: on several tilts the
-    error propagates so the caller can retry them one by one; on one tilt it
-    becomes the SlowConvergenceError that names it."""
-    if len(ss) > 1:
-        raise e
-    return SlowConvergenceError(f"{what} at s={ss[0]}", diagnostics={"s": ss[0], "linalg": str(e)})
+def _refused(s: float, what: str, linalg: str) -> SlowConvergenceError:
+    return SlowConvergenceError(f"{what} at s={s}", diagnostics={"s": s, "linalg": linalg})
 
 
-def _bordered_solve(K: np.ndarray, rho: np.ndarray, k, ss: list[float]) -> np.ndarray:
+def _bordered_solve(K: np.ndarray, rho: np.ndarray, border: np.ndarray) -> np.ndarray:
     """(rho I - K) phi = 0 and (rho I - K)^T l = 0 with equation k of each
-    replaced by sum = 1, for a stack of n matrices K and their n roots rho,
-    as 2n systems in one LU call; returns the (n, 2, L) rows phi, l.
-    k is the class 0 for every matrix or an array of one class each."""
+    replaced by sum = 1, for a stack of n matrices K, their n roots rho and
+    their border classes k, marked True in the (n, L) rows of border, as 2n
+    systems in one LU call; returns the (2, n, L) rows phi and l, NaN where
+    LAPACK refused a system."""
     n, L, _ = K.shape
-    M = np.empty((n, 2, L, L))
-    np.negative(K, out=M[:, 0])
-    M.reshape(n, 2, L * L)[:, 0, :: L + 1] += rho[:, None]
-    M[:, 1] = M[:, 0].transpose(0, 2, 1)
-    M = M.reshape(2 * n, L, L)
-    rhs = np.zeros((2 * n, L, 1))
-    if isinstance(k, int):
-        M[:, k] = 1.0
-        rhs[:, k] = 1.0
-    else:
-        k = np.repeat(k, 2)
-        M[np.arange(2 * n), k] = 1.0
-        rhs[np.arange(2 * n), k] = 1.0
-    try:
-        return np.linalg.solve(M, rhs).reshape(n, 2, L)
-    except np.linalg.LinAlgError as e:
-        raise _refused(e, ss, "bordered Perron-vector solve failed") from None
+    M = np.empty((2, n, L, L))
+    np.negative(K, out=M[0])
+    M[0].reshape(n, L * L)[:, :: L + 1] += rho[:, None]
+    M[1] = M[0].transpose(0, 2, 1)
+    border = border[:, :, None]  # row k of both systems, and e_k
+    np.copyto(M, 1.0, where=border)
+    return _umath_linalg.solve(M, border.astype(float), signature="dd->d")[..., 0]
 
 
-def _perron_vectors(K: np.ndarray, rho: np.ndarray, ss: list[float]) -> tuple[np.ndarray, np.ndarray]:
+def _perron_vectors(K: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Right and left Perron vectors phi, l of a stack of K from bordered
-    solves, as (n, L) arrays.
+    solves, as a (2, n, L) array.
 
     Every equation kept in `_bordered_solve` holds at the computed rho, so
     every Collatz-Wielandt quotient (K phi)_i / phi_i but the k-th is rho
@@ -420,92 +408,94 @@ def _perron_vectors(K: np.ndarray, rho: np.ndarray, ss: list[float]) -> tuple[np
     """
     n, L, _ = K.shape
     if L == 1:
-        return np.ones((n, 1)), np.ones((n, 1))
-    vecs = _bordered_solve(K, rho, 0, ss)
-    phi, left = vecs[:, 0], vecs[:, 1]
-    weight = phi * left
+        return np.ones((2, n, 1))
+    first = np.zeros((n, L), dtype=bool)
+    first[:, 0] = True
+    vecs = _bordered_solve(K, rho, first)
+    weight = vecs[0] * vecs[1]
     k = weight.argmax(axis=1)
     redo = [m for m, (w, j) in enumerate(zip(weight.tolist(), k.tolist()))
             if w[j] > _BORDER_SLACK * w[0]]
     if redo:
-        vecs[redo] = _bordered_solve(K[redo], rho[redo], k[redo], [ss[m] for m in redo])
-    return phi, left
+        vecs[:, redo] = _bordered_solve(K[redo], rho[redo], np.equal.outer(k[redo], np.arange(L)))
+    return vecs
 
 
 def _perron_chunk(env: Environment, ss: list[float]) -> list:
     """`perron_stack` on one stack: one eigvals call and one or two stacked
-    bordered solves. A failure at one tilt becomes its entry; a LinAlgError
-    on a stack of several tilts propagates (see `_refused`)."""
-    offs = offsets(env.b)
+    bordered solves.
+
+    The LAPACK calls go to the gufuncs under `np.linalg.eigvals` and
+    `np.linalg.solve`: on matrices this small the wrappers' checks cost
+    more than LAPACK does (about 15 of the 20 us of eigvals at L = 3). A
+    gufunc fills the output of a matrix that LAPACK refuses with NaN, where
+    a wrapper raises LinAlgError for the whole stack; so a refusal fails
+    only its own tilt, with the wrapper's message.
+    """
+    offs = offsets(env.b).astype(float)
     probs = class_probs(env)
     n, L = len(ss), len(probs)
     shifts = [abs(s) * env.b for s in ss]
-    rows = probs * np.exp(np.array(ss)[:, None] * offs - np.array(shifts)[:, None])[:, None]
-    K = class_cycle(rows)
-    if L == 1:  # homogeneous: K_s is the scalar sum_z p(z) e^{s z - shift}
-        tops = K.ravel().tolist()
-    else:
-        try:
-            # one matrix goes in as one: the same LAPACK call, with less numpy overhead
-            eig = np.linalg.eigvals(K if n > 1 else K[0]).reshape(n, -1)
-        except np.linalg.LinAlgError as e:
-            raise _refused(e, ss, "eigen-solve of K_s failed") from None
-        # the Perron root has the largest real part
-        tops = [row[k] for row, k in zip(eig.tolist(), eig.real.argmax(axis=1).tolist())]
     out: list = [None] * n
-    idx = range(n)  # positions in ss of the tilts still standing
-    bad = [m for m, top in enumerate(tops)
-           if top.imag != 0.0 or not (math.isfinite(top.real) and top.real > 0.0)]
-    if bad:
-        for m in bad:
-            out[m] = SlowConvergenceError(
-                f"no finite positive real Perron root of K_s at s={ss[m]}",
-                diagnostics={"s": ss[m], "eigenvalue": [tops[m].real, float(tops[m].imag)]},
-            )
-        idx = [m for m in idx if out[m] is None]
-        if not idx:
-            return out
-        K, rows = K[idx], rows[idx]
-    rho = np.array([tops[m].real for m in idx])
-    phi, left = _perron_vectors(K, rho, ss if len(idx) == n else [ss[m] for m in idx])  # phi sums to 1 up to rounding
-    lows = phi.min(axis=1).tolist()
-    bad = [j for j, low in enumerate(lows) if not low > 0.0]
-    if bad:
-        for j in bad:
-            out[idx[j]] = SlowConvergenceError(
-                f"Perron vector of K_s not positive at s={ss[idx[j]]}",
-                diagnostics={"s": ss[idx[j]], "min": lows[j]},
-            )
-        keep = [j for j in range(len(idx)) if j not in bad]
-        if not keep:
-            return out
-        phi, left, rows, rho = phi[keep], left[keep], rows[keep], rho[keep]
-        idx = [idx[j] for j in keep]
-    terms = rows * phi[:, class_targets(L, env.b)[0]]  # K_s phi and K'_s phi, term by term
-    quot = terms.sum(axis=2) / phi  # Collatz-Wielandt quotients
-    per_point = zip(
-        idx, rho.tolist(), np.vecdot(left, terms @ offs).tolist(),
-        np.vecdot(left, phi).tolist(), quot.min(axis=1).tolist(), quot.max(axis=1).tolist(), phi,
-    )
-    for m, r, num, den, q_lo, q_hi, right in per_point:
-        value = math.log(r) + shifts[m]
-        out[m] = PerronPoint(
-            s=ss[m],
-            value=value,
-            slope=num / (r * den),
-            right=right,
-            bracket=(value + math.log(q_lo / r), value + math.log(q_hi / r)),
+    with np.errstate(all="ignore"):  # refusals are read off the NaN they leave
+        rows = probs * np.exp(np.multiply.outer(ss, offs) - np.array(shifts)[:, None])[:, None]
+        K = class_cycle(rows)  # entries in [0, 1], or NaN where a shift is not finite
+        if L == 1:  # homogeneous: K_s is the scalar sum_z p(z) e^{s z - shift}
+            tops = K.ravel().tolist()
+        else:
+            for m, shift in enumerate(shifts):
+                if not math.isfinite(shift):  # numpy's eigvals refuses NaN; LAPACK gets zeros
+                    K[m] = 0.0
+                    out[m] = _refused(ss[m], "eigen-solve of K_s failed",
+                                      "Array must not contain infs or NaNs")
+            eig = _umath_linalg.eigvals(K, signature="d->D")
+            # the Perron root has the largest real part
+            tops = [row[k] for row, k in zip(eig.tolist(), eig.real.argmax(axis=1).tolist())]
+        live = []  # positions of the tilts still standing
+        for m, top in enumerate(tops):
+            if out[m] is not None:
+                continue
+            if top.imag == 0.0 and math.isfinite(top.real) and top.real > 0.0:
+                live.append(m)
+            elif L > 1 and cmath.isnan(top):
+                out[m] = _refused(ss[m], "eigen-solve of K_s failed", "Eigenvalues did not converge")
+            else:
+                out[m] = SlowConvergenceError(
+                    f"no finite positive real Perron root of K_s at s={ss[m]}",
+                    diagnostics={"s": ss[m], "eigenvalue": [top.real, float(top.imag)]},
+                )
+        if len(live) < n:
+            if not live:
+                return out
+            K, rows = K[live], rows[live]
+        roots = [tops[m].real for m in live]
+        phi, left = _perron_vectors(K, np.array(roots))  # phi sums to 1 up to rounding
+        terms = rows * phi[:, class_targets(L, env.b)[0]]  # K_s phi and K'_s phi, term by term
+        quot = np.add.reduce(terms, axis=2) / phi  # Collatz-Wielandt quotients
+        per_point = zip(
+            live, roots, np.minimum.reduce(phi, axis=1).tolist(),
+            np.vecdot(left, terms @ offs).tolist(), np.vecdot(left, phi).tolist(),
+            np.minimum.reduce(quot, axis=1).tolist(), np.maximum.reduce(quot, axis=1).tolist(),
+            phi, left,
         )
+    for m, r, low, num, den, q_lo, q_hi, right, lvec in per_point:
+        if math.isnan(low) or (math.isnan(den) and np.isnan(lvec).any()):
+            out[m] = _refused(ss[m], "bordered Perron-vector solve failed", "Singular matrix")
+        elif not low > 0.0:
+            out[m] = SlowConvergenceError(
+                f"Perron vector of K_s not positive at s={ss[m]}",
+                diagnostics={"s": ss[m], "min": low},
+            )
+        else:
+            value = math.log(r) + shifts[m]
+            out[m] = PerronPoint(
+                s=ss[m],
+                value=value,
+                slope=num / (r * den),
+                right=right,
+                bracket=(value + math.log(q_lo / r), value + math.log(q_hi / r)),
+            )
     return out
-
-
-def _perron_points(env: Environment, ss: list[float]) -> list:
-    try:
-        return _perron_chunk(env, ss)
-    except SlowConvergenceError as e:  # a one-tilt stack that LAPACK refused
-        return [e]
-    except np.linalg.LinAlgError:
-        return [pt for s in ss for pt in _perron_points(env, [s])]
 
 
 def perron_stack(env: Environment, ss) -> list:
@@ -525,14 +515,12 @@ def perron_stack(env: Environment, ss) -> list:
     """
     ss = [float(s) for s in ss]
     per = max(1, _STACK_BUDGET // env.period ** 2)
-    if len(ss) <= per:
-        return _perron_points(env, ss)
-    return [pt for i in range(0, len(ss), per) for pt in _perron_points(env, ss[i:i + per])]
+    return [pt for i in range(0, len(ss), per) for pt in _perron_chunk(env, ss[i:i + per])]
 
 
 def log_perron(env: Environment, s: float) -> PerronPoint:
     """`perron_stack` at one tilt; raises its SlowConvergenceError."""
-    pt = _perron_points(env, [float(s)])[0]
+    pt = _perron_chunk(env, [float(s)])[0]
     if isinstance(pt, SlowConvergenceError):
         raise pt
     return pt

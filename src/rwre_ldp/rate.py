@@ -147,29 +147,6 @@ def _brent_steps(a: float, b: float, xtol: float, rtol: float, maxiter: int,
     raise fail(f"root finder did not converge in {maxiter} iterations", maxiter, x=xcur)
 
 
-def _drive(steps, f):
-    """Run a step generator serially: each x it yields is answered with
-    f(x), and an exception from f is raised inside it, where the step
-    stood. Returns the generator's result."""
-    try:
-        x = next(steps)
-        while True:
-            try:
-                fx = f(x)
-            except Exception as e:
-                x = steps.throw(e)
-            else:
-                x = steps.send(fx)
-    except StopIteration as stop:
-        return stop.value
-
-
-def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int,
-           fa: float | None = None, fb: float | None = None) -> float:
-    """Root of f in [a, b] by Brent's method (`_brent_steps`, driven serially)."""
-    return _drive(_brent_steps(a, b, xtol, rtol, maxiter, fa=fa, fb=fb), f)
-
-
 def _slope_root_steps(xi: float):
     """The tilt s with Lambda'(s) = xi, for xi inside the drift range, as a
     step generator: it yields each s to evaluate, is sent Lambda'(s) - xi,
@@ -443,12 +420,12 @@ class SymmetryGap:
 
 
 def symmetry_gaps(env: Environment, xis, rc_tol: float = 1e-8) -> list[SymmetryGap]:
-    """`symmetry_gap` at every speed of xis, with I(|xi|) and I(-|xi|) for
-    all of them solved as one rate grid."""
+    """I(|xi|) - I(-|xi|) against the predicted skew at every speed of xis,
+    with all the rates solved as one rate grid."""
     require_periodic(env, "rate evaluation")
     speeds = [abs(float(xi)) for xi in xis]
-    # right and left speed of each point in turn: the order a loop over
-    # symmetry_gap would meet them, and so the error it would raise first
+    # right and left speed of each point in turn: the order a loop over the
+    # points would meet them, and so the error it would raise first
     rates = rate_grid(env, [v for xi in speeds for v in (xi, -xi)], rc_tol=rc_tol)
     log_odds = float(
         np.mean([math.log(law.prob(-1) / law.prob(1)) for law in env.laws])
@@ -462,10 +439,6 @@ def symmetry_gaps(env: Environment, xis, rc_tol: float = 1e-8) -> list[SymmetryG
             gap=gap, predicted=predicted, defect=abs(gap - predicted),
         ))
     return out
-
-
-def symmetry_gap(env: Environment, xi: float, rc_tol: float = 1e-8) -> SymmetryGap:
-    return symmetry_gaps(env, (xi,), rc_tol=rc_tol)[0]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ import pytest
 from rwre_ldp import mc, passage, rate, tilt
 from rwre_ldp.cli import main, parse_config
 
+from .refusing_lapack import refusing
+
 SYM = {"type": "homogeneous", "B": 1, "laws": [{"-1": 0.5, "1": 0.5}]}
 PER2 = {
     "type": "periodic",
@@ -224,13 +226,10 @@ class TestRateCurve:
         assert diag["diagnostics"]["iterations"] >= 1
         assert len(diag["diagnostics"]["bracket"]) == 2
 
-    def test_eigen_solve_failure_exits_3_with_diagnostics(self, tmp_path, monkeypatch):
-        def fail(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvals", fail)
-        code, out = run_cfg(tmp_path, {"task": "rate-curve", "environment": PER2,
-                                       "grid": [0.3]})
+    def test_eigen_solve_failure_exits_3_with_diagnostics(self, tmp_path):
+        with refusing(eig=lambda K: True):
+            code, out = run_cfg(tmp_path, {"task": "rate-curve", "environment": PER2,
+                                           "grid": [0.3]})
         assert code == 3
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "SlowConvergenceError"

@@ -12,8 +12,10 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from rwre_ldp import passage
 from rwre_ldp.environment import (
@@ -27,6 +29,7 @@ from rwre_ldp.environment import (
 from rwre_ldp.errors import SlowConvergenceError
 from rwre_ldp.passage import PerronPoint, log_perron, perron_stack
 
+from .refusing_lapack import RefusingLapack, refusing, system_of
 from .strategies import environments
 
 B2_NO_MINUS2 = periodic(
@@ -37,6 +40,15 @@ B2_NO_MINUS2 = periodic(
     ]
 )
 DRIFT2 = homogeneous(JumpLaw(b=2, probs=((-2, 0.1), (-1, 0.2), (1, 0.3), (2, 0.4))))
+# at s = 0.5 and s = 1.0 class 0 holds under 1/8 of the largest stationary
+# weight of the tilted chain, so those two tilts are solved on a second border
+SKEWED = periodic(
+    [
+        JumpLaw(b=1, probs=((-1, 0.98), (1, 0.02))),
+        JumpLaw(b=1, probs=((-1, 0.135), (1, 0.865))),
+        JumpLaw(b=1, probs=((-1, 0.944), (1, 0.056))),
+    ]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +188,15 @@ class TestAgainstTheSingleTiltOracle:
         assert passage._STACK_BUDGET // env.period ** 2 == 0
         ss = [-0.4, 0.1, 0.9]
         calls = []
-        real = np.linalg.eigvals
 
-        def counted(a):
-            calls.append(a.shape)
-            return real(a)
+        class Counted(RefusingLapack):
+            def eigvals(self, a, signature):
+                calls.append(a.shape)
+                return super().eigvals(a, signature)
 
-        with mock.patch.object(np.linalg, "eigvals", counted):
+        with mock.patch.object(passage, "_umath_linalg", Counted()):
             got = perron_stack(env, ss)
-        assert calls == [(200, 200)] * 3
+        assert calls == [(1, 200, 200)] * 3
         for s, pt in zip(ss, got):
             assert_matches_oracle(env, s, pt)
 
@@ -199,50 +211,90 @@ def _cycle(env, s):
     return _single_class_cycle(class_probs(env) * np.exp(s * offs - abs(s) * env.b))
 
 
-class TestRefusedStacks:
-    """LAPACK refuses a whole stack for one bad matrix; the stack is redone
-    point by point, so the error names the tilt that failed and the other
-    points keep their values."""
+def assert_refused(pt, s, what, linalg):
+    assert isinstance(pt, SlowConvergenceError), (s, pt)
+    assert str(pt) == f"{what} at s={s}"
+    assert pt.diagnostics == {"s": s, "linalg": linalg}
+
+
+def test_a_refused_matrix_leaves_nan_in_its_own_output_only():
+    """The gufunc behaviour the core reads refusals by."""
+    rng = np.random.default_rng(4)
+    a = rng.random((3, 4, 4))
+    a[1, 2] = a[1, 0]  # singular
+    b = rng.random((3, 4, 1))
+    with np.errstate(all="ignore"):
+        x = _umath_linalg.solve(a, b, signature="dd->d")
+    assert np.isnan(x[1]).all() and not np.isnan(x[[0, 2]]).any()
+    for j in (0, 2):
+        assert x[j].tobytes() == np.linalg.solve(a[j], b[j]).tobytes()
+
+
+class TestRefusedMatrices:
+    """LAPACK refuses one matrix of a stack: its tilt fails with numpy's
+    message, and the other points keep their values."""
 
     SS = [-1.2, 0.35, 0.8, 1.7]
     BAD = 0.8
 
     def test_eigen_solve_refused_for_one_tilt(self):
         bad = _cycle(B2_NO_MINUS2, self.BAD)
-        real = np.linalg.eigvals
-
-        def refusing(a):
-            if any(np.array_equal(m, bad) for m in a.reshape(-1, *a.shape[-2:])):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(a)
-
-        with mock.patch.object(np.linalg, "eigvals", refusing):
+        with refusing(eig=lambda K: np.array_equal(K, bad)):
             got = perron_stack(B2_NO_MINUS2, self.SS)
         for s, pt in zip(self.SS, got):
             if s == self.BAD:
-                assert isinstance(pt, SlowConvergenceError)
-                assert str(pt) == f"eigen-solve of K_s failed at s={s}"
-                assert pt.diagnostics == {"s": s, "linalg": "Eigenvalues did not converge"}
+                assert_refused(pt, s, "eigen-solve of K_s failed", "Eigenvalues did not converge")
             else:
                 assert_matches_oracle(B2_NO_MINUS2, s, pt)
 
     def test_bordered_solve_refused_for_one_tilt(self):
-        bad = _cycle(B2_NO_MINUS2, self.BAD)
-        real = np.linalg.solve
-
-        def refusing(a, b):
-            # the right system of each pair carries -K_s below its border
-            # row; column 0 of those rows is off the diagonal
-            if any(np.array_equal(-m[1:, 0], bad[1:, 0]) for m in a[::2]):
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real(a, b)
-
-        with mock.patch.object(np.linalg, "solve", refusing):
+        with refusing(solve=system_of(_cycle(B2_NO_MINUS2, self.BAD))):
             got = perron_stack(B2_NO_MINUS2, self.SS)
         for s, pt in zip(self.SS, got):
             if s == self.BAD:
-                assert isinstance(pt, SlowConvergenceError)
-                assert str(pt) == f"bordered Perron-vector solve failed at s={s}"
-                assert pt.diagnostics == {"s": s, "linalg": "Singular matrix"}
+                assert_refused(pt, s, "bordered Perron-vector solve failed", "Singular matrix")
             else:
                 assert_matches_oracle(B2_NO_MINUS2, s, pt)
+
+    @pytest.mark.parametrize("ss", [[-1.0, 1.0, 1.5], [-1.0, 0.5, 1.0, 1.5], [1.0]])
+    def test_second_border_solve_refused_for_one_tilt(self, ss):
+        # only the second solve of s = 1.0 is refused; in the first stack it
+        # is the one tilt that needs one, in the second s = 0.5 needs one too
+        bad = system_of(_cycle(SKEWED, 1.0))
+        refused = []
+
+        def second_border_of_bad(M, k):
+            hit = k != 0 and bad(M, k)
+            refused.append(hit)
+            return hit
+
+        with refusing(solve=second_border_of_bad):
+            got = perron_stack(SKEWED, ss)
+        assert refused.count(True) == 1
+        assert len(got) == len(ss)
+        for s, pt in zip(ss, got):
+            if s == 1.0:
+                assert_refused(pt, s, "bordered Perron-vector solve failed", "Singular matrix")
+            else:
+                assert_matches_oracle(SKEWED, s, pt)
+
+    def test_skewed_tilts_do_take_a_second_border(self):
+        borders = []
+        real = passage._bordered_solve
+
+        def spy(K, rho, border):
+            borders.append(border.argmax(axis=1).tolist())
+            return real(K, rho, border)
+
+        with mock.patch.object(passage, "_bordered_solve", spy):
+            perron_stack(SKEWED, [-1.0, 0.5, 1.0, 1.5])
+        assert borders[0] == [0, 0, 0, 0]
+        assert len(borders) == 2 and len(borders[1]) == 2 and 0 not in borders[1]
+
+    @pytest.mark.parametrize("env", [B2_NO_MINUS2, DRIFT2])
+    def test_non_finite_tilts_fail_alone(self, env):
+        ss = [0.3, math.inf, -0.2, math.nan, -math.inf]
+        with np.errstate(all="ignore"):  # the oracle's arithmetic on inf and nan
+            got = perron_stack(env, ss)
+            for s, pt in zip(ss, got):
+                assert_matches_oracle(env, s, pt)
