@@ -1,11 +1,13 @@
 """A stand-in for the LAPACK gufuncs that `passage` calls, which refuses
 chosen matrices.
 
-A numpy.linalg gufunc that LAPACK refuses a matrix fills that matrix's
+When LAPACK refuses a matrix, a numpy.linalg gufunc fills that matrix's
 output with NaN and computes the rest of its stack as usual; the stand-in
 does the same to the matrices its predicates pick. `eig(K)` picks a
-matrix of an eigvals stack; `solve(M, k)` picks the right-hand system M of
-a bordered pair (`passage._bordered_solve`), k being its border class.
+matrix of an eigvals stack; `solve(M, k)` picks a bordered pair
+(`passage._bordered_solve`) by its right-hand system M and border class k,
+and `side` says which of the two systems is refused: 0 the right one, 1
+the transposed one.
 """
 
 from contextlib import contextmanager
@@ -18,8 +20,8 @@ from rwre_ldp import passage
 
 
 class RefusingLapack:
-    def __init__(self, eig=lambda K: False, solve=lambda M, k: False):
-        self.eig, self.refuse_solve = eig, solve
+    def __init__(self, eig=lambda K: False, solve=lambda M, k: False, side=0):
+        self.eig, self.refuse_solve, self.side = eig, solve, side
 
     def eigvals(self, a, signature):
         w = _umath_linalg.eigvals(a, signature=signature)
@@ -33,13 +35,13 @@ class RefusingLapack:
         x = _umath_linalg.solve(a, b, signature=signature)
         for j in range(a.shape[1]):
             if self.refuse_solve(a[0, j], int(b[j, :, 0].argmax())):
-                x[0, j] = np.nan
+                x[self.side, j] = np.nan
         return x
 
 
 @contextmanager
-def refusing(eig=lambda K: False, solve=lambda M, k: False):
-    with mock.patch.object(passage, "_umath_linalg", RefusingLapack(eig, solve)):
+def refusing(eig=lambda K: False, solve=lambda M, k: False, side=0):
+    with mock.patch.object(passage, "_umath_linalg", RefusingLapack(eig, solve, side)):
         yield
 
 

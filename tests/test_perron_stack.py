@@ -247,8 +247,9 @@ class TestRefusedMatrices:
             else:
                 assert_matches_oracle(B2_NO_MINUS2, s, pt)
 
-    def test_bordered_solve_refused_for_one_tilt(self):
-        with refusing(solve=system_of(_cycle(B2_NO_MINUS2, self.BAD))):
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_bordered_solve_refused_for_one_tilt(self, side):
+        with refusing(solve=system_of(_cycle(B2_NO_MINUS2, self.BAD)), side=side):
             got = perron_stack(B2_NO_MINUS2, self.SS)
         for s, pt in zip(self.SS, got):
             if s == self.BAD:
