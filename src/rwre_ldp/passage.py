@@ -16,9 +16,10 @@ case.
 Periodic and homogeneous environments go through a finite Perron core:
 h(x) = e^{s x} phi(x mod L) with phi the Perron vector of the class-cycle
 kernel K_s, so lambda(r), r_c and the rate function all follow from
-log rho(K_s). The harmonic ratios come in closed form from one of two
-routes: the zeta recursion for B = 1, and the Perron vector at the root
-of log rho(K_s) = -r for B >= 2. Each is checked against the
+searches over log rho(K_s), all of which `lockstep` runs on stacked
+evaluations of the core. The harmonic ratios come in closed form from one
+of two routes: the zeta recursion for B = 1, and the Perron vector at the
+root of log rho(K_s) = -r for B >= 2. Each is checked against the
 row-stochasticity of the tilted kernel, and a miss above 1e-10 raises.
 Sampled windows use the fixed-point solve, on log h to avoid underflow
 across long windows.
@@ -46,6 +47,7 @@ from .environment import (
 )
 from .errors import (
     DriftMismatchError,
+    RwreError,
     SlowConvergenceError,
     SupercriticalError,
     WindowExhaustedError,
@@ -129,12 +131,7 @@ def default_m_trunc(env: Environment, r: float, level: int, tol: float = 1e-12) 
 
 
 def hit_mgf(
-    env: Environment,
-    r: float,
-    level: int,
-    m_trunc: int | None = None,
-    tol: float = 1e-12,
-    max_iter: int | None = None,
+    env: Environment, r: float, level: int, m_trunc: int | None = None, tol: float = 1e-12
 ) -> MgfSolve:
     """Monotone fixed-point solve for the truncated passage-time MGF.
 
@@ -149,8 +146,7 @@ def hit_mgf(
     b = env.b
     if m_trunc is None:
         m_trunc = default_m_trunc(env, r, level, tol)
-    if max_iter is None:
-        max_iter = max(20_000, 40 * (m_trunc + level))
+    max_iter = max(20_000, 40 * (m_trunc + level))
     lp = _log_rows(env, -m_trunc, level, r)  # interior sites only
     W = m_trunc + level
     pad = b
@@ -526,6 +522,38 @@ def log_perron(env: Environment, s: float) -> PerronPoint:
     return pt
 
 
+def lockstep(jobs) -> list:
+    """Run searches over Lambda in lockstep, one `perron_stack` call per
+    environment and round.
+
+    A job is (env, search); a search is a generator that yields each tilt s
+    it needs, is sent the PerronPoint at s (or has the SlowConvergenceError
+    naming s thrown in), and returns its result. A point does not depend on
+    its stack, so a search ends as it would alone. Entry m is job m's result
+    or the RwreError its search raised.
+    """
+    out: list = [None] * len(jobs)
+    todo = [(m, search.send, None) for m, (_, search) in enumerate(jobs)]
+    while todo:
+        stacks: dict[int, list] = {}  # id(env) -> (job, tilt) of each search asking
+        for m, step, arg in todo:
+            try:
+                s = step(arg)
+            except StopIteration as stop:
+                out[m] = stop.value
+            except RwreError as e:
+                out[m] = e
+            else:
+                stacks.setdefault(id(jobs[m][0]), []).append((m, s))
+        todo = []
+        for asks in stacks.values():
+            pts = perron_stack(jobs[asks[0][0]][0], [s for _, s in asks])
+            for (m, _), pt in zip(asks, pts):
+                search = jobs[m][1]
+                todo.append((m, search.throw if isinstance(pt, RwreError) else search.send, pt))
+    return out
+
+
 def _class_mean_start(env: Environment, r: float, safe: float) -> float:
     """Starting tilt for _perron_root: the larger root of
     mean_i log g_i(s) = -r, with g_i(s) = sum_z p_i(z) e^{s z} the row sums
@@ -545,11 +573,11 @@ def _class_mean_start(env: Environment, r: float, safe: float) -> float:
     return s
 
 
-def _perron_root(env: Environment, r: float) -> PerronPoint:
-    """Larger root of Lambda(s) = -r by Newton from the right.
+def _perron_root(env: Environment, r: float):
+    """`lockstep` search for the point at the larger root of Lambda(s) = -r.
 
     From any start where Lambda' > 0 the first Newton step lands right of
-    the root, and on a convex function the iterates then decrease
+    the root, and on a convex function Newton's iterates then decrease
     monotonically onto it; a nonpositive slope on the way means
     min Lambda > -r, that is r > r_c. A start left of the minimiser falls
     back to s = 1 - log(delta) - r, which lies right of both the root and
@@ -557,10 +585,10 @@ def _perron_root(env: Environment, r: float) -> PerronPoint:
     """
     safe = 1.0 - math.log(env.delta) - r
     s = _class_mean_start(env, r, safe)
-    pt = log_perron(env, s)
+    pt = yield s
     if pt.slope <= 0.0 and s < safe:
         s = safe
-        pt = log_perron(env, s)
+        pt = yield s
     right_of_root = False
     for _ in range(200):  # linear near r_c, where it takes about 25 steps
         f = pt.value + r
@@ -577,7 +605,7 @@ def _perron_root(env: Environment, r: float) -> PerronPoint:
             return pt
         right_of_root = True
         s -= step
-        pt = log_perron(env, s)
+        pt = yield s
     raise SlowConvergenceError(
         f"Newton on log rho(K_s) = -r did not settle at r={r}",
         diagnostics={"s": s, "residual": f},
@@ -585,13 +613,14 @@ def _perron_root(env: Environment, r: float) -> PerronPoint:
 
 
 def _perron_min(env: Environment, tol: float):
-    """Bracket min Lambda within tol by bisection on the sign of Lambda'.
+    """`lockstep` search bracketing min Lambda within tol, by bisection on
+    the sign of Lambda'.
 
     The minimiser stays inside [a, b] with Lambda'(a) < 0 < Lambda'(b). The
     smallest value seen bounds min Lambda from above; the crossing of the
     tangents at a and b bounds it from below, since a convex function lies
-    above its tangents. Returns ((-upper, -lower) for r_c, (a, b), evals);
-    0.0 - x keeps a zero threshold from printing as -0.
+    above its tangents. Returns ((-upper, -lower) for r_c, (a, b), their
+    slopes, evals); 0.0 - x keeps a zero threshold from printing as -0.
     """
 
     def tangent_floor(pa: PerronPoint, pb: PerronPoint) -> float:
@@ -602,19 +631,19 @@ def _perron_min(env: Environment, tol: float):
         x = (pb.value - pa.value + pa.slope * pa.s - pb.slope * pb.s) / (pa.slope - pb.slope)
         return pa.value + pa.slope * (x - pa.s)
 
-    p0 = log_perron(env, 0.0)
+    p0 = yield 0.0
     if p0.slope == 0.0:
-        return (0.0 - p0.value, 0.0 - p0.value), (0.0, 0.0), 1
+        return (0.0 - p0.value, 0.0 - p0.value), (0.0, 0.0), (p0.slope, p0.slope), 1
     evals = 1
     # Lambda(s) >= log(delta) + |s| and Lambda(0) = 0 put the minimiser
     # between 0 and log(delta) on the side against the drift
-    edge = log_perron(env, math.log(env.delta) if p0.slope > 0 else -math.log(env.delta))
+    edge = yield math.log(env.delta) if p0.slope > 0 else -math.log(env.delta)
     evals += 1
     pa, pb = (edge, p0) if p0.slope > 0 else (p0, edge)
     best = min(pa.value, pb.value)
     lower = tangent_floor(pa, pb)
     while best - lower > tol and pb.s - pa.s > 4e-16 * max(1.0, abs(pa.s)):
-        pm = log_perron(env, 0.5 * (pa.s + pb.s))
+        pm = yield 0.5 * (pa.s + pb.s)
         evals += 1
         best = min(best, pm.value)
         if pm.slope == 0.0:
@@ -624,7 +653,7 @@ def _perron_min(env: Environment, tol: float):
         else:
             pb = pm
         lower = min(best, tangent_floor(pa, pb))
-    return (0.0 - best, 0.0 - lower), (pa.s, pb.s), evals
+    return (0.0 - best, 0.0 - lower), (pa.s, pb.s), (pa.slope, pb.slope), evals
 
 
 def _max_cycle_mean(env: Environment, sign: float) -> tuple[float, np.ndarray]:
@@ -716,7 +745,9 @@ def _harmonic_ratios(env: Environment, r: float) -> tuple[np.ndarray, float, int
         log_u = np.stack([-np.roll(theta, 1), theta], axis=1)
         cycles = zs.cycles
     else:
-        pt = _perron_root(env, r)
+        pt = lockstep([(env, _perron_root(env, r))])[0]
+        if isinstance(pt, RwreError):
+            raise pt
         log_phi = np.log(pt.right)
         dst = class_targets(env.period, env.b)[0]
         log_u = pt.s * offsets(env.b) + log_phi[dst] - log_phi[:, None]
@@ -970,6 +1001,7 @@ class RcEstimate:
     predicate: str  # "perron" | "window-box"
     evaluations: int
     argmin: tuple[float, float] | None = None  # perron: bracket of argmin Lambda
+    argmin_slopes: tuple[float, float] | None = None  # perron: Lambda' at its ends
 
     @property
     def value(self) -> float:
@@ -1021,17 +1053,21 @@ def estimate_rc(env: Environment, tol: float | None = None) -> RcEstimate:
     """Bracket the critical tilt r_c = -min_s Lambda(s).
 
     Periodic and homogeneous environments minimise Lambda through the Perron
-    core; the bracket has width <= tol. Sampled windows bisect between 0 and
-    -log(delta) on box divergence, whose bracket carries a small upward bias
-    from the finite box (widen the window to shrink it). The same search
-    runs on the reflected environment; the two midpoints estimate the same
-    threshold.
+    core (`lockstep`); the bracket has width <= tol. Sampled windows bisect
+    between 0 and -log(delta) on box divergence, whose bracket carries a
+    small upward bias from the finite box (widen the window to shrink it).
+    The same search runs on the reflected environment; the two midpoints
+    estimate the same threshold.
     """
     if env.kind in ("homogeneous", "periodic"):
         if tol is None:
             tol = 1e-6
-        bracket, argmin, e1 = _perron_min(env, tol)
-        bracket_bar, _, e2 = _perron_min(reflect(env), tol)
+        bar = reflect(env)
+        found = lockstep([(env, _perron_min(env, tol)), (bar, _perron_min(bar, tol))])
+        for res in found:
+            if isinstance(res, RwreError):
+                raise res
+        (bracket, argmin, slopes, e1), (bracket_bar, _, _, e2) = found
         return RcEstimate(
             bracket=bracket,
             bracket_reflected=bracket_bar,
@@ -1039,6 +1075,7 @@ def estimate_rc(env: Environment, tol: float | None = None) -> RcEstimate:
             predicate="perron",
             evaluations=e1 + e2,
             argmin=argmin,
+            argmin_slopes=slopes,
         )
     if tol is None:
         tol = 1e-3
@@ -1086,9 +1123,7 @@ def _poly_eval(coeff: np.ndarray, x: float) -> float:
     return acc
 
 
-def char_poly_roots(
-    env: Environment, r: float, lam_hint: float | None = None
-) -> CharPolyResult:
+def char_poly_roots(env: Environment, r: float) -> CharPolyResult:
     """Bracketed root scan of the homogeneous transfer polynomial, r < 0.
 
     At most two positive roots exist (the coefficient list has exactly two
@@ -1135,18 +1170,17 @@ def char_poly_roots(
     right = [x for x in roots if x > 1.0 + 1e-12]
     left = [x for x in roots if x < 1.0 - 1e-12]
 
-    def pick(cands: list[float], target_lam: float | None, side: str):
+    def pick(cands: list[float], side: str):
         if not cands:
             return None
         if len(cands) == 1:
             return cands[0]
-        if target_lam is None:
-            target_lam = lyapunov(env, r).value if side == "right" else -lyapunov_bar(env, r).value
+        target_lam = lyapunov(env, r).value if side == "right" else -lyapunov_bar(env, r).value
         want = math.exp(-target_lam) if side == "right" else math.exp(target_lam)
         return min(cands, key=lambda x: abs(x - want))
 
-    x_right = pick(right, lam_hint, "right")
-    x_left = pick(left, None, "left")
+    x_right = pick(right, "right")
+    x_left = pick(left, "left")
     res = tuple(abs(_poly_eval(coeff, x)) for x in roots)
     return CharPolyResult(
         r=r,

@@ -13,16 +13,15 @@ the limit of s xi - Lambda(s) as s runs off to infinity, and speeds outside
 it are impossible. Leftward velocities go through the reflected environment.
 The drift equation is solved by a port of Brent's bracketed root finder
 (Brent 1973, as in scipy's brentq), so the analytic tasks never load
-scipy.optimize. It is written as a step generator, so that a whole grid of
-speeds advances in lockstep on stacked Perron evaluations (`rate_grid`). A
-classical one-step Legendre transform for homogeneous environments rides
-along as an independent cross-check.
+scipy.optimize. It is written as a step generator, so that each speed of a
+grid runs as a search of `passage.lockstep` (`rate_grid`). A classical
+one-step Legendre transform for homogeneous environments rides along as an
+independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Generator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -36,9 +35,9 @@ from .passage import (
     drift_limits,
     edge_rate,
     estimate_rc,
+    lockstep,
     log_perron,
     lyapunov,
-    perron_stack,
 )
 
 # threshold brackets are deterministic and shared across every velocity query
@@ -148,31 +147,38 @@ def _brent_steps(a: float, b: float, xtol: float, rtol: float, maxiter: int,
 
 
 def _slope_root_steps(xi: float):
-    """The tilt s with Lambda'(s) = xi, for xi inside the drift range, as a
-    step generator: it yields each s to evaluate, is sent Lambda'(s) - xi,
-    and returns the root. A walk outward from 0 brackets it, then Brent's
-    method finds it; an error raised inside the Brent phase is reported with
-    xi."""
-    f0 = yield 0.0
+    """The point at the tilt s with Lambda'(s) = xi, for xi inside the drift
+    range, as a `passage.lockstep` search. A walk outward from 0 brackets s,
+    then Brent's method finds it; an error raised inside the Brent phase is
+    reported with xi."""
+    p0 = yield 0.0
+    f0 = p0.slope - xi
     if f0 == 0.0:
-        return 0.0
+        return p0
     # Lambda' increases; walk outward from 0 until the sign flips
-    a, fa = 0.0, f0
+    a, pa = 0.0, p0
     b = 1.0 if f0 < 0.0 else -1.0
-    fb = yield b
-    while (fb < 0.0) == (f0 < 0.0):
-        a, fa = b, fb
+    pb = yield b
+    while (pb.slope - xi < 0.0) == (f0 < 0.0):
+        a, pa = b, pb
         b = 2.0 * b
         if abs(b) > 1e4:
             raise SlowConvergenceError(
                 f"drift equation has no bracket within |s| <= 1e4 at xi={xi}",
                 diagnostics={"xi": xi},
             )
-        fb = yield b
-    if a > b:
-        a, fa, b, fb = b, fb, a, fa
+        pb = yield b
+    seen = {a: pa, b: pb}  # Brent's root is one of the tilts it was sent
+    a, b = min(a, b), max(a, b)
+    steps = _brent_steps(a, b, xtol=1e-13, rtol=8.9e-16, maxiter=300,
+                         fa=seen[a].slope - xi, fb=seen[b].slope - xi)
     try:
-        return (yield from _brent_steps(a, b, xtol=1e-13, rtol=8.9e-16, maxiter=300, fa=fa, fb=fb))
+        s = next(steps)
+        while True:
+            seen[s] = pt = yield s
+            s = steps.send(pt.slope - xi)
+    except StopIteration as stop:
+        return seen[stop.value]
     except SlowConvergenceError as e:
         raise SlowConvergenceError(
             f"drift equation at xi={xi}: {e}", diagnostics={"xi": xi, **e.diagnostics}
@@ -203,66 +209,28 @@ def _limit_rate(env: Environment, xi: float, rc_tol: float) -> RateResult | None
     return None
 
 
-@dataclass(eq=False)
-class _RootSolve:
-    """One interior grid point on its way to Lambda'(s*) = xi."""
-
-    index: int
-    xi: float
-    steps: Generator[float, float, float]  # its `_slope_root_steps`
-    s: float  # the tilt it asked for last
-    seen: dict  # float.hex(s) -> PerronPoint of each tilt evaluated
-
-
 def _rate_grid(env: Environment, bar: Environment | None, xis: list[float],
                rc_tol: float) -> list[RateResult]:
     """`rate_grid` with the reflected environment bar given (or None, to
     build it when a leftward speed needs it)."""
     results: list = [None] * len(xis)
-    errors: dict[int, RwreError] = {}
-    groups: dict[bool, tuple[Environment, list[_RootSolve]]] = {}
+    jobs, interior = [], []
     for i, xi in enumerate(xis):
-        mirrored = xi < 0
-        if mirrored and bar is None:
+        if xi < 0 and bar is None:
             bar = reflect(env)
-        side = bar if mirrored else env
-        speed = -xi if mirrored else xi
+        side, speed = (bar, -xi) if xi < 0 else (env, xi)
         try:
-            res = _limit_rate(side, speed, rc_tol)
+            results[i] = _limit_rate(side, speed, rc_tol)
         except RwreError as e:
-            errors[i] = e
-            continue
-        if res is not None:
-            results[i] = res
-            continue
-        steps = _slope_root_steps(speed)
-        groups.setdefault(mirrored, (side, []))[1].append(
-            _RootSolve(index=i, xi=speed, steps=steps, s=next(steps), seen={})
-        )
-    # one round: every unfinished root takes one step, on one stacked
-    # Perron evaluation per environment
-    while any(solves for _, solves in groups.values()):
-        for mirrored, (side, solves) in groups.items():
-            if not solves:
-                continue
-            going = []
-            for sol, pt in zip(solves, perron_stack(side, [sol.s for sol in solves])):
-                try:
-                    if isinstance(pt, SlowConvergenceError):
-                        sol.s = sol.steps.throw(pt)
-                    else:
-                        sol.seen[sol.s.hex()] = pt
-                        sol.s = sol.steps.send(pt.slope - sol.xi)
-                except StopIteration as stop:
-                    results[sol.index] = _interior(sol.xi, sol.seen[stop.value.hex()])
-                except RwreError as e:
-                    errors[sol.index] = e
-                else:
-                    going.append(sol)
-            groups[mirrored] = (side, going)
-    if errors:
-        raise errors[min(errors)]
+            results[i] = e
+        if results[i] is None:
+            jobs.append((side, _slope_root_steps(speed)))
+            interior.append(i)
+    for i, pt in zip(interior, lockstep(jobs)):
+        results[i] = pt if isinstance(pt, RwreError) else _interior(abs(xis[i]), pt)
     for i, xi in enumerate(xis):
+        if isinstance(results[i], RwreError):
+            raise results[i]
         if xi < 0:
             results[i] = replace(results[i], xi=xi, slope=-results[i].slope, mirrored=True)
     return results
@@ -286,11 +254,10 @@ def rate_grid(env: Environment, xi_grid, rc_tol: float = 1e-8) -> list[RateResul
     in lockstep.
 
     Each interior speed walks out its own bracket and runs its own Brent
-    iteration on Lambda'(s) = xi (`_slope_root_steps`); every round moves
-    each unfinished point one step, on one stacked Perron evaluation
-    (`passage.perron_stack`) per environment, the reflected one serving the
-    leftward speeds. A point never sees the rest of the grid: its result is
-    a function of (env, xi) alone, the same to the last bit as a lone
+    iteration on Lambda'(s) = xi (`_slope_root_steps`) as a job of
+    `passage.lockstep`, the reflected environment serving the leftward
+    speeds. A point never sees the rest of the grid: its result is a
+    function of (env, xi) alone, the same to the last bit as a lone
     `rate(env, xi)`. If points fail, the error of the first failing point
     in grid order is raised, as a loop over the grid would.
     """
@@ -322,8 +289,7 @@ class XiCritical:
 def xi_critical(env: Environment, rc_est: RcEstimate | None = None) -> XiCritical:
     require_periodic(env, "rate evaluation")
     rc = rc_est if rc_est is not None else _rc_cached(env)
-    a, b = rc.argmin
-    da, db = log_perron(env, a).slope, log_perron(env, b).slope
+    (a, b), (da, db) = rc.argmin, rc.argmin_slopes
     # the argmin estimate interpolates Lambda' linearly to zero
     s = a if db == da else a - da * (b - a) / (db - da)
     return XiCritical(value=log_perron(env, s).slope, bracket=(da, db))

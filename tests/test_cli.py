@@ -207,7 +207,7 @@ class TestRateCurve:
         assert rep["xi_critical"] == pytest.approx(0.0, abs=1e-3)
 
     def test_drift_root_failure_exits_3_with_diagnostics(self, tmp_path, monkeypatch):
-        real = rate.perron_stack
+        real = passage.perron_stack
 
         def poisoned(env, ss):
             # the outward bracket walk visits integers only; Brent's steps don't
@@ -216,7 +216,7 @@ class TestRateCurve:
                 for s, pt in zip(ss, real(env, ss))
             ]
 
-        monkeypatch.setattr(rate, "perron_stack", poisoned)
+        monkeypatch.setattr(passage, "perron_stack", poisoned)
         code, out = run_cfg(tmp_path, {"task": "rate-curve", "environment": PER2,
                                        "grid": [0.3]})
         assert code == 3

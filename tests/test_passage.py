@@ -290,7 +290,7 @@ class TestHarmonicRatios:
         root = passage._perron_root
 
         def perturbed(env, r):
-            pt = root(env, r)
+            pt = yield from root(env, r)
             return dataclasses.replace(pt, s=pt.s + 1e-6)
 
         monkeypatch.setattr(passage, "_perron_root", perturbed)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwre_ldp import level2
+from rwre_ldp import level2, passage
 from rwre_ldp import rate as rate_module
 from rwre_ldp.environment import (
     JumpLaw,
@@ -26,7 +26,7 @@ from rwre_ldp.environment import (
     sample_iid,
 )
 from rwre_ldp.errors import SlowConvergenceError
-from rwre_ldp.passage import drift_limits, log_perron
+from rwre_ldp.passage import drift_limits, estimate_rc, log_perron
 from rwre_ldp.rate import (
     _brent_steps,
     asymmetry_demo,
@@ -414,18 +414,37 @@ def test_log_perron_calls_per_interior_rate_point():
     # steps; the bracket ends are not solved twice, and the root's point is
     # the one Brent's last step evaluated
     calls = []
-    real = rate_module.perron_stack
+    real = passage.perron_stack
 
     def counted(env, ss):
         calls.extend(ss)
         return real(env, ss)
 
-    with mock.patch.object(rate_module, "perron_stack", counted):
+    with mock.patch.object(passage, "perron_stack", counted):
         res = rate(PER3_NN, 0.3)
     assert res.branch == "interior"
     assert calls[:2] == [0.0, 1.0]
     assert len(calls) == 8
     assert res.slope in calls
+
+
+def test_xi_critical_evaluates_only_the_interpolated_tilt():
+    # the slopes at the argmin ends come with the threshold estimate
+    rc = estimate_rc(PER3_NN, tol=1e-8)
+    calls = []
+    real = passage._perron_chunk
+
+    def counted(env, ss):
+        calls.append(list(ss))
+        return real(env, ss)
+
+    with mock.patch.object(passage, "_perron_chunk", counted):
+        xc = xi_critical(PER3_NN, rc_est=rc)
+    assert len(calls) == 1 and len(calls[0]) == 1
+    (a, b), (da, db) = rc.argmin, (log_perron(PER3_NN, s).slope for s in rc.argmin)
+    assert (xc.bracket[0].hex(), xc.bracket[1].hex()) == (da.hex(), db.hex())
+    s = a if db == da else a - da * (b - a) / (db - da)
+    assert xc.value.hex() == log_perron(PER3_NN, s).slope.hex()
 
 
 def _result_bits(res) -> tuple:
