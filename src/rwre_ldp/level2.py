@@ -86,16 +86,14 @@ def entropy(mu: PairMeasure) -> float:
     Returns +inf when mass sits on jumps the environment never makes.
     """
     P = class_probs(mu.env)
-    w = mu.weights
-    m1 = mu.m1()
     total = 0.0
-    L, cols = w.shape
-    for i in range(L):
-        for j in range(cols):
-            wij = w[i, j]
+    # on Python floats, in row-major order: math on numpy scalars would cost
+    # more than the terms themselves
+    for w_i, m1_i, p_i in zip(mu.weights.tolist(), mu.m1().tolist(), P.tolist()):
+        for wij, pij in zip(w_i, p_i):
             if wij <= 0.0:
                 continue
-            ref = m1[i] * P[i, j]
+            ref = m1_i * pij
             if ref <= 0.0:
                 return math.inf
             total += wij * math.log(wij / ref)
@@ -228,52 +226,54 @@ def minimize_entropy(
         p = np.zeros_like(v)
         q = np.zeros_like(v)
         for _ in range(_DYKSTRA_ITERS):
-            y = proj_affine(x + p)
-            p = x + p - y
-            x = np.maximum(y + q, FLOOR)
-            q = y + q - x
-            if np.max(np.abs(A @ x - rhs)) < 1e-14 and x.min() >= FLOOR - 1e-15:
+            xp = x + p
+            y = proj_affine(xp)
+            p = xp - y
+            yq = y + q
+            x = np.maximum(yq, FLOOR)
+            q = yq - x
+            if np.abs(A @ x - rhs).max() < 1e-14 and x.min() >= FLOOR - 1e-15:
                 return x, True
-        return x, float(np.max(np.abs(A @ x - rhs))) <= reach
+        return x, float(np.abs(A @ x - rhs).max()) <= reach
 
     L = env.period
     P = class_probs(env)
-    d = len(idx)
+    rows, cols = idx.T  # the supported coordinates, in the order of v
 
     def unflatten(v: np.ndarray) -> np.ndarray:
         w = np.zeros((L, 2 * env.b))
-        for k, (i, j) in enumerate(idx):
-            w[i, j] = v[k]
+        w[rows, cols] = v
         return w
 
     def fval(v: np.ndarray) -> float:
         return entropy(PairMeasure(env=env, weights=unflatten(v)))
 
     def gval(v: np.ndarray) -> np.ndarray:
-        g2 = entropy_gradient(PairMeasure(env=env, weights=unflatten(v)))
-        return np.array([g2[i, j] for (i, j) in idx])
+        return entropy_gradient(PairMeasure(env=env, weights=unflatten(v)))[rows, cols]
 
     if w0 is not None:
-        v = np.array([w0.weights[i, j] for (i, j) in idx])
+        v = w0.weights[rows, cols]
     else:
         # untilted product measure, then made feasible
-        v = np.array([P[i, j] / L for (i, j) in idx])
+        v = P[rows, cols] / L
     v = proj(v)[0]
     f = fval(v)
+    g = gval(v)
     step = 1.0
     v_prev = None
     g_prev = None
     it = 0
     gmap = math.inf
+    # v and g are rebound, never written in place, so the previous pair
+    # needs no copy
     for it in range(1, max_iter + 1):
-        g = gval(v)
         if v_prev is not None:
             dv = v - v_prev
             dg = g - g_prev
             denom = float(dv @ dg)
             step = float(dv @ dv) / denom if denom > 1e-300 else 1.0
             step = float(min(max(step, 1e-8), 1e4))
-        v_prev, g_prev = v.copy(), g.copy()
+        v_prev, g_prev = v, g
         t = step
         v_new, f_new = v, f
         for _ in range(60):
@@ -299,7 +299,8 @@ def minimize_entropy(
                 )
             f_new = fval(v_new)
         v, f = v_new, f_new
-        gmap = float(np.linalg.norm(proj(v - gval(v))[0] - v))
+        g = gval(v)  # the next iteration's gradient too
+        gmap = float(np.linalg.norm(proj(v - g)[0] - v))
         if gmap <= tol:
             break
     resid = float(np.max(np.abs(A @ v - rhs)))
@@ -325,8 +326,11 @@ def empirical_pair_measure(env: Environment, positions: np.ndarray) -> PairMeasu
     if x.ndim != 1 or len(x) < 2:
         raise ValueError("need a path of at least two positions")
     steps = np.diff(x)
-    L = env.period
-    w = np.zeros((L, 2 * env.b))
-    for site, z in zip(x[:-1], steps):
-        w[int(site) % L, offset_index(env.b, int(z))] += 1.0
+    L, b = env.period, env.b
+    bad = (steps == 0) | (np.abs(steps) > b)
+    if bad.any():
+        offset_index(b, int(steps[bad.argmax()]))  # raises for the first bad jump
+    # cell (class, column of the jump) of each step, counted in one pass
+    cells = (x[:-1] % L) * (2 * b) + steps + b - (steps > 0)
+    w = np.bincount(cells, minlength=L * 2 * b).reshape(L, 2 * b).astype(float)
     return PairMeasure(env=env, weights=w / w.sum())

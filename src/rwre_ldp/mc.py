@@ -129,12 +129,19 @@ def _walk_block(smp, seed, n_steps, j_lo, j_hi, fvals, count_pairs):
 
 
 def _map_blocks(block, n_walkers: int, threads: int) -> list:
-    """block(j_lo, j_hi) on up to `threads` contiguous walker blocks, in
-    block order."""
-    step = -(-n_walkers // max(1, min(threads, n_walkers)))
-    blocks = [(a, min(a + step, n_walkers)) for a in range(0, n_walkers, step)]
-    if len(blocks) == 1:
-        return [block(*blocks[0])]
+    """block(j_lo, j_hi) on up to `threads` contiguous walker blocks of at
+    least _DRAW_BUDGET // 2 walkers each, in block order.
+
+    The class recursion of a block steps in Python under the GIL, so a
+    thread pays off only once a block's numpy calls each span tens of
+    thousands of walkers; smaller ensembles run as one block, in this
+    thread.
+    """
+    n_blocks = max(1, min(threads, n_walkers // max(1, _DRAW_BUDGET // 2)))
+    if n_blocks == 1:
+        return [block(0, n_walkers)]
+    bounds = [n_walkers * k // n_blocks for k in range(n_blocks + 1)]
+    blocks = list(zip(bounds, bounds[1:]))
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=len(blocks)) as pool:

@@ -21,6 +21,9 @@ evaluations of the core. The harmonic ratios come in closed form from one
 of two routes: the zeta recursion for B = 1, and the Perron vector at the
 root of log rho(K_s) = -r for B >= 2. Each is checked against the
 row-stochasticity of the tilted kernel, and a miss above 1e-10 raises.
+`lyapunov_grid` samples lambda on a grid of tilts (`lyapunov` is its
+one-point case): for B >= 2 the roots of all the tilts run as the jobs of
+one lockstep, each sample the same to the last bit as at one tilt.
 Sampled windows use the fixed-point solve, on log h to avoid underflow
 across long windows.
 """
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -162,39 +165,51 @@ def hit_mgf(
     else:
         cap = b * (level - xs) * (-log_eps) + math.log(10.0)
 
-    offs = offsets(b)
     sup_hist: list[float] = []
     status = "max-iter"
     converged = False
     sup = math.inf
     it = 0
-    interior = slice(pad, pad + W)
-    while it < max_iter:
-        it += 1
-        cands = np.empty((2 * b, W))
-        for j, z in enumerate(offs):
-            cands[j] = lp[:, j] + logh[pad + z: pad + z + W]
-        new = np.logaddexp.reduce(cands, axis=0)
-        old = logh[interior]
-        with np.errstate(invalid="ignore"):
-            diff = np.abs(new - old)
-        newly_finite = np.isfinite(new) & ~np.isfinite(old)
-        diff = np.where(np.isfinite(diff), diff, 0.0)
-        sup = math.inf if newly_finite.any() else float(diff.max(initial=0.0))
-        logh[interior] = new
-        if sup <= tol:
-            status = "converged"
-            converged = True
-            break
-        if it % 16 == 0 and bool(np.any(new > cap)):
-            status = "supercritical-or-diverged"
-            break
-        sup_hist.append(sup)
-        if len(sup_hist) >= 51 and math.isfinite(sup):
-            last = sup_hist[-51:]
-            if all(l2 >= l1 for l1, l2 in zip(last, last[1:])) and sup > 1e3 * tol:
+    # Every sweep runs in these buffers. Row j of cands is lp[:, j] plus
+    # log h shifted by the offset z_j; the shifted copies are the windows
+    # of logh that start at pad + z, for z = -b..-1 (below) and 1..b (above).
+    lpT = np.ascontiguousarray(lp.T)
+    windows = np.lib.stride_tricks.sliding_window_view(logh, W)
+    below, above = windows[pad - b: pad], windows[pad + 1: pad + b + 1]
+    cands = np.empty((2 * b, W))
+    new, diff = np.empty((2, W))
+    fin_new, fin_old = np.empty((2, W), dtype=bool)
+    old = logh[pad: pad + W]
+    with np.errstate(invalid="ignore"):  # -inf - -inf in diff, for sites not yet reached
+        while it < max_iter:
+            it += 1
+            np.add(lpT[:b], below, out=cands[:b])
+            np.add(lpT[b:], above, out=cands[b:])
+            np.logaddexp.reduce(cands, axis=0, out=new)
+            np.subtract(new, old, out=diff)
+            np.abs(diff, out=diff)
+            np.isfinite(new, out=fin_new)
+            np.isfinite(old, out=fin_old)
+            np.greater(fin_new, fin_old, out=fin_new)  # sites finite for the first time
+            if fin_new.any():
+                sup = math.inf
+            else:
+                np.isfinite(diff, out=fin_old)
+                sup = float(diff.max(initial=0.0, where=fin_old))
+            old[:] = new
+            if sup <= tol:
+                status = "converged"
+                converged = True
+                break
+            if it % 16 == 0 and bool(np.any(new > cap)):
                 status = "supercritical-or-diverged"
                 break
+            sup_hist.append(sup)
+            if len(sup_hist) >= 51 and math.isfinite(sup):
+                last = sup_hist[-51:]
+                if all(l2 >= l1 for l1, l2 in zip(last, last[1:])) and sup > 1e3 * tol:
+                    status = "supercritical-or-diverged"
+                    break
 
     if r < 0:
         # paths killed at -m_trunc must cross the window down and up again:
@@ -737,21 +752,30 @@ def _harmonic_ratios(env: Environment, r: float) -> tuple[np.ndarray, float, int
     cycle count (0 for B >= 2). Raises SlowConvergenceError when the
     residual exceeds _RATIO_RESIDUAL_TOL.
     """
-    diagnostics = {"r": r}
-    cycles = 0
     if env.b == 1:
         zs = zeta_nn(env, r)
         theta = -np.log(zs.zeta)
         log_u = np.stack([-np.roll(theta, 1), theta], axis=1)
-        cycles = zs.cycles
-    else:
-        pt = lockstep([(env, _perron_root(env, r))])[0]
-        if isinstance(pt, RwreError):
-            raise pt
-        log_phi = np.log(pt.right)
-        dst = class_targets(env.period, env.b)[0]
-        log_u = pt.s * offsets(env.b) + log_phi[dst] - log_phi[:, None]
-        diagnostics["s"] = pt.s
+        return _certified_ratios(env, r, log_u, zs.cycles, {"r": r})
+    pt = lockstep([(env, _perron_root(env, r))])[0]
+    if isinstance(pt, RwreError):
+        raise pt
+    return _perron_ratios(env, r, pt)
+
+
+def _perron_ratios(env: Environment, r: float, pt: PerronPoint) -> tuple[np.ndarray, float, int]:
+    """`_harmonic_ratios` for B >= 2 from the point at the root of
+    Lambda(s) = -r: log u(i, z) = s z + log phi_{i+z} - log phi_i."""
+    log_phi = np.log(pt.right)
+    dst = class_targets(env.period, env.b)[0]
+    log_u = pt.s * offsets(env.b) + log_phi[dst] - log_phi[:, None]
+    return _certified_ratios(env, r, log_u, 0, {"r": r, "s": pt.s})
+
+
+def _certified_ratios(env: Environment, r: float, log_u: np.ndarray, cycles: int,
+                      diagnostics: dict) -> tuple[np.ndarray, float, int]:
+    """(log_u, residual, cycles) once the tilted rows sum to 1 within
+    _RATIO_RESIDUAL_TOL; SlowConvergenceError otherwise."""
     res = float(np.max(np.abs((class_probs(env) * np.exp(r + log_u)).sum(axis=1) - 1.0)))
     if not res <= _RATIO_RESIDUAL_TOL:
         raise SlowConvergenceError(
@@ -806,6 +830,30 @@ class ULimit:
         return self.log_u[:, offset_index(self.b, 1)]
 
 
+def _periodic_limit(env: Environment, r: float, ratios: tuple[np.ndarray, float, int]) -> ULimit:
+    """`u_limit` of a periodic environment from its `_harmonic_ratios`,
+    once log u(., +1) keeps within the ellipticity bound -(log delta + r)."""
+    log_u, res, cycles = ratios
+    theta = log_u[:, offset_index(env.b, 1)]
+    bound = -(math.log(env.delta) + r)
+    if float(np.max(np.abs(theta))) > bound + 1e-8:
+        raise SlowConvergenceError(
+            "stabilized ratios violate their ellipticity bounds",
+            diagnostics={"max_log_ratio": float(np.max(np.abs(theta))), "bound": bound},
+        )
+    return ULimit(
+        env=env,
+        r=r,
+        mode="periodic-exact",
+        sites=tuple(range(env.period)),
+        log_u=log_u,
+        n_used=cycles,
+        m_used=0,
+        cauchy_gap=0.0,
+        residual=res,
+    )
+
+
 def u_limit(
     env: Environment,
     r: float,
@@ -820,25 +868,7 @@ def u_limit(
     range the window supports).
     """
     if env.kind in ("homogeneous", "periodic"):
-        log_u, res, cycles = _harmonic_ratios(env, r)
-        theta = log_u[:, offset_index(env.b, 1)]
-        bound = -(math.log(env.delta) + r)
-        if float(np.max(np.abs(theta))) > bound + 1e-8:
-            raise SlowConvergenceError(
-                "stabilized ratios violate their ellipticity bounds",
-                diagnostics={"max_log_ratio": float(np.max(np.abs(theta))), "bound": bound},
-            )
-        return ULimit(
-            env=env,
-            r=r,
-            mode="periodic-exact",
-            sites=tuple(range(env.period)),
-            log_u=log_u,
-            n_used=cycles,
-            m_used=0,
-            cauchy_gap=0.0,
-            residual=res,
-        )
+        return _periodic_limit(env, r, _harmonic_ratios(env, r))
 
     lo, hi = env.window
     b = env.b
@@ -896,39 +926,71 @@ class LambdaSample:
 
 
 def lyapunov(env: Environment, r: float, tol: float = 1e-10) -> LambdaSample:
-    """Exponential growth rate per level of the right-passage MGF.
+    """Exponential growth rate per level of the right-passage MGF:
+    `lyapunov_grid` at one tilt.
 
     Periodic environments average -log u(., +1) over one period, which is
     exact for the stabilized ratios. Window environments average over the
     window interior and report a standard error. Supercritical tilts yield
     +inf with converged=False.
     """
-    try:
-        ul = u_limit(env, r, tol=tol)
-    except SupercriticalError:
-        return LambdaSample(
-            r=r, value=math.inf, converged=False, n_used=0, m_used=0, se=math.nan,
-            status="supercritical",
-        )
-    la = ul.log_a
-    if ul.mode == "periodic-exact":
-        return LambdaSample(
-            r=r,
-            value=float(-np.mean(la)),
-            converged=ul.residual <= max(1e-12, tol),
-            n_used=ul.n_used,
-            m_used=ul.m_used,
-            se=0.0,
-        )
-    se = float(np.std(la) / math.sqrt(len(la))) if len(la) > 1 else math.nan
-    return LambdaSample(
-        r=r,
-        value=float(-np.mean(la)),
-        converged=ul.cauchy_gap <= max(tol, 1e-3),
-        n_used=ul.n_used,
-        m_used=ul.m_used,
-        se=se,
-    )
+    return lyapunov_grid(env, (r,), tol=tol)[0]
+
+
+def lyapunov_grid(env: Environment, rs, tol: float = 1e-10) -> list[LambdaSample]:
+    """The growth rate at every tilt of rs.
+
+    For B >= 2 periodic environments the Newton roots of Lambda(s) = -r of
+    all the tilts run as the jobs of one `lockstep`, and the ratios are read
+    off their points as `_harmonic_ratios` reads them; a point does not
+    depend on its stack, so each sample is the same to the last bit as at
+    one tilt. The zeta route (B = 1) and sampled windows take `u_limit` tilt
+    by tilt. A supercritical tilt gives +inf; any other error is raised at
+    the first tilt that meets it, as a loop over the tilts would raise it.
+    """
+    out = _lyapunov_samples(env, rs, tol)
+    for sample in out:
+        if isinstance(sample, RwreError):
+            raise sample
+    return out
+
+
+def _lyapunov_samples(env: Environment, rs, tol: float = 1e-10) -> list:
+    """`lyapunov_grid`, with the RwreError of a failing tilt in its entry."""
+    rs = list(rs)
+    if env.b >= 2 and env.kind in ("homogeneous", "periodic"):
+        points = lockstep([(env, _perron_root(env, r)) for r in rs])
+    else:
+        points = [None] * len(rs)
+    out: list = []
+    for r, pt in zip(rs, points):
+        try:
+            if pt is None:
+                ul = u_limit(env, r, tol=tol)
+            elif isinstance(pt, RwreError):
+                raise pt
+            else:
+                ul = _periodic_limit(env, r, _perron_ratios(env, r, pt))
+        except SupercriticalError:
+            out.append(LambdaSample(
+                r=r, value=math.inf, converged=False, n_used=0, m_used=0, se=math.nan,
+                status="supercritical",
+            ))
+            continue
+        except RwreError as e:
+            out.append(e)
+            continue
+        la = ul.log_a
+        if ul.mode == "periodic-exact":
+            converged, se = ul.residual <= max(1e-12, tol), 0.0
+        else:
+            converged = ul.cauchy_gap <= max(tol, 1e-3)
+            se = float(np.std(la) / math.sqrt(len(la))) if len(la) > 1 else math.nan
+        out.append(LambdaSample(
+            r=r, value=float(-np.mean(la)), converged=converged, n_used=ul.n_used,
+            m_used=ul.m_used, se=se,
+        ))
+    return out
 
 
 def lyapunov_bar(env: Environment, r: float, tol: float = 1e-10) -> LambdaSample:
@@ -1002,6 +1064,8 @@ class RcEstimate:
     evaluations: int
     argmin: tuple[float, float] | None = None  # perron: bracket of argmin Lambda
     argmin_slopes: tuple[float, float] | None = None  # perron: Lambda' at its ends
+    argmin_reflected: tuple[float, float] | None = None  # the same two for the
+    argmin_slopes_reflected: tuple[float, float] | None = None  # reflected search
 
     @property
     def value(self) -> float:
@@ -1015,6 +1079,20 @@ class RcEstimate:
     def reflect_gap(self) -> float:
         mid_bar = 0.5 * (self.bracket_reflected[0] + self.bracket_reflected[1])
         return abs(self.value - mid_bar)
+
+    def reflected(self) -> RcEstimate:
+        """The estimate of the reflected environment. `estimate_rc` runs the
+        same two searches on it, the other way round, and reflecting twice
+        gives back the environment, so this is that estimate to the bit."""
+        return replace(
+            self,
+            bracket=self.bracket_reflected,
+            bracket_reflected=self.bracket,
+            argmin=self.argmin_reflected,
+            argmin_slopes=self.argmin_slopes_reflected,
+            argmin_reflected=self.argmin,
+            argmin_slopes_reflected=self.argmin_slopes,
+        )
 
 
 def _subcritical_predicate(env: Environment):
@@ -1067,7 +1145,7 @@ def estimate_rc(env: Environment, tol: float | None = None) -> RcEstimate:
         for res in found:
             if isinstance(res, RwreError):
                 raise res
-        (bracket, argmin, slopes, e1), (bracket_bar, _, _, e2) = found
+        (bracket, argmin, slopes, e1), (bracket_bar, argmin_bar, slopes_bar, e2) = found
         return RcEstimate(
             bracket=bracket,
             bracket_reflected=bracket_bar,
@@ -1076,6 +1154,8 @@ def estimate_rc(env: Environment, tol: float | None = None) -> RcEstimate:
             evaluations=e1 + e2,
             argmin=argmin,
             argmin_slopes=slopes,
+            argmin_reflected=argmin_bar,
+            argmin_slopes_reflected=slopes_bar,
         )
     if tol is None:
         tol = 1e-3
@@ -1238,8 +1318,8 @@ def lambda_curve(
     part of the grid, and never exceeds -log(delta e^r).
     """
     rs = [float(r) for r in r_grid]
-    samples = tuple(lyapunov(env, r, tol=tol) for r in rs)
-    samples_bar = tuple(lyapunov_bar(env, r, tol=tol) for r in rs)
+    samples = tuple(lyapunov_grid(env, rs, tol=tol))
+    samples_bar = tuple(lyapunov_grid(reflect(env), rs, tol=tol))
     vals = [s.value for s in samples]
     fin = [(r, v) for r, v in zip(rs, vals) if math.isfinite(v)]
     monotone = all(v2 >= v1 - 1e-9 for (_, v1), (_, v2) in zip(fin, fin[1:]))

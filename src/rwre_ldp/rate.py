@@ -32,12 +32,12 @@ from .errors import RwreError, SlowConvergenceError
 from .passage import (
     PerronPoint,
     RcEstimate,
+    _lyapunov_samples,
     drift_limits,
     edge_rate,
     estimate_rc,
     lockstep,
     log_perron,
-    lyapunov,
 )
 
 # threshold brackets are deterministic and shared across every velocity query
@@ -323,7 +323,7 @@ def rate_curve(env: Environment, xi_grid, rc_tol: float = 1e-8) -> RateCurve:
     require_periodic(env, "rate evaluation")
     bar = reflect(env)
     rc = _rc_cached(env, tol=rc_tol)
-    rc_bar = _rc_cached(bar, tol=rc_tol)
+    rc_bar = rc.reflected()
     results = _rate_grid(env, bar, [float(xi) for xi in xi_grid], rc_tol)
     fin = [(res.xi, res.value) for res in results if math.isfinite(res.value)]
     convex = True
@@ -421,16 +421,22 @@ class AsymmetryDemo:
 
 def asymmetry_demo(env: Environment, rs) -> AsymmetryDemo:
     """lambda and lambda_bar at each tilt of rs; lambda_bar is lambda of the
-    reflected environment, built once."""
+    reflected environment, built once. Each direction's grid is solved as
+    `passage.lyapunov_grid` solves it, and an error is raised at the first
+    (tilt, direction) in the order lambda(r), lambda_bar(r), r by r, as a
+    loop over the tilts would raise it."""
     require_periodic(env, "rate evaluation")
     bar = reflect(env)
     rs = tuple(float(r) for r in rs)
-    pairs = [(lyapunov(env, r).value, lyapunov(bar, r).value) for r in rs]
-    gaps = tuple(lam_bar - lam for lam, lam_bar in pairs)
+    pairs = list(zip(_lyapunov_samples(env, rs), _lyapunov_samples(bar, rs)))
+    for sample in (x for pair in pairs for x in pair):
+        if isinstance(sample, RwreError):
+            raise sample
+    gaps = tuple(lam_bar.value - lam.value for lam, lam_bar in pairs)
     return AsymmetryDemo(
         rs=rs,
-        lambdas=tuple(lam for lam, _ in pairs),
-        lambdas_bar=tuple(lam_bar for _, lam_bar in pairs),
+        lambdas=tuple(lam.value for lam, _ in pairs),
+        lambdas_bar=tuple(lam_bar.value for _, lam_bar in pairs),
         gaps=gaps,
         variation=max(gaps) - min(gaps),
     )

@@ -1,5 +1,6 @@
 """Pair-measure entropy: identities, gradients, and the constrained minimizer."""
 
+import hashlib
 import math
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from rwre_ldp import level2
-from rwre_ldp.environment import JumpLaw, class_cycle, homogeneous, periodic
+from rwre_ldp.environment import JumpLaw, class_cycle, homogeneous, offset_index, periodic
 from rwre_ldp.errors import InfeasibleDriftError, SlowConvergenceError
 from rwre_ldp.level2 import (
     PairMeasure,
@@ -206,7 +207,67 @@ class TestMinimizer:
         assert 1e-12 < res.constraint_residual <= 4 * 1e-12
 
 
+# one class lacks the -2 jump, so the minimizer runs on 11 of 12 coordinates
+B2_NO_MINUS2 = periodic(
+    [
+        JumpLaw(b=2, probs=((-2, 0.1), (-1, 0.3), (1, 0.3), (2, 0.3))),
+        JumpLaw(b=2, probs=((-2, 0.2), (-1, 0.3), (1, 0.25), (2, 0.25))),
+        JumpLaw(b=2, probs=((-1, 0.35), (1, 0.35), (2, 0.3))),
+    ]
+)
+
+
+def _full_b2(length: int, seed: int):
+    """B = 2 laws with every offset, weights 0.5 + U(0, 1), normalised."""
+    g = np.random.default_rng(seed)
+    laws = []
+    for _ in range(length):
+        w = 0.5 + g.random(4)
+        w = w / w.sum()
+        laws.append(JumpLaw(b=2, probs=tuple(zip((-2, -1, 1, 2), w.tolist()))))
+    return periodic(laws)
+
+
+class TestPinnedMinimizer:
+    """The minimizer's output to the last bit, as computed when it gathered
+    and scattered its coordinates one by one and summed the entropy over
+    numpy scalars."""
+
+    @pytest.mark.parametrize("env, xi, digest, value, iterations, gmap", [
+        (PER2_NN, 0.3,
+         "a4033d2a0904af08444bab34015523808baec1f86bd8c973e425668160d453fc",
+         0.006322577914685282, 5, 2.068302587261576e-15),
+        (B2_NO_MINUS2, 0.5,
+         "961cd5c8dcc2cab838de856f11df471bf8c0a3b9553e158dbaa5ae05a15ab1b1",
+         0.0058493396097197385, 22, 7.06789009745459e-12),
+        (_full_b2(24, 24), -0.3,
+         "3108f763b6757e407865d118452644cf8464b5d723b26e627ec7b5bb8eb2ef1c",
+         0.018134379252439166, 84, 9.545892603677977e-11),
+    ])
+    def test_matches_pinned_output(self, env, xi, digest, value, iterations, gmap):
+        res = minimize_entropy(env, xi, tol=1e-10)
+        w = np.ascontiguousarray(res.measure.weights, dtype="<f8")
+        assert hashlib.sha256(w.tobytes()).hexdigest() == digest
+        assert (res.value, res.iterations, res.grad_map_norm) == (value, iterations, gmap)
+        assert res.converged
+
+
 class TestEmpirical:
+    def test_matches_a_step_loop(self):
+        g = np.random.default_rng(5)
+        for env in (PER2_NN, B2_NO_MINUS2, _full_b2(7, 1)):
+            b, L = env.b, env.period
+            jumps = np.array([z for z in range(-b, b + 1) if z])
+            x = np.concatenate([[-13], g.choice(jumps, 2000)]).cumsum()
+            w = np.zeros((L, 2 * b))
+            for site, z in zip(x[:-1], np.diff(x)):
+                w[int(site) % L, offset_index(b, int(z))] += 1.0
+            assert np.array_equal(empirical_pair_measure(env, x).weights, w / w.sum())
+
+    def test_names_the_first_bad_jump(self):
+        with pytest.raises(ValueError, match=r"offset 0 outside"):
+            empirical_pair_measure(B2_NO_MINUS2, np.array([0, 2, 2, 5]))
+
     def test_hand_path(self):
         mu = empirical_pair_measure(PER2_NN, np.array([0, 1, 2, 1]))
         w = mu.weights

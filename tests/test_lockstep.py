@@ -2,12 +2,14 @@
 loops they replaced.
 
 `serial_perron_root` and `serial_perron_min` below are those loops, kept
-verbatim as oracles: one `log_perron` call per tilt. A driven search must
-ask for the same tilts in the same order and reach the same result to the
-last bit, or fail with the same error, whatever other jobs share its
-rounds.
+verbatim as oracles: one `log_perron` call per tilt; `serial_lyapunov` is
+`lyapunov` as it was before Lyapunov grids ran in lockstep. A driven
+search must ask for the same tilts in the same order and reach the same
+result to the last bit, or fail with the same error, whatever other jobs
+share its rounds.
 """
 
+import dataclasses
 import math
 import sys
 from unittest import mock
@@ -18,10 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwre_ldp import passage
-from rwre_ldp.environment import reflect
+from rwre_ldp.environment import JumpLaw, periodic, reflect
 from rwre_ldp.errors import RwreError, SlowConvergenceError, SupercriticalError
-from rwre_ldp.passage import PerronPoint, _class_mean_start, estimate_rc, lockstep, log_perron
-from rwre_ldp.rate import _slope_root_steps
+from rwre_ldp.passage import (
+    LambdaSample,
+    PerronPoint,
+    _class_mean_start,
+    _lyapunov_samples,
+    estimate_rc,
+    lockstep,
+    log_perron,
+    lyapunov,
+    lyapunov_grid,
+    u_limit,
+)
+from rwre_ldp.rate import _slope_root_steps, asymmetry_demo
 
 from .refusing_lapack import refusing
 from .strategies import environments
@@ -187,6 +200,136 @@ def test_driven_searches_match_the_serial_oracles(env, r, tol):
     assert key(rc.bracket) == key(bracket) and key(rc.bracket_reflected) == key(bracket_bar)
     assert key(rc.argmin) == key(argmin) and key(rc.argmin_slopes) == key(slopes)
     assert rc.evaluations == e1 + e2
+    # the reflected environment's estimate is this one, read the other way
+    assert key(dataclasses.astuple(rc.reflected())) == key(
+        dataclasses.astuple(estimate_rc(bar, tol=tol))
+    )
+
+
+# ---------------------------------------------------------------------------
+# Lyapunov grids: one lockstep of Newton roots against the loop of lyapunov
+
+
+def serial_lyapunov(env, r: float, tol: float) -> LambdaSample:
+    """`lyapunov` as it was before `lyapunov_grid`: one `u_limit` call,
+    whose B >= 2 ratios come from a Newton root of its own."""
+    try:
+        ul = u_limit(env, r, tol=tol)
+    except SupercriticalError:
+        return LambdaSample(
+            r=r, value=math.inf, converged=False, n_used=0, m_used=0, se=math.nan,
+            status="supercritical",
+        )
+    la = ul.log_a
+    if ul.mode == "periodic-exact":
+        return LambdaSample(
+            r=r,
+            value=float(-np.mean(la)),
+            converged=ul.residual <= max(1e-12, tol),
+            n_used=ul.n_used,
+            m_used=ul.m_used,
+            se=0.0,
+        )
+    se = float(np.std(la) / math.sqrt(len(la))) if len(la) > 1 else math.nan
+    return LambdaSample(
+        r=r,
+        value=float(-np.mean(la)),
+        converged=ul.cauchy_gap <= max(tol, 1e-3),
+        n_used=ul.n_used,
+        m_used=ul.m_used,
+        se=se,
+    )
+
+
+def sample_key(x):
+    return key(x) if isinstance(x, RwreError) else key(dataclasses.astuple(x))
+
+
+def serial_samples(env, rs, tol):
+    """The loop of `serial_lyapunov` over rs, on a cold ratio cache; the
+    first error it raises is returned in place of the list."""
+    passage._harmonic_ratios.cache_clear()
+    try:
+        return [serial_lyapunov(env, r, tol) for r in rs]
+    except RwreError as e:
+        return e
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    environments(max_b=3, max_period=24).filter(lambda e: e.b >= 2),
+    st.lists(st.floats(-3.0, 1.0), min_size=1, max_size=6),
+    st.sampled_from([1e-12, 1e-10, 1e-6]),
+)
+def test_lyapunov_grid_matches_the_loop(env, rs, tol):
+    rs = rs + [0.5 - math.log(env.delta)]  # beyond r_c <= -log(delta): supercritical
+    for e in (env, reflect(env)):
+        want = serial_samples(e, rs, tol)
+        try:
+            got = lyapunov_grid(e, rs, tol=tol)
+        except RwreError as err:
+            got = err
+        if isinstance(want, RwreError):
+            assert sample_key(got) == sample_key(want)
+        else:
+            assert [sample_key(x) for x in got] == [sample_key(x) for x in want]
+            assert got[-1].status == "supercritical"
+            # lyapunov is the grid's one-point case
+            solo = [lyapunov(e, r, tol=tol) for r in rs]
+            assert [sample_key(x) for x in solo] == [sample_key(x) for x in want]
+
+
+def test_unit_jump_grid_is_the_loop():
+    # B = 1 keeps the zeta route, tilt by tilt
+    env = periodic([JumpLaw(b=1, probs=((-1, 0.2), (1, 0.8))),
+                    JumpLaw(b=1, probs=((-1, 0.6), (1, 0.4)))])
+    rs = [-1.0, -0.3, 0.0, 3.0]
+    for e in (env, reflect(env)):
+        want = serial_samples(e, rs, 1e-10)
+        got = lyapunov_grid(e, rs)
+        assert [sample_key(x) for x in got] == [sample_key(x) for x in want]
+        assert got[-1].status == "supercritical"
+
+
+def _refused_newton_tilt(env, r):
+    """The third tilt the Newton root of Lambda(s) = -r asks for on env, and
+    a predicate refusing the eigen-solve of its K_s."""
+    bad_s = driven(env, passage._perron_root(env, r))[1][2]
+    bad = _cycle(env, bad_s)
+    return bad_s, lambda K: np.array_equal(K, bad)
+
+
+def test_a_refused_tilt_fails_only_its_own_grid_point():
+    env, rs = B2_NO_MINUS2, [-1.0, -0.4, -0.2, 2.0]
+    want = [serial_lyapunov(env, r, 1e-10) for r in rs]
+    assert want[-1].status == "supercritical"
+    bad_s, refuse = _refused_newton_tilt(env, -0.4)
+    with refusing(eig=refuse):
+        got = _lyapunov_samples(env, rs, 1e-10)
+        with pytest.raises(SlowConvergenceError) as exc:
+            lyapunov_grid(env, rs)
+    err = got[1]
+    assert isinstance(err, SlowConvergenceError)
+    assert str(err) == f"eigen-solve of K_s failed at s={bad_s}"
+    assert key(exc.value) == key(err)
+    for m in (0, 2, 3):
+        assert sample_key(got[m]) == sample_key(want[m])
+
+
+@pytest.mark.parametrize("r_env, r_bar, first", [
+    (-0.2, -0.4, "bar"),  # a loop over the tilts meets lambda_bar(-0.4) first
+    (-0.4, -0.4, "env"),  # and lambda(r) before lambda_bar(r)
+])
+def test_asymmetry_demo_raises_as_the_loop_over_tilts_would(r_env, r_bar, first):
+    env, bar, rs = B2_NO_MINUS2, reflect(B2_NO_MINUS2), [-1.0, -0.4, -0.2]
+    env_s, env_refuse = _refused_newton_tilt(env, r_env)
+    bar_s, bar_refuse = _refused_newton_tilt(bar, r_bar)
+    assert env_s != bar_s
+    with refusing(eig=lambda K: env_refuse(K) or bar_refuse(K)):
+        with pytest.raises(SlowConvergenceError) as exc:
+            asymmetry_demo(env, rs)
+    s = env_s if first == "env" else bar_s
+    assert str(exc.value) == f"eigen-solve of K_s failed at s={s}"
 
 
 def test_a_refused_tilt_fails_only_its_own_job():

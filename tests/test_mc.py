@@ -74,6 +74,36 @@ class TestStreams:
         t4, c4 = mc.passage_ensemble(BIASED_NN, 8, 40, 101, 5000, threads=4)
         assert np.array_equal(t1, t4) and np.array_equal(c1, c4)
 
+    def test_thread_split_above_the_block_floor(self, monkeypatch):
+        # 2^16 walkers make two blocks of 2^15, the smallest that splits
+        blocks = []
+        passage_block = mc._passage_block
+
+        def recorded(smp, seed, level, max_steps, j_lo, j_hi):
+            blocks.append((j_lo, j_hi))
+            return passage_block(smp, seed, level, max_steps, j_lo, j_hi)
+
+        monkeypatch.setattr(mc, "_passage_block", recorded)
+        n = 1 << 16
+        t1, c1 = mc.passage_ensemble(PER2_NN, 8, 8, n, 500, threads=1)
+        t2, c2 = mc.passage_ensemble(PER2_NN, 8, 8, n, 500, threads=2)
+        assert blocks == [(0, n), (0, n // 2), (n // 2, n)]
+        assert np.array_equal(t1, t2) and np.array_equal(c1, c2)
+
+    def test_small_ensembles_start_no_thread(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        want = mc.walk_ensemble(PER2_NN, 7, 300, 200, threads=1).positions
+        want_tau = mc.passage_ensemble(PER2_NN, 8, 40, 200, 5000, threads=1)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        got = mc.walk_ensemble(PER2_NN, 7, 300, 200, threads=4).positions
+        got_tau = mc.passage_ensemble(PER2_NN, 8, 40, 200, 5000, threads=4)
+        assert np.array_equal(want, got)
+        assert all(np.array_equal(a, b) for a, b in zip(want_tau, got_tau))
+
     def test_positions_within_reach(self):
         s = mc.walk_ensemble(DRIFT2, 7, 200, 30)
         assert np.all(np.abs(s.positions) <= 2 * 200)

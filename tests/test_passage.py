@@ -7,6 +7,7 @@ and a one-cycle discriminant for the 2-periodic threshold.
 """
 
 import dataclasses
+import hashlib
 import math
 import types
 
@@ -68,6 +69,17 @@ B2_NO_MINUS2 = periodic(
         JumpLaw(b=2, probs=((-2, 0.1), (-1, 0.3), (1, 0.3), (2, 0.3))),
         JumpLaw(b=2, probs=((-2, 0.2), (-1, 0.3), (1, 0.25), (2, 0.25))),
         JumpLaw(b=2, probs=((-1, 0.35), (1, 0.35), (2, 0.3))),
+    ]
+)
+
+
+# full support and rightward drift (the B = 2 environment of the benchmark's
+# simulation checks)
+B2_DRIFTED = periodic(
+    [
+        JumpLaw(b=2, probs=((-2, 0.1), (-1, 0.2), (1, 0.3), (2, 0.4))),
+        JumpLaw(b=2, probs=((-2, 0.15), (-1, 0.25), (1, 0.3), (2, 0.3))),
+        JumpLaw(b=2, probs=((-2, 0.1), (-1, 0.3), (1, 0.25), (2, 0.35))),
     ]
 )
 
@@ -332,6 +344,26 @@ class TestHitMgf:
         a = hit_mgf(WIDE, -0.5, level=4, m_trunc=20)
         b = hit_mgf(WIDE, -0.5, level=4, m_trunc=40)
         assert b.err_bound < a.err_bound
+
+    @pytest.mark.parametrize("env, r, level, digest, sweeps, status, sup", [
+        (PER2_NN, -0.3, 8,
+         "6603e80e727b3fde1b3ef85425a54dea16de88438ee1a07c0346ab24c4157b65",
+         595, "converged", 7.389644451905042e-13),
+        (PER2_NN, 0.1, 8,
+         "2a7c114e892c8d50828c7afd5ebde013dccc2a12fa5c758fa393f2b1a1b394b4",
+         112, "supercritical-or-diverged", math.inf),
+        (B2_DRIFTED, -0.05, 40,
+         "a31283b3e81116830824a544b9b39d1cf84e436af7fa11dad5ee1d497087be5c",
+         853, "converged", 9.414691248821327e-13),
+        (B2_DRIFTED, 0.1, 8,
+         "6de060283804a0f57ba1095e49eef383f91ba7a327c16933fd51e71950ad190f",
+         256, "supercritical-or-diverged", 0.3209884185261762),
+    ])
+    def test_sweeps_match_pinned_output(self, env, r, level, digest, sweeps, status, sup):
+        # values of the solver that allocated its candidate rows every sweep
+        sol = hit_mgf(env, r, level)
+        assert hashlib.sha256(sol.log_h.tobytes()).hexdigest() == digest
+        assert (sol.iterations, sol.status, sol.sup_update) == (sweeps, status, sup)
 
 
 class TestCharPoly:

@@ -447,6 +447,24 @@ def test_xi_critical_evaluates_only_the_interpolated_tilt():
     assert xc.value.hex() == log_perron(PER3_NN, s).slope.hex()
 
 
+def test_rate_curve_searches_the_threshold_once(monkeypatch):
+    # the reflected estimate is the forward one read the other way round
+    calls = []
+
+    def counted(env, tol=None):
+        calls.append(env)
+        return estimate_rc(env, tol=tol)
+
+    monkeypatch.setattr(rate_module, "_rc_cached", counted)
+    cur = rate_curve(B2_NO_MINUS2, [-0.5, 0.25, 1.0], rc_tol=1e-7)
+    assert calls == [B2_NO_MINUS2]
+    bar = reflect(B2_NO_MINUS2)
+    rc_bar = estimate_rc(bar, tol=1e-7)
+    assert cur.rc == estimate_rc(B2_NO_MINUS2, tol=1e-7)
+    assert cur.rc_reflected == rc_bar
+    assert cur.xi_critical_reflected == xi_critical(bar, rc_est=rc_bar)
+
+
 def _result_bits(res) -> tuple:
     """Every field of a RateResult, floats by their hex form (nan and the
     sign of zero included)."""
