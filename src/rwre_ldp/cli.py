@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, level2, mc
-from .environment import Environment, env_from_json, offsets, validate
+from .environment import Environment, env_from_json, offsets, parse_number, validate
 from .errors import (
     ConfigError,
     DriftMismatchError,
@@ -95,16 +95,23 @@ class RunConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
+def _numbers(values, where: str) -> tuple[float, ...]:
+    """A list of numbers as floats; a failing entry is named where[i]."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(where, "must be a list of numbers")
+    return tuple(parse_number(v, f"{where}[{i}]") for i, v in enumerate(values))
+
+
 def _parse_grid(d, where: str) -> tuple[float, ...]:
     if isinstance(d, (list, tuple)):
         if not d:
             raise ConfigError(where, "grid list is empty")
-        return tuple(float(v) for v in d)
+        return _numbers(d, where)
     if not isinstance(d, dict):
         raise ConfigError(where, "grid must be a list or {min, max, points}")
     try:
         lo, hi, n = float(d["min"]), float(d["max"]), int(d["points"])
-    except (KeyError, ValueError, TypeError):
+    except (KeyError, ValueError, TypeError, OverflowError):
         raise ConfigError(where, "grid needs numeric min, max and integer points") from None
     if n < 1:
         raise ConfigError(f"{where}.points", f"need at least 1 point, got {n}")
@@ -121,19 +128,15 @@ def _parse_mc(d, where: str) -> McParams:
     kw = {}
     for key in ("n_steps", "n_walkers", "mgf_walkers", "level"):
         if key in d:
-            try:
-                kw[key] = int(d[key])
-            except (ValueError, TypeError):
-                raise ConfigError(f"{where}.{key}", "must be an integer") from None
+            kw[key] = parse_number(d[key], f"{where}.{key}", int)
             if kw[key] < 1:
                 raise ConfigError(f"{where}.{key}", "must be positive")
     for key in ("gate", "r"):
         if key in d:
-            try:
-                kw[key] = float(d[key])
-            except (ValueError, TypeError):
-                raise ConfigError(f"{where}.{key}", "must be a number") from None
+            kw[key] = parse_number(d[key], f"{where}.{key}")
     if "checks" in d:
+        if not isinstance(d["checks"], list):
+            raise ConfigError(f"{where}.checks", "must be a list of check names")
         checks = tuple(d["checks"])
         bad = [c for c in checks if c not in mc.STANDARD_CHECKS]
         if bad:
@@ -157,24 +160,19 @@ def parse_config(raw: dict, config_sha: str) -> RunConfig:
         raise ConfigError("environment", "; ".join(diag.violations))
 
     grid = _parse_grid(raw["grid"], "grid") if "grid" in raw else None
-    r = float(raw["r"]) if "r" in raw else None
-    xi = float(raw["xi"]) if "xi" in raw else None
-    seed = None
-    if "seed" in raw:
-        try:
-            seed = int(raw["seed"])
-        except (ValueError, TypeError):
-            raise ConfigError("seed", "must be an integer") from None
-    tolerance = float(raw.get("tolerance", 1e-10))
+    r = parse_number(raw["r"], "r") if "r" in raw else None
+    xi = parse_number(raw["xi"], "xi") if "xi" in raw else None
+    seed = parse_number(raw["seed"], "seed", int) if "seed" in raw else None
+    tolerance = parse_number(raw.get("tolerance", 1e-10), "tolerance")
     if not tolerance > 0:
         raise ConfigError("tolerance", "must be positive")
-    rc_tol = float(raw.get("rc_tol", 1e-7))
+    rc_tol = parse_number(raw.get("rc_tol", 1e-7), "rc_tol")
     if not rc_tol > 0:
         raise ConfigError("rc_tol", "must be positive")
-    r_values = tuple(float(v) for v in raw.get("r_values", (-0.25, -0.5, -1.0, -2.0)))
+    r_values = _numbers(raw.get("r_values", (-0.25, -0.5, -1.0, -2.0)), "r_values")
     if not r_values:
         raise ConfigError("r_values", "must be nonempty")
-    threshold = float(raw.get("threshold", 1e-3))
+    threshold = parse_number(raw.get("threshold", 1e-3), "threshold")
     control_env = None
     if "control_environment" in raw:
         control_env = env_from_json(raw["control_environment"], where="control_environment")

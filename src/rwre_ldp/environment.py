@@ -117,7 +117,11 @@ class JumpLaw:
     @staticmethod
     def from_dict(d: Mapping[int | str, float], b: int | None = None) -> "JumpLaw":
         """Build from an offset -> probability mapping; keys may be strings."""
-        items = sorted((int(z), float(p)) for z, p in d.items() if float(p) != 0.0)
+        try:
+            pairs = d.items()
+        except AttributeError:
+            raise TypeError(f"a jump law must map offsets to probabilities, got {d!r}") from None
+        items = sorted((int(z), float(p)) for z, p in pairs if float(p) != 0.0)
         if b is None:
             b = max(abs(z) for z, _ in items)
         return JumpLaw(b=b, probs=tuple(items))
@@ -389,6 +393,8 @@ def env_to_json(env: Environment) -> dict:
 
 
 def _parse_laws(raw_laws: Iterable[Mapping], b: int, where: str) -> tuple[JumpLaw, ...]:
+    if not (isinstance(raw_laws, (list, tuple)) and raw_laws):
+        raise ConfigError(f"{where}.laws", "must be a nonempty list of jump laws")
     laws = []
     for i, d in enumerate(raw_laws):
         try:
@@ -398,6 +404,15 @@ def _parse_laws(raw_laws: Iterable[Mapping], b: int, where: str) -> tuple[JumpLa
     return tuple(laws)
 
 
+def parse_number(value, where: str, kind=float):
+    """value as a float (or an int, with kind=int); a ConfigError naming
+    where if it is not one."""
+    try:
+        return kind(value)
+    except (ValueError, TypeError, OverflowError):
+        raise ConfigError(where, "must be an integer" if kind is int else "must be a number") from None
+
+
 def env_from_json(d: Mapping, where: str = "environment") -> Environment:
     """Parse the environment schema; errors point at the offending key.
 
@@ -405,37 +420,40 @@ def env_from_json(d: Mapping, where: str = "environment") -> Environment:
     mixture under "atoms" plus "seed" and "window", in which case the laws
     are drawn here.
     """
+    if not isinstance(d, Mapping):
+        raise ConfigError(where, "must be an object")
     try:
         kind = d["type"]
     except KeyError:
         raise ConfigError(f"{where}.type", "missing") from None
     if kind not in ("homogeneous", "periodic", "iid"):
         raise ConfigError(f"{where}.type", f"unknown environment type {kind!r}")
-    try:
-        b = int(d["B"])
-    except (KeyError, ValueError, TypeError):
-        raise ConfigError(f"{where}.B", "missing or not an integer") from None
-    delta = d.get("delta")
-    if delta is not None:
-        delta = float(delta)
+    if "B" not in d:
+        raise ConfigError(f"{where}.B", "missing")
+    b = parse_number(d["B"], f"{where}.B", int)
+    delta = None if d.get("delta") is None else parse_number(d["delta"], f"{where}.delta")
+    seed = None if d.get("seed") is None else parse_number(d["seed"], f"{where}.seed", int)
+    window = None
+    if kind == "iid":
+        try:
+            lo, hi = (int(v) for v in d["window"])
+        except (KeyError, ValueError, TypeError, OverflowError):
+            raise ConfigError(f"{where}.window", "missing or malformed") from None
+        window = (lo, hi)
 
     if kind == "iid" and "laws" not in d:
         if "atoms" not in d:
             raise ConfigError(f"{where}.atoms", "iid environment needs laws or atoms")
+        if not isinstance(d["atoms"], (list, tuple)):
+            raise ConfigError(f"{where}.atoms", "must be a list of weighted laws")
         atoms = []
         for i, a in enumerate(d["atoms"]):
             try:
                 atoms.append((float(a["weight"]), JumpLaw.from_dict(a["law"], b=b)))
             except (KeyError, ValueError, TypeError) as e:
                 raise ConfigError(f"{where}.atoms[{i}]", str(e)) from e
-        try:
-            lo, hi = (int(v) for v in d["window"])
-        except (KeyError, ValueError, TypeError):
-            raise ConfigError(f"{where}.window", "missing or malformed") from None
-        try:
-            seed = int(d["seed"])
-        except (KeyError, ValueError, TypeError):
-            raise ConfigError(f"{where}.seed", "missing or not an integer") from None
+        if seed is None:
+            raise ConfigError(f"{where}.seed", "missing")
         try:
             return sample_iid(atoms, lo, hi, seed, delta=delta)
         except ValueError as e:
@@ -446,20 +464,7 @@ def env_from_json(d: Mapping, where: str = "environment") -> Environment:
     laws = _parse_laws(d["laws"], b, where)
     if delta is None:
         delta = min(min(l.prob(1), l.prob(-1)) for l in laws)
-    window = None
-    if kind == "iid":
-        try:
-            lo, hi = (int(v) for v in d["window"])
-            window = (lo, hi)
-        except (KeyError, ValueError, TypeError):
-            raise ConfigError(f"{where}.window", "missing or malformed") from None
     try:
-        if kind == "homogeneous":
-            return Environment(kind=kind, b=b, delta=delta, laws=laws, seed=d.get("seed"))
-        if kind == "periodic":
-            return Environment(kind=kind, b=b, delta=delta, laws=laws, seed=d.get("seed"))
-        return Environment(
-            kind="iid", b=b, delta=delta, laws=laws, window=window, seed=d.get("seed")
-        )
+        return Environment(kind=kind, b=b, delta=delta, laws=laws, window=window, seed=seed)
     except ValueError as e:
         raise ConfigError(where, str(e)) from e

@@ -17,13 +17,15 @@ Periodic and homogeneous environments go through a finite Perron core:
 h(x) = e^{s x} phi(x mod L) with phi the Perron vector of the class-cycle
 kernel K_s, so lambda(r), r_c and the rate function all follow from
 searches over log rho(K_s), all of which `lockstep` runs on stacked
-evaluations of the core. The harmonic ratios come in closed form from one
-of two routes: the zeta recursion for B = 1, and the Perron vector at the
-root of log rho(K_s) = -r for B >= 2. Each is checked against the
-row-stochasticity of the tilted kernel, and a miss above 1e-10 raises.
-`lyapunov_grid` samples lambda on a grid of tilts (`lyapunov` is its
-one-point case): for B >= 2 the roots of all the tilts run as the jobs of
-one lockstep, each sample the same to the last bit as at one tilt.
+evaluations of the core. `_periodic_limits` gives the harmonic ratios at
+a grid of tilts in closed form, by one of two routes: the zeta recursion
+for B = 1, tilt by tilt, and the Perron vector at the root of
+log rho(K_s) = -r for B >= 2, the roots of all the tilts running as the
+jobs of one lockstep. Both routes share one check against the
+row-stochasticity of the tilted kernel (a miss above 1e-10 raises) and one
+ellipticity check. A periodic `u_limit` is its one-point case, and
+`lyapunov_grid` (`lyapunov` at one tilt) reads lambda off it, each sample
+the same to the last bit as at one tilt. The module keeps no memo.
 Sampled windows use the fixed-point solve, on log h to avoid underflow
 across long windows.
 """
@@ -33,7 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -531,10 +532,25 @@ def perron_stack(env: Environment, ss) -> list:
 
 def log_perron(env: Environment, s: float) -> PerronPoint:
     """`perron_stack` at one tilt; raises its SlowConvergenceError."""
-    pt = _perron_chunk(env, [float(s)])[0]
-    if isinstance(pt, SlowConvergenceError):
-        raise pt
-    return pt
+    return _raise_first(_perron_chunk(env, [float(s)]))[0]
+
+
+def _caught(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the RwreError it raises: an entry of a list of
+    results, as `lockstep` returns them."""
+    try:
+        return fn(*args, **kwargs)
+    except RwreError as e:
+        return e
+
+
+def _raise_first(entries: list) -> list:
+    """entries, when none is an RwreError; the first that is, raised, as a
+    loop over the entries would raise it."""
+    for x in entries:
+        if isinstance(x, RwreError):
+            raise x
+    return entries
 
 
 def lockstep(jobs) -> list:
@@ -694,11 +710,11 @@ def _max_cycle_mean(env: Environment, sign: float) -> tuple[float, np.ndarray]:
     return mean, u
 
 
-@lru_cache(maxsize=256)
 def drift_limits(env: Environment) -> tuple[float, float]:
     """Attainable drift range (lim Lambda'(s) as s -> -inf and +inf): the
-    minimum and maximum mean jump over cycles of the class graph. Memoised
-    per environment, like `class_probs`; the pair is immutable."""
+    minimum and maximum mean jump over cycles of the class graph, by Karp's
+    method in O(L^2 B). Not memoised: a caller needing the range at many
+    speeds computes it once."""
     return -_max_cycle_mean(env, -1.0)[0], _max_cycle_mean(env, 1.0)[0]
 
 
@@ -730,60 +746,11 @@ def edge_rate(env: Environment, sign: float) -> float:
 
 # ---------------------------------------------------------------------------
 # harmonic ratios for periodic environments
-#
-# log u(i, z) is the log ratio h(x+z) / h(x) at a site x of class i. For
-# B = 1 it follows from theta_i = -log zeta_i of the zeta recursion; for
-# B >= 2 from h(x) = e^{s x} phi(x mod L) in the Perron core. Either way the
-# tilted rows sum_z p_i(z) e^{r + log u(i, z)} must sum to 1, and the
-# largest miss is the residual that certifies the ratios.
 
-# Largest accepted row miss: well above the rounding of both routes and
-# below the 1e-9 row-defect gate of the tilt report.
+# Largest accepted row miss of the tilted kernel built from the ratios: well
+# above the rounding of both routes and below the 1e-9 row-defect gate of
+# the tilt report.
 _RATIO_RESIDUAL_TOL = 1e-10
-
-
-@lru_cache(maxsize=512)
-def _harmonic_ratios(env: Environment, r: float) -> tuple[np.ndarray, float, int]:
-    """Per-class harmonic log-ratios of a periodic environment at r.
-
-    Returns (log_u, residual, cycles): the read-only (L, 2B) array
-    log u(i, z), its largest row miss
-    max_i |sum_z p_i(z) e^{r + log u(i, z)} - 1|, and the zeta recursion's
-    cycle count (0 for B >= 2). Raises SlowConvergenceError when the
-    residual exceeds _RATIO_RESIDUAL_TOL.
-    """
-    if env.b == 1:
-        zs = zeta_nn(env, r)
-        theta = -np.log(zs.zeta)
-        log_u = np.stack([-np.roll(theta, 1), theta], axis=1)
-        return _certified_ratios(env, r, log_u, zs.cycles, {"r": r})
-    pt = lockstep([(env, _perron_root(env, r))])[0]
-    if isinstance(pt, RwreError):
-        raise pt
-    return _perron_ratios(env, r, pt)
-
-
-def _perron_ratios(env: Environment, r: float, pt: PerronPoint) -> tuple[np.ndarray, float, int]:
-    """`_harmonic_ratios` for B >= 2 from the point at the root of
-    Lambda(s) = -r: log u(i, z) = s z + log phi_{i+z} - log phi_i."""
-    log_phi = np.log(pt.right)
-    dst = class_targets(env.period, env.b)[0]
-    log_u = pt.s * offsets(env.b) + log_phi[dst] - log_phi[:, None]
-    return _certified_ratios(env, r, log_u, 0, {"r": r, "s": pt.s})
-
-
-def _certified_ratios(env: Environment, r: float, log_u: np.ndarray, cycles: int,
-                      diagnostics: dict) -> tuple[np.ndarray, float, int]:
-    """(log_u, residual, cycles) once the tilted rows sum to 1 within
-    _RATIO_RESIDUAL_TOL; SlowConvergenceError otherwise."""
-    res = float(np.max(np.abs((class_probs(env) * np.exp(r + log_u)).sum(axis=1) - 1.0)))
-    if not res <= _RATIO_RESIDUAL_TOL:
-        raise SlowConvergenceError(
-            f"harmonic ratios miss row-stochasticity by {res:g} at r={r}",
-            diagnostics={**diagnostics, "residual": res},
-        )
-    log_u.flags.writeable = False
-    return log_u, res, cycles
 
 
 @dataclass(frozen=True, eq=False)
@@ -830,28 +797,60 @@ class ULimit:
         return self.log_u[:, offset_index(self.b, 1)]
 
 
-def _periodic_limit(env: Environment, r: float, ratios: tuple[np.ndarray, float, int]) -> ULimit:
-    """`u_limit` of a periodic environment from its `_harmonic_ratios`,
-    once log u(., +1) keeps within the ellipticity bound -(log delta + r)."""
-    log_u, res, cycles = ratios
-    theta = log_u[:, offset_index(env.b, 1)]
-    bound = -(math.log(env.delta) + r)
-    if float(np.max(np.abs(theta))) > bound + 1e-8:
-        raise SlowConvergenceError(
-            "stabilized ratios violate their ellipticity bounds",
-            diagnostics={"max_log_ratio": float(np.max(np.abs(theta))), "bound": bound},
-        )
-    return ULimit(
-        env=env,
-        r=r,
-        mode="periodic-exact",
-        sites=tuple(range(env.period)),
-        log_u=log_u,
-        n_used=cycles,
-        m_used=0,
-        cauchy_gap=0.0,
-        residual=res,
-    )
+def _periodic_limits(env: Environment, rs) -> list:
+    """`u_limit` of a periodic environment at every tilt of rs: entry m is
+    the ULimit at rs[m], or the RwreError that tilt raised.
+
+    log u(i, z) = log h(x+z) - log h(x) at a site x of class i: from
+    theta_i = -log zeta_i of the zeta recursion for B = 1, tilt by tilt;
+    s z + log phi_{i+z} - log phi_i at the root s of Lambda(s) = -r for
+    B >= 2, the roots of all the tilts one `lockstep`. Both are certified
+    alike: the tilted rows sum_z p_i(z) e^{r + log u(i, z)} sum to 1 within
+    _RATIO_RESIDUAL_TOL (the largest miss is `residual`), and log u(., +1)
+    keeps within the ellipticity bound -(log delta + r); a miss of either
+    is a SlowConvergenceError.
+    """
+    rs = list(rs)
+    if env.b == 1:
+        found = [_caught(zeta_nn, env, r) for r in rs]
+    else:
+        found = lockstep([(env, _perron_root(env, r)) for r in rs])
+    probs = class_probs(env)
+    up = offset_index(env.b, 1)
+    out: list = []
+    for r, sol in zip(rs, found):
+        if isinstance(sol, RwreError):
+            out.append(sol)
+            continue
+        if env.b == 1:
+            theta = -np.log(sol.zeta)
+            log_u = np.stack([-np.roll(theta, 1), theta], axis=1)
+            cycles, diagnostics = sol.cycles, {"r": r}
+        else:
+            log_phi = np.log(sol.right)
+            dst = class_targets(env.period, env.b)[0]
+            log_u = sol.s * offsets(env.b) + log_phi[dst] - log_phi[:, None]
+            cycles, diagnostics = 0, {"r": r, "s": sol.s}
+        res = float(np.max(np.abs((probs * np.exp(r + log_u)).sum(axis=1) - 1.0)))
+        worst = float(np.max(np.abs(log_u[:, up])))
+        bound = -(math.log(env.delta) + r)
+        if not res <= _RATIO_RESIDUAL_TOL:
+            out.append(SlowConvergenceError(
+                f"harmonic ratios miss row-stochasticity by {res:g} at r={r}",
+                diagnostics={**diagnostics, "residual": res},
+            ))
+        elif worst > bound + 1e-8:
+            out.append(SlowConvergenceError(
+                "stabilized ratios violate their ellipticity bounds",
+                diagnostics={"max_log_ratio": worst, "bound": bound},
+            ))
+        else:
+            log_u.flags.writeable = False
+            out.append(ULimit(
+                env=env, r=r, mode="periodic-exact", sites=tuple(range(env.period)),
+                log_u=log_u, n_used=cycles, m_used=0, cauchy_gap=0.0, residual=res,
+            ))
+    return out
 
 
 def u_limit(
@@ -863,12 +862,12 @@ def u_limit(
     """Harmonic ratios in the stabilized (large-level) limit.
 
     Periodic and homogeneous environments get the exactly-periodic ratios
-    of `_harmonic_ratios`; sampled windows get finite-level ratios with a
-    doubling-based gap estimate over `site_range` (defaults to the widest
-    range the window supports).
+    of `_periodic_limits`, at one tilt; sampled windows get finite-level
+    ratios with a doubling-based gap estimate over `site_range` (defaults to
+    the widest range the window supports).
     """
     if env.kind in ("homogeneous", "periodic"):
-        return _periodic_limit(env, r, _harmonic_ratios(env, r))
+        return _raise_first(_periodic_limits(env, (r,)))[0]
 
     lo, hi = env.window
     b = env.b
@@ -940,45 +939,32 @@ def lyapunov(env: Environment, r: float, tol: float = 1e-10) -> LambdaSample:
 def lyapunov_grid(env: Environment, rs, tol: float = 1e-10) -> list[LambdaSample]:
     """The growth rate at every tilt of rs.
 
-    For B >= 2 periodic environments the Newton roots of Lambda(s) = -r of
-    all the tilts run as the jobs of one `lockstep`, and the ratios are read
-    off their points as `_harmonic_ratios` reads them; a point does not
-    depend on its stack, so each sample is the same to the last bit as at
-    one tilt. The zeta route (B = 1) and sampled windows take `u_limit` tilt
-    by tilt. A supercritical tilt gives +inf; any other error is raised at
-    the first tilt that meets it, as a loop over the tilts would raise it.
+    Periodic environments take their ratios from `_periodic_limits`, whose
+    B >= 2 roots run as the jobs of one `lockstep`; sampled windows take
+    `u_limit` tilt by tilt. A supercritical tilt gives +inf; any other error
+    is raised at the first tilt that meets it, as a loop over the tilts
+    would raise it.
     """
-    out = _lyapunov_samples(env, rs, tol)
-    for sample in out:
-        if isinstance(sample, RwreError):
-            raise sample
-    return out
+    return _raise_first(_lyapunov_samples(env, rs, tol))
 
 
 def _lyapunov_samples(env: Environment, rs, tol: float = 1e-10) -> list:
     """`lyapunov_grid`, with the RwreError of a failing tilt in its entry."""
     rs = list(rs)
-    if env.b >= 2 and env.kind in ("homogeneous", "periodic"):
-        points = lockstep([(env, _perron_root(env, r)) for r in rs])
+    if env.kind in ("homogeneous", "periodic"):
+        limits = _periodic_limits(env, rs)
     else:
-        points = [None] * len(rs)
+        limits = [_caught(u_limit, env, r, tol=tol) for r in rs]
     out: list = []
-    for r, pt in zip(rs, points):
-        try:
-            if pt is None:
-                ul = u_limit(env, r, tol=tol)
-            elif isinstance(pt, RwreError):
-                raise pt
-            else:
-                ul = _periodic_limit(env, r, _perron_ratios(env, r, pt))
-        except SupercriticalError:
+    for r, ul in zip(rs, limits):
+        if isinstance(ul, SupercriticalError):
             out.append(LambdaSample(
                 r=r, value=math.inf, converged=False, n_used=0, m_used=0, se=math.nan,
                 status="supercritical",
             ))
             continue
-        except RwreError as e:
-            out.append(e)
+        if isinstance(ul, RwreError):
+            out.append(ul)
             continue
         la = ul.log_a
         if ul.mode == "periodic-exact":
@@ -1019,13 +1005,13 @@ def lyapunov_prime(
 ) -> LambdaPrime:
     """d lambda / d r at a subcritical tilt.
 
-    Method 1 is a central finite difference of the Lyapunov curve. Method 2,
-    available for periodic environments, is the reciprocal speed of the
-    tilted walk's stationary chain. The two must agree within `gate`
-    (relative); the slope is always >= 1/B.
+    Method 1 is a central finite difference of the Lyapunov curve, its two
+    tilts solved as one `lyapunov_grid`. Method 2, available for periodic
+    environments, is the reciprocal speed of the tilted walk's stationary
+    chain. The two must agree within `gate` (relative); the slope is always
+    >= 1/B.
     """
-    lo = lyapunov(env, r - h_step)
-    hi = lyapunov(env, r + h_step)
+    lo, hi = lyapunov_grid(env, (r - h_step, r + h_step))
     if not (math.isfinite(lo.value) and math.isfinite(hi.value)):
         raise SupercriticalError("finite-difference stencil crosses the critical tilt", r=r)
     fd = (hi.value - lo.value) / (2 * h_step)
@@ -1141,10 +1127,7 @@ def estimate_rc(env: Environment, tol: float | None = None) -> RcEstimate:
         if tol is None:
             tol = 1e-6
         bar = reflect(env)
-        found = lockstep([(env, _perron_min(env, tol)), (bar, _perron_min(bar, tol))])
-        for res in found:
-            if isinstance(res, RwreError):
-                raise res
+        found = _raise_first(lockstep([(env, _perron_min(env, tol)), (bar, _perron_min(bar, tol))]))
         (bracket, argmin, slopes, e1), (bracket_bar, argmin_bar, slopes_bar, e2) = found
         return RcEstimate(
             bracket=bracket,

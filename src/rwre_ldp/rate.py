@@ -33,6 +33,7 @@ from .passage import (
     PerronPoint,
     RcEstimate,
     _lyapunov_samples,
+    _raise_first,
     drift_limits,
     edge_rate,
     estimate_rc,
@@ -185,10 +186,10 @@ def _slope_root_steps(xi: float):
         ) from e
 
 
-def _limit_rate(env: Environment, xi: float, rc_tol: float) -> RateResult | None:
+def _limit_rate(env: Environment, xi: float, hi: float, rc_tol: float) -> RateResult | None:
     """The rate at a speed xi >= 0 that needs no drift root: outside the
-    drift range, at its upper end, or at zero. None for interior speeds."""
-    hi = drift_limits(env)[1]
+    drift range, whose upper end is hi, at that end, or at zero. None for
+    interior speeds."""
     if xi > hi + _EDGE_TOL:
         return RateResult(
             xi=xi, value=math.inf, branch="outside", r_star=math.nan, lam_star=math.nan,
@@ -215,12 +216,15 @@ def _rate_grid(env: Environment, bar: Environment | None, xis: list[float],
     build it when a leftward speed needs it)."""
     results: list = [None] * len(xis)
     jobs, interior = [], []
+    tops: dict[int, float] = {}  # id(side) -> upper end of its drift range
     for i, xi in enumerate(xis):
         if xi < 0 and bar is None:
             bar = reflect(env)
         side, speed = (bar, -xi) if xi < 0 else (env, xi)
         try:
-            results[i] = _limit_rate(side, speed, rc_tol)
+            if id(side) not in tops:
+                tops[id(side)] = drift_limits(side)[1]
+            results[i] = _limit_rate(side, speed, tops[id(side)], rc_tol)
         except RwreError as e:
             results[i] = e
         if results[i] is None:
@@ -429,9 +433,7 @@ def asymmetry_demo(env: Environment, rs) -> AsymmetryDemo:
     bar = reflect(env)
     rs = tuple(float(r) for r in rs)
     pairs = list(zip(_lyapunov_samples(env, rs), _lyapunov_samples(bar, rs)))
-    for sample in (x for pair in pairs for x in pair):
-        if isinstance(sample, RwreError):
-            raise sample
+    _raise_first([x for pair in pairs for x in pair])
     gaps = tuple(lam_bar.value - lam.value for lam, lam_bar in pairs)
     return AsymmetryDemo(
         rs=rs,

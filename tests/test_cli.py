@@ -131,6 +131,27 @@ class TestConfigErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("patch, key", [
+        ({"r": "abc"}, "r"),
+        ({"r": None}, "r"),
+        ({"xi": "fast"}, "xi"),
+        ({"tolerance": "x"}, "tolerance"),
+        ({"rc_tol": "tight"}, "rc_tol"),
+        ({"threshold": [1]}, "threshold"),
+        ({"r_values": [1, "q"]}, "r_values[1]"),
+        ({"grid": [0.1, "a"]}, "grid[1]"),
+        ({"mc": {"checks": 5}}, "mc.checks"),
+        ({"environment": dict(SYM, delta="x")}, "environment.delta"),
+        ({"environment": dict(SYM, laws=5)}, "environment.laws"),
+        ({"environment": dict(SYM, seed=[1])}, "environment.seed"),
+        ({"environment": "periodic"}, "environment"),
+    ], ids=lambda x: x if isinstance(x, str) else None)
+    def test_malformed_value_names_its_key(self, tmp_path, capsys, patch, key):
+        cfg = {"task": "lambda-curve", "environment": SYM, "grid": [-0.5], **patch}
+        code, _ = run_cfg(tmp_path, cfg)
+        assert code == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
     def test_parse_config_requires_object(self):
         from rwre_ldp.errors import ConfigError
 
@@ -318,8 +339,9 @@ class TestTiltReport:
         assert_close_tree(got, want, rel=1e-12, abs_=1e-14)
 
     def test_one_chain_per_report(self, tmp_path, monkeypatch):
-        # one ratio solve at r for the chain, two for the slope stencil r +- h
-        calls = {"u_limit": 0, "_kernel_rows": 0, "_stationary": 0}
+        # one ratio solve at r for the chain, two for the slope stencil r +- h;
+        # for B = 1 each is one zeta recursion
+        calls = {"zeta_nn": 0, "_kernel_rows": 0, "_stationary": 0}
 
         def counted(fn, name):
             def wrapper(*args, **kwargs):
@@ -328,9 +350,7 @@ class TestTiltReport:
 
             return wrapper
 
-        u_limit = counted(passage.u_limit, "u_limit")
-        monkeypatch.setattr(passage, "u_limit", u_limit)
-        monkeypatch.setattr(tilt, "u_limit", u_limit)
+        monkeypatch.setattr(passage, "zeta_nn", counted(passage.zeta_nn, "zeta_nn"))
         monkeypatch.setattr(tilt, "_kernel_rows", counted(tilt._kernel_rows, "_kernel_rows"))
         monkeypatch.setattr(tilt, "_stationary", counted(tilt._stationary, "_stationary"))
         tilt.tilted_chain.cache_clear()
@@ -338,12 +358,12 @@ class TestTiltReport:
                "laws": [{"-1": 0.3, "1": 0.7}, {"-1": 0.55, "1": 0.45}, {"-1": 0.4, "1": 0.6}]}
         code, _ = run_cfg(tmp_path, {"task": "tilt-report", "environment": env, "r": -0.35})
         assert code == 0
-        assert calls == {"u_limit": 3, "_kernel_rows": 1, "_stationary": 1}
+        assert calls == {"zeta_nn": 3, "_kernel_rows": 1, "_stationary": 1}
 
     def test_uncertified_ratios_exit_3_with_diagnostics(self, tmp_path, monkeypatch):
         # a ratio solve that misses row-stochasticity raises instead of
         # feeding the kernel; the environment is used nowhere else, so the
-        # memoised ratios and chain are cold
+        # memoised chain is cold
         solve = passage.zeta_nn
 
         def perturbed(env, r):
@@ -514,6 +534,33 @@ class TestSymmetryCheck:
                "grid": [0.0, 0.5]}
         code, _ = run_cfg(tmp_path, cfg)
         assert code == 2
+
+
+# digests of every artifact of the committed configs whose runs read the
+# harmonic ratios and Lyapunov grids, written while a periodic `u_limit`
+# and `lyapunov_grid` reached the ratios by two separate paths
+COMMITTED_DIGESTS = {
+    "lambda_curve_per2.json": {
+        "lambda_curve.csv": "c09548118ff8731d4f9f5ceb908e60c4ce808b61f7c87f9bac756c436cbf2a0e",
+        "lambda_curve.json": "f3f900392ca29d163b7d53e562c2125f5a404aaa6267cd6ab4dd272bbf9b2229",
+    },
+    "counterexample_sevenths.json": {
+        "counterexample.csv": "8296e4e02992ad537a6b5f70c7cb1cc042ec46e9cda5c405e4b23df88b134242",
+        "counterexample.json": "44695c912e4330decf5deae87863b7e6058a9f5c67f0893f690ee9365474aeb9",
+        "counterexample.txt": "bfc263654a09a75c78c3d9a471666128f46e8e9eeb7bc145cc7c79a10e6abb06",
+    },
+    "rate_curve_sym.json": {
+        "rate_curve.csv": "a8f1733206169de54d8419e8efcb0016ec937fdb2c59410443bf2ec66edfb8c9",
+        "rate_curve.json": "1983be5e3057df54f99705f84a4f921dd49693141fa321048fdfa90ede4ec6a8",
+    },
+}
+
+
+@pytest.mark.parametrize("config", sorted(COMMITTED_DIGESTS))
+def test_committed_curve_config_matches_pinned_artifacts(tmp_path, config):
+    out = tmp_path / "out"
+    assert main(["run", str(CONFIG_DIR / config), "--out", str(out)]) == 0
+    assert {path.name: sha256(path) for path in out.iterdir()} == COMMITTED_DIGESTS[config]
 
 
 class TestThreadsFlag:

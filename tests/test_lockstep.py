@@ -246,13 +246,36 @@ def sample_key(x):
 
 
 def serial_samples(env, rs, tol):
-    """The loop of `serial_lyapunov` over rs, on a cold ratio cache; the
-    first error it raises is returned in place of the list."""
-    passage._harmonic_ratios.cache_clear()
+    """The loop of `serial_lyapunov` over rs; the first error it raises is
+    returned in place of the list."""
     try:
         return [serial_lyapunov(env, r, tol) for r in rs]
     except RwreError as e:
         return e
+
+
+def limit_key(x):
+    """A ULimit by its log_u bytes, residual and n_used; an error by key."""
+    if isinstance(x, RwreError):
+        return key(x)
+    return x.log_u.tobytes(), x.residual.hex(), x.n_used
+
+
+def assert_limits_are_u_limit(env, rs, tol):
+    """Entry m of `_periodic_limits(env, rs)` is `u_limit(env, rs[m])`, or
+    the error it raises."""
+    for r, entry in zip(rs, passage._periodic_limits(env, rs)):
+        try:
+            solo = u_limit(env, r, tol=tol)
+        except RwreError as err:
+            solo = err
+        assert limit_key(entry) == limit_key(solo)
+
+
+def test_passage_keeps_no_memo():
+    # the class layout tables it imports from `environment` are memoised there
+    assert not [name for name, x in vars(passage).items()
+                if hasattr(x, "cache_info") and x.__module__ == passage.__name__]
 
 
 @settings(max_examples=30, deadline=None)
@@ -264,6 +287,7 @@ def serial_samples(env, rs, tol):
 def test_lyapunov_grid_matches_the_loop(env, rs, tol):
     rs = rs + [0.5 - math.log(env.delta)]  # beyond r_c <= -log(delta): supercritical
     for e in (env, reflect(env)):
+        assert_limits_are_u_limit(e, rs, tol)
         want = serial_samples(e, rs, tol)
         try:
             got = lyapunov_grid(e, rs, tol=tol)
@@ -285,6 +309,7 @@ def test_unit_jump_grid_is_the_loop():
                     JumpLaw(b=1, probs=((-1, 0.6), (1, 0.4)))])
     rs = [-1.0, -0.3, 0.0, 3.0]
     for e in (env, reflect(env)):
+        assert_limits_are_u_limit(e, rs, 1e-10)
         want = serial_samples(e, rs, 1e-10)
         got = lyapunov_grid(e, rs)
         assert [sample_key(x) for x in got] == [sample_key(x) for x in want]

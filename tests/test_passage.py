@@ -41,6 +41,7 @@ from rwre_ldp.passage import (
     log_perron,
     lyapunov,
     lyapunov_bar,
+    lyapunov_grid,
     u_limit,
     zeta_nn,
 )
@@ -270,7 +271,6 @@ class TestHarmonicRatios:
         if env.b == 1:
             assert np.array_equal(theta, -np.log(zeta_nn(env, r).zeta))
 
-    # environments no other test solves, so the memoised ratios are cold
     NN = periodic(
         [
             JumpLaw(b=1, probs=((-1, 0.45), (1, 0.55))),
@@ -312,6 +312,23 @@ class TestHarmonicRatios:
         assert diag["r"] == -0.55
         assert diag["residual"] > 1e-10
         assert math.isfinite(diag["s"])
+
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_ratios_past_the_declared_floor_raise(self, b):
+        # a declared ellipticity floor above the smallest unit-jump mass: the
+        # ratios certify but leave the bound -(log delta + r); for b = 2 the
+        # same laws, without +-2 jumps, take the Perron route
+        env = periodic([JumpLaw(b=b, probs=law.probs) for law in self.NN.laws], delta=0.5)
+        with pytest.raises(SlowConvergenceError) as exc:
+            u_limit(env, -1.0)
+        assert str(exc.value) == "stabilized ratios violate their ellipticity bounds"
+        diag = exc.value.diagnostics
+        assert diag["bound"] == -(math.log(0.5) - 1.0)
+        assert diag["max_log_ratio"] > diag["bound"] + 1e-8
+        with pytest.raises(SlowConvergenceError) as grid_exc:
+            lyapunov_grid(env, [-0.1, -1.0, -0.5])
+        assert grid_exc.value.diagnostics == diag
 
 
 class TestHitMgf:

@@ -448,17 +448,24 @@ def test_xi_critical_evaluates_only_the_interpolated_tilt():
 
 
 def test_rate_curve_searches_the_threshold_once(monkeypatch):
-    # the reflected estimate is the forward one read the other way round
-    calls = []
+    # the reflected estimate is the forward one read the other way round;
+    # the drift range is found once per direction, not once per speed
+    calls, limits = [], []
 
     def counted(env, tol=None):
         calls.append(env)
         return estimate_rc(env, tol=tol)
 
+    def counted_limits(env):
+        limits.append(env)
+        return drift_limits(env)
+
     monkeypatch.setattr(rate_module, "_rc_cached", counted)
-    cur = rate_curve(B2_NO_MINUS2, [-0.5, 0.25, 1.0], rc_tol=1e-7)
+    monkeypatch.setattr(rate_module, "drift_limits", counted_limits)
+    cur = rate_curve(B2_NO_MINUS2, [-0.5, 0.25, 1.0, -0.25], rc_tol=1e-7)
     assert calls == [B2_NO_MINUS2]
     bar = reflect(B2_NO_MINUS2)
+    assert limits == [bar, B2_NO_MINUS2]
     rc_bar = estimate_rc(bar, tol=1e-7)
     assert cur.rc == estimate_rc(B2_NO_MINUS2, tol=1e-7)
     assert cur.rc_reflected == rc_bar
