@@ -40,7 +40,7 @@ from .errors import (
 )
 from .passage import lambda_curve, lyapunov_prime
 from .rate import asymmetry_demo, rate_curve, symmetry_gaps
-from .tilt import ansatz_measure, corrector, invariant_density, tilt_kernel
+from .tilt import ansatz_measure, corrector, invariant_density, stationary_speed, tilted_chain
 
 TASKS = (
     "lambda-curve",
@@ -350,15 +350,15 @@ def _task_rate_curve(cfg: RunConfig, w: _Writer):
 
 def _task_tilt_report(cfg: RunConfig, w: _Writer):
     env, r = cfg.env, cfg.r
-    kern = tilt_kernel(env, r)
-    lp = lyapunov_prime(env, r)
-    cor = corrector(env, r)
-    dens = invariant_density(env, r, mode="exact")
-    mu = ansatz_measure(env, r)
+    chain = tilted_chain(env, r)
+    lp = lyapunov_prime(env, r, stationary_speed(chain))
+    cor = corrector(chain)
+    dens = invariant_density(chain)
+    mu = ansatz_measure(chain)
     ident = level2.entropy(level2.from_ansatz(mu)) - (r - mu.drift * mu.lam)
     report = {
         "r": r,
-        "row_defect": kern.row_defect,
+        "row_defect": chain.row_defect,
         "stationary": mu.stat,
         "speed": dens.speed,
         "slope": {"value": lp.value, "fd": lp.fd_value, "chain": lp.chain_value, "gap": lp.gap},
@@ -370,8 +370,8 @@ def _task_tilt_report(cfg: RunConfig, w: _Writer):
     }
     w.json("tilt_report.json", report)
     hard = []
-    if kern.row_defect > 1e-9:
-        hard.append(f"tilted kernel row defect {kern.row_defect:g} exceeds 1e-9")
+    if chain.row_defect > 1e-9:
+        hard.append(f"tilted kernel row defect {chain.row_defect:g} exceeds 1e-9")
     if abs(ident) > 1e-8:
         hard.append(f"entropy identity residual {ident:g} exceeds 1e-8")
     if not dens.floor_ok:

@@ -30,9 +30,9 @@ from .environment import (
     offsets,
     require_periodic,
 )
-from .errors import SupercriticalError
+from .errors import ConfigError
 from .passage import estimate_rc, hit_mgf, lyapunov_prime
-from .tilt import ansatz_measure, corrector, stationary_speed, tilt_kernel
+from .tilt import TiltedChain, ansatz_measure, corrector, stationary_speed, tilted_chain, velocity
 
 GATE_SIGMAS = 3.0
 
@@ -61,9 +61,9 @@ class _Sampler:
         return code
 
 
-def _sampler(env: Environment, r: float | None) -> _Sampler:
-    """Sampler for the bare environment, or for the tilted kernel at r."""
-    rows = class_probs(env) if r is None else tilt_kernel(env, r).probs
+def _sampler(env: Environment, chain: TiltedChain | None) -> _Sampler:
+    """Sampler for the bare environment, or for the tilted chain's rows."""
+    rows = class_probs(env) if chain is None else chain.probs
     cum = np.cumsum(rows, axis=1)
     L, width = cum.shape
     offs = offsets(env.b)
@@ -82,7 +82,6 @@ class WalkSample:
     positions: np.ndarray  # (n_walkers,) int64 after n_steps
     n_steps: int
     seed: int
-    r: float | None
     pair_counts: np.ndarray | None  # (L, 2B) transition tallies, if requested
     corrector_sums: np.ndarray | None  # (n_walkers,) accumulated increments
 
@@ -153,21 +152,22 @@ def walk_ensemble(
     seed: int,
     n_steps: int,
     n_walkers: int,
-    r: float | None = None,
+    chain: TiltedChain | None = None,
     count_pairs: bool = False,
     track_corrector: bool = False,
     threads: int = 1,
 ) -> WalkSample:
     """Run independent walkers; walker j consumes stream (seed, j).
 
-    With `r` the walkers follow the tilted kernel instead of the bare
-    environment. Pair counts pool (site class, jump) transitions over all
-    walkers and steps. `threads` splits the ensemble into walker blocks;
-    the counter-based streams make the result identical for any split.
+    With a tilted `chain` of `env` the walkers follow its kernel instead of
+    the bare environment, and may sum its corrector. Pair counts pool (site
+    class, jump) transitions over all walkers and steps. `threads` splits
+    the ensemble into walker blocks; the counter-based streams make the
+    result identical for any split.
     """
     require_periodic(env, "a simulation check")
-    smp = _sampler(env, r)
-    fvals = corrector(env, r).values.ravel() if track_corrector else None
+    smp = _sampler(env, chain)
+    fvals = corrector(chain).values.ravel() if track_corrector else None
     parts = _map_blocks(
         lambda a, b: _walk_block(smp, seed, n_steps, a, b, fvals, count_pairs),
         n_walkers, threads,
@@ -176,8 +176,7 @@ def walk_ensemble(
     counts = sum(p[1] for p in parts).reshape(-1, smp.width) if count_pairs else None
     csums = np.concatenate([p[2] for p in parts]) if track_corrector else None
     return WalkSample(
-        positions=x, n_steps=n_steps, seed=seed, r=r,
-        pair_counts=counts, corrector_sums=csums,
+        positions=x, n_steps=n_steps, seed=seed, pair_counts=counts, corrector_sums=csums,
     )
 
 
@@ -280,6 +279,16 @@ def _z_result(name, observed, expected, se, gate, **extra) -> CheckResult:
     )
 
 
+def _velocity_chain(env: Environment, check: str) -> TiltedChain:
+    """The tilted chain at zero: the walk conditioned to move right, whose
+    drift is the walk's velocity only if the velocity Lambda'(0) is
+    positive. Otherwise a ConfigError names `check`."""
+    v = velocity(env)
+    if not v > 0:
+        raise ConfigError("mc.checks", f"{check} needs a walk that moves right; velocity {v!r}")
+    return tilted_chain(env, 0.0)
+
+
 def empirical_velocity_check(
     env: Environment,
     seed: int,
@@ -288,9 +297,9 @@ def empirical_velocity_check(
     gate: float = GATE_SIGMAS,
     threads: int = 1,
 ) -> CheckResult:
-    """Mean endpoint velocity against the stationary speed of the untilted
-    chain. Needs a transient environment; the speed call raises otherwise."""
-    v = stationary_speed(env, 0.0)
+    """Mean endpoint velocity against the stationary speed of the chain at
+    tilt zero. Needs a right-transient environment (`_velocity_chain`)."""
+    v = stationary_speed(_velocity_chain(env, "empirical-velocity"))
     sample = walk_ensemble(env, seed, n_steps, n_walkers, threads=threads)
     per_walker = sample.positions / n_steps
     se = float(np.std(per_walker, ddof=1) / math.sqrt(n_walkers))
@@ -309,8 +318,10 @@ def passage_lln_check(
     threads: int = 1,
 ) -> CheckResult:
     """Mean passage time per level against the slope of the growth curve at
-    tilt zero (which equals the reciprocal speed)."""
-    slope = lyapunov_prime(env, 0.0).value
+    tilt zero (which equals the reciprocal speed). Needs a right-transient
+    environment (`_velocity_chain`)."""
+    speed = stationary_speed(_velocity_chain(env, "passage-lln"))
+    slope = lyapunov_prime(env, 0.0, speed).value
     max_steps = int(50 * level * slope)
     tau, censored = passage_ensemble(env, seed, level, n_walkers, max_steps, threads=threads)
     per_walker = tau / level
@@ -400,8 +411,11 @@ def tilted_drift_check(
 ) -> CheckResult:
     """Drift of the simulated tilted chain against the stationary
     prediction; also reports the pooled (class, jump) occupation gap."""
-    mu = ansatz_measure(env, r)
-    sample = walk_ensemble(env, seed, n_steps, n_walkers, r=r, count_pairs=True, threads=threads)
+    chain = tilted_chain(env, r)
+    mu = ansatz_measure(chain)
+    sample = walk_ensemble(
+        env, seed, n_steps, n_walkers, chain=chain, count_pairs=True, threads=threads
+    )
     per_walker = sample.positions / n_steps
     se = float(np.std(per_walker, ddof=1) / math.sqrt(n_walkers))
     emp = sample.pair_counts / sample.pair_counts.sum()
@@ -427,9 +441,10 @@ def corrector_path_check(
     with the endpoint value exactly and stay within the potential span no
     matter how long the path is. Deterministic gate.
     """
-    cor = corrector(env, r)
+    chain = tilted_chain(env, r)
+    cor = corrector(chain)
     sample = walk_ensemble(
-        env, seed, n_steps, n_walkers, r=r, track_corrector=True, threads=threads
+        env, seed, n_steps, n_walkers, chain=chain, track_corrector=True, threads=threads
     )
     endpoint = cor.potential[sample.positions % env.period] - cor.potential[0]
     telescope_err = float(np.max(np.abs(sample.corrector_sums - endpoint)))
@@ -494,8 +509,8 @@ def run_standard_checks(
 ) -> McReport:
     """Run the named checks with distinct sub-seeds per check.
 
-    Velocity and passage checks require a transient environment; ask only
-    for the tilted checks on recurrent input.
+    Velocity and passage checks require a right-transient environment; ask
+    only for the other checks on recurrent or left-transient input.
     """
     t0 = time.time()
     out: list[CheckResult] = []

@@ -992,7 +992,7 @@ class LambdaPrime:
     r: float
     value: float
     fd_value: float
-    chain_value: float  # nan when no stationary-chain route exists
+    chain_value: float
     gap: float
     h_step: float
 
@@ -1000,39 +1000,35 @@ class LambdaPrime:
 def lyapunov_prime(
     env: Environment,
     r: float,
+    speed: float,
     h_step: float = 1e-5,
     gate: float = 1e-4,
 ) -> LambdaPrime:
-    """d lambda / d r at a subcritical tilt.
+    """d lambda / d r at a subcritical tilt of a periodic environment.
 
-    Method 1 is a central finite difference of the Lyapunov curve, its two
-    tilts solved as one `lyapunov_grid`. Method 2, available for periodic
-    environments, is the reciprocal speed of the tilted walk's stationary
-    chain. The two must agree within `gate` (relative); the slope is always
-    >= 1/B.
+    The value is 1/speed, the reciprocal of the tilted chain's stationary
+    speed at r (`tilt.stationary_speed`). A central finite difference of
+    the Lyapunov curve, its two tilts solved as one `lyapunov_grid`, checks
+    it: the two must agree within `gate` (relative), and the slope is
+    always >= 1/B.
     """
     lo, hi = lyapunov_grid(env, (r - h_step, r + h_step))
     if not (math.isfinite(lo.value) and math.isfinite(hi.value)):
         raise SupercriticalError("finite-difference stencil crosses the critical tilt", r=r)
     fd = (hi.value - lo.value) / (2 * h_step)
-    chain = math.nan
-    if env.kind in ("homogeneous", "periodic"):
-        from . import tilt  # deferred: tilt builds on this module
-
-        chain = 1.0 / tilt.stationary_speed(env, r)
-    value = chain if math.isfinite(chain) else fd
-    gap = abs(fd - chain) if math.isfinite(chain) else math.nan
-    if math.isfinite(gap) and gap > gate * max(1.0, abs(value)):
+    value = 1.0 / speed
+    gap = abs(fd - value)
+    if gap > gate * max(1.0, abs(value)):
         raise DriftMismatchError(
-            f"slope methods disagree: fd={fd!r} chain={chain!r}", drift=1.0 / chain,
+            f"slope methods disagree: fd={fd!r} chain={value!r}", drift=speed,
             reciprocal_slope=1.0 / fd,
         )
     if value < 1.0 / env.b - 1e-9:
         raise SlowConvergenceError(
             f"slope {value} below its floor 1/B={1.0 / env.b}",
-            diagnostics={"fd": fd, "chain": chain},
+            diagnostics={"fd": fd, "chain": value},
         )
-    return LambdaPrime(r=r, value=value, fd_value=fd, chain_value=chain, gap=gap, h_step=h_step)
+    return LambdaPrime(r=r, value=value, fd_value=fd, chain_value=value, gap=gap, h_step=h_step)
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,21 @@ defines a genuine Markov kernel: rows sum to one exactly when the ratios
 solve their stationarity system, so the row defect doubles as a convergence
 meter and is never papered over by renormalizing. The tilted chain is the
 walk conditioned to realize a prescribed passage-time tilt. `tilted_chain`
-builds it once per (environment, tilt) from one ratio solve: kernel rows,
-stationary class law, drift and growth rate. The stationary law comes
-from GTH state reduction along the class cycle, which subtracts nothing and
-holds only a (2B+1)-square block of the chain at a time. Everything level-2
-needs reads that object: the stationary environment density, the corrector
-making the tilted increments a telescoping sum, and the induced pair
-measure on (environment class, jump). The raw occupation profile stays a
-separate route, as an independent check on the stationary law.
+builds it from one ratio solve: kernel rows, stationary class law, drift
+and growth rate. The stationary law comes from GTH state reduction along
+the class cycle, which subtracts nothing and holds only a (2B+1)-square
+block of the chain at a time. Everything level-2 needs takes that object
+as its argument, built once and passed down: the stationary speed and
+environment density, the corrector making the tilted increments a
+telescoping sum, and the induced pair measure on (environment class,
+jump). The raw occupation profile (`occupation_density`) stays a separate
+route, as an independent check on the stationary law.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -52,10 +52,6 @@ class TiltedChain:
     lam: float  # growth rate: minus the mean of log u(., +1)
     stat: np.ndarray  # (L,) stationary class law
     drift: float  # mean jump under stat
-
-    def local_drift(self) -> np.ndarray:
-        offs = offsets(self.env.b).astype(float)
-        return self.probs @ offs
 
 
 def _kernel_rows(env: Environment, r: float, log_u: np.ndarray) -> np.ndarray:
@@ -158,10 +154,9 @@ def _stationary(probs: np.ndarray, r: float) -> np.ndarray:
     return stat / total
 
 
-@lru_cache(maxsize=256)
 def tilted_chain(env: Environment, r: float) -> TiltedChain:
     """The tilted chain at r from one ratio solve; periodic environments
-    only. Pure in (env, r), so it is memoised."""
+    only."""
     require_periodic(env, "the tilted kernel")
     log_u = u_limit(env, r).log_u
     probs = _kernel_rows(env, r, log_u)
@@ -181,19 +176,25 @@ def tilted_chain(env: Environment, r: float) -> TiltedChain:
     )
 
 
-def tilt_kernel(env: Environment, r: float) -> TiltedChain:
-    """Tilted kernel from the stabilized ratios: the memoised chain."""
-    return tilted_chain(env, r)
+# the name the benchmark's tracer times chain builds under
+tilt_kernel = tilted_chain
 
 
-def stationary_speed(env: Environment, r: float) -> float:
+def velocity(env: Environment) -> float:
+    """Lambda'(0), the untilted walk's velocity: the mean jump under the
+    stationary law of the bare class chain, by the same GTH reduction."""
+    rows = class_probs(env)
+    return float(_stationary(rows, 0.0) @ (rows @ offsets(env.b).astype(float)))
+
+
+def stationary_speed(chain: TiltedChain) -> float:
     """Mean displacement per step of the tilted walk in its stationary
     environment: the reciprocal slope of the growth-rate curve."""
-    speed = tilted_chain(env, r).drift
+    speed = chain.drift
     if speed <= 0:
         raise SlowConvergenceError(
-            f"tilted walk has nonpositive speed {speed}; ratios are stale",
-            diagnostics={"r": r},
+            f"tilted walk has nonpositive speed {speed} at r={chain.r}",
+            diagnostics={"r": chain.r},
         )
     return speed
 
@@ -209,21 +210,43 @@ class InvariantDensity:
 
     env: Environment
     r: float
-    mode: str  # "exact" | "occupation"
     stat: np.ndarray
     phi: np.ndarray
     speed: float
-    gap: float  # occupation mode: TV distance across the last doubling
+    gap: float  # occupation route: TV distance across the last doubling
     floor_ok: bool
 
 
-def _occupation_stat(env: Environment, r: float, tol: float) -> tuple[np.ndarray, float]:
+def _density(chain: TiltedChain, stat: np.ndarray, speed: float, gap: float) -> InvariantDensity:
+    """The density of class law `stat`, read as the tilted walk's at `speed`."""
+    env = chain.env
+    phi = stat * env.period * (1.0 / speed)
+    floor = (env.delta * math.exp(chain.r)) ** (2 * env.b)
+    return InvariantDensity(
+        env=env,
+        r=chain.r,
+        stat=stat,
+        phi=phi,
+        speed=speed,
+        gap=gap,
+        floor_ok=bool(np.all(phi >= floor - 1e-15)),
+    )
+
+
+def invariant_density(chain: TiltedChain) -> InvariantDensity:
+    """Stationary environment density of the tilted walk: the chain's own
+    stationary class law (GTH state reduction, O(L B^2))."""
+    return _density(chain, chain.stat, chain.drift, 0.0)
+
+
+def occupation_density(chain: TiltedChain, tol: float = 1e-8) -> InvariantDensity:
     """Class-visit frequencies of the tilted walk from banded resolvent
     solves on growing boxes: g = (I - K^T)^{-1} e_0 counts expected visits
-    before the walk escapes the box. An oracle: scipy loads only here."""
+    before the walk escapes the box. An oracle for `invariant_density`:
+    scipy loads only here."""
     from scipy.linalg import solve_banded
 
-    kern = tilt_kernel(env, r)
+    env = chain.env
     L = env.period
     b = env.b
     offs = offsets(b)
@@ -242,7 +265,7 @@ def _occupation_stat(env: Environment, r: float, tol: float) -> tuple[np.ndarray
             for j, z in enumerate(offs):
                 xi = xj + int(z)
                 if 0 <= xi < W:
-                    ab[b + xi - xj, xj] -= kern.probs[cls, j]
+                    ab[b + xi - xj, xj] -= chain.probs[cls, j]
         rhs = np.zeros(W)
         rhs[m] = 1.0  # start the walk at the origin
         g = solve_banded((b, b), ab, rhs)
@@ -256,45 +279,12 @@ def _occupation_stat(env: Environment, r: float, tol: float) -> tuple[np.ndarray
         if prev is not None:
             gap = 0.5 * float(np.abs(stat - prev).sum())
             if gap <= tol:
-                return stat, gap
+                speed = float(stat @ (chain.probs @ offs.astype(float)))
+                return _density(chain, stat, speed, gap)
         prev = stat
         n *= 2
     raise SlowConvergenceError(
         "occupation profile did not stabilize", diagnostics={"gap": gap, "level": n // 2}
-    )
-
-
-def invariant_density(
-    env: Environment, r: float, mode: str = "exact", tol: float = 1e-8
-) -> InvariantDensity:
-    """Stationary environment density of the tilted walk.
-
-    exact: stationary vector of the projected class cycle, the tilted
-    chain's own (GTH state reduction, O(L B^2)).
-    occupation: visit frequencies from resolvent solves on doubling boxes,
-    kept as an independent check on the exact route.
-    """
-    if mode not in ("exact", "occupation"):
-        raise ValueError(f"unknown invariant density mode {mode!r}")
-    chain = tilted_chain(env, r)
-    if mode == "exact":
-        stat, gap, speed = chain.stat, 0.0, chain.drift
-    else:
-        stat, gap = _occupation_stat(env, r, tol)
-        speed = float(stat @ chain.local_drift())
-    slope = 1.0 / speed
-    phi = stat * env.period * slope
-    floor = (env.delta * math.exp(r)) ** (2 * env.b)
-    floor_ok = bool(np.all(phi >= floor - 1e-15))
-    return InvariantDensity(
-        env=env,
-        r=r,
-        mode=mode,
-        stat=stat,
-        phi=phi,
-        speed=speed,
-        gap=gap,
-        floor_ok=floor_ok,
     )
 
 
@@ -317,24 +307,15 @@ class Corrector:
     def increment(self, x: int, z: int) -> float:
         return float(self.values[x % self.env.period, offset_index(self.env.b, z)])
 
-    def path_sum(self, start: int, steps) -> float:
-        """Telescoped corrector sum along a concrete path."""
-        x = start
-        total = 0.0
-        for z in steps:
-            total += self.increment(x, int(z))
-            x += int(z)
-        return total
 
-
-def corrector(env: Environment, r: float) -> Corrector:
+def corrector(chain: TiltedChain) -> Corrector:
     """Build the corrector from the tilted chain's log-ratios.
 
     The per-class potential is the cumulative log-ratio plus linear drift;
     exact periodicity follows because the growth rate is exactly the mean
     log-ratio, making the corrector a closed discrete gradient.
     """
-    chain = tilted_chain(env, r)
+    env = chain.env
     L, lam = env.period, chain.lam
     theta = chain.log_u[:, offset_index(env.b, 1)]
     potential = np.zeros(L)
@@ -342,7 +323,7 @@ def corrector(env: Environment, r: float) -> Corrector:
         potential[i] = potential[i - 1] + theta[i - 1] + lam
     values = chain.log_u + offsets(env.b) * lam
     span = float(potential.max() - potential.min()) if L > 1 else 0.0
-    return Corrector(env=env, r=r, lam=lam, values=values, potential=potential, span=span)
+    return Corrector(env=env, r=chain.r, lam=lam, values=values, potential=potential, span=span)
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,11 +343,10 @@ class AnsatzMeasure:
         return 1.0 / self.drift
 
 
-def ansatz_measure(env: Environment, r: float) -> AnsatzMeasure:
-    chain = tilted_chain(env, r)
+def ansatz_measure(chain: TiltedChain) -> AnsatzMeasure:
     return AnsatzMeasure(
-        env=env,
-        r=r,
+        env=chain.env,
+        r=chain.r,
         lam=chain.lam,
         weights=chain.stat[:, None] * chain.probs,
         stat=chain.stat,

@@ -25,7 +25,7 @@ from rwre_ldp.environment import (
 from rwre_ldp.passage import brute_mgf, estimate_rc, hit_mgf, lambda_curve, lyapunov, lyapunov_bar
 from rwre_ldp.rate import asymmetry_demo, cramer_oracle, rate, rate_curve, xi_critical
 from rwre_ldp.rng import stream_key, uniform
-from rwre_ldp.tilt import ansatz_measure, corrector, tilt_kernel
+from rwre_ldp.tilt import ansatz_measure, corrector, tilt_kernel, tilted_chain
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -188,7 +188,7 @@ def test_constrained_minimizer_recovers_tilted_pair_measure():
     for seed, length, b in LEVEL2_CASES:
         env = seeded_periodic(seed, length, b)
         for r in LEVEL2_TILTS:
-            mu = ansatz_measure(env, r)
+            mu = ansatz_measure(tilted_chain(env, r))
             ref = level2.from_ansatz(mu)
             res = level2.minimize_entropy(env, mu.drift, tol=1e-10)
             assert res.converged
@@ -211,7 +211,7 @@ def test_entropy_of_tilted_measure_equals_tilt_cost():
     cases = [(seeded_periodic(s, l, b), r) for s, l, b in LEVEL2_CASES for r in LEVEL2_TILTS]
     cases += [(env, r) for _, env in CORPUS for r in (-0.3, -1.0)]
     for env, r in cases:
-        mu = ansatz_measure(env, r)
+        mu = ansatz_measure(tilted_chain(env, r))
         val = level2.entropy(level2.from_ansatz(mu))
         worst = max(worst, abs(val - (r - mu.drift * mu.lam)))
     ok = worst <= 1e-6
@@ -235,7 +235,7 @@ def test_structural_invariants_across_corpus():
             assert kern.row_defect <= 1e-12, (name, r, "row sums")
             assert float(kern.probs[:, [jm1, jp1]].min()) >= kern.floor - 1e-15, (
                 name, r, "ellipticity floor")
-            cor = corrector(env, r)
+            cor = corrector(kern)
             grad_err = max(
                 abs(cor.values[i, j] - (cor.potential[(i + int(z)) % L] - cor.potential[i]))
                 for i in range(L)

@@ -24,6 +24,13 @@ PER2 = {
     "B": 1,
     "laws": [{"-1": 0.2, "1": 0.8}, {"-1": 0.6, "1": 0.4}],
 }
+# left-transient: velocity -0.3 (PER2_LEFT) and about -0.51 (PER3_B2_LEFT)
+PER2_LEFT = {"type": "periodic", "B": 1, "laws": [{"-1": 0.7, "1": 0.3}, {"-1": 0.6, "1": 0.4}]}
+PER3_B2_LEFT = {"type": "periodic", "B": 2, "laws": [
+    {"2": 0.1, "1": 0.2, "-1": 0.3, "-2": 0.4},
+    {"2": 0.15, "1": 0.25, "-1": 0.3, "-2": 0.3},
+    {"2": 0.1, "1": 0.3, "-1": 0.25, "-2": 0.35},
+]}
 WIDE = {
     "type": "homogeneous",
     "B": 2,
@@ -353,7 +360,6 @@ class TestTiltReport:
         monkeypatch.setattr(passage, "zeta_nn", counted(passage.zeta_nn, "zeta_nn"))
         monkeypatch.setattr(tilt, "_kernel_rows", counted(tilt._kernel_rows, "_kernel_rows"))
         monkeypatch.setattr(tilt, "_stationary", counted(tilt._stationary, "_stationary"))
-        tilt.tilted_chain.cache_clear()
         env = {"type": "periodic", "B": 1,
                "laws": [{"-1": 0.3, "1": 0.7}, {"-1": 0.55, "1": 0.45}, {"-1": 0.4, "1": 0.6}]}
         code, _ = run_cfg(tmp_path, {"task": "tilt-report", "environment": env, "r": -0.35})
@@ -362,8 +368,7 @@ class TestTiltReport:
 
     def test_uncertified_ratios_exit_3_with_diagnostics(self, tmp_path, monkeypatch):
         # a ratio solve that misses row-stochasticity raises instead of
-        # feeding the kernel; the environment is used nowhere else, so the
-        # memoised chain is cold
+        # feeding the kernel
         solve = passage.zeta_nn
 
         def perturbed(env, r):
@@ -458,6 +463,23 @@ class TestMcVerify:
             "mc_report.jsonl": "83852f5331430ef8a4584a19d6b258e8ff9fa8a5080eb19c1a05e216a3c75049",
             "mc_summary.json": "9bd7de245cf532914e38ee39b9a1c657e225d99495692e32d798a9734f83e1fe",
         }
+
+    @pytest.mark.parametrize("checks", [None, ["passage-lln"], ["mgf-match", "empirical-velocity"]])
+    @pytest.mark.parametrize("env", [PER2_LEFT, PER3_B2_LEFT, SYM], ids=["per2", "b2", "sym"])
+    def test_velocity_checks_refuse_a_walk_that_does_not_move_right(
+        self, tmp_path, capsys, env, checks
+    ):
+        # at tilt zero the tilted chain is the walk conditioned to move
+        # right; its drift is the velocity only when the walk moves right
+        mc_block = {"n_steps": 2000, "n_walkers": 50}
+        if checks is not None:
+            mc_block["checks"] = checks
+        code, _ = run_cfg(tmp_path, {"task": "mc-verify", "environment": env, "seed": 1,
+                                     "mc": mc_block})
+        assert code == 2
+        err = capsys.readouterr().err
+        named = "passage-lln" if checks == ["passage-lln"] else "empirical-velocity"
+        assert "config key 'mc.checks'" in err and named in err
 
     def test_statistical_failures_warn_by_default(self, tmp_path, capsys):
         cfg = {"task": "mc-verify", "environment": PER2, "seed": 42,
@@ -601,8 +623,9 @@ SCIPY_FREE_PROBE = textwrap.dedent(
     cramer = rate.cramer_oracle(law, 0.5)
     per2 = periodic([JumpLaw(b=1, probs=((-1, 0.2), (1, 0.8))),
                      JumpLaw(b=1, probs=((-1, 0.6), (1, 0.4)))])
-    occ = tilt.invariant_density(per2, -0.3, mode="occupation")
-    exact = tilt.invariant_density(per2, -0.3)
+    chain = tilt.tilted_chain(per2, -0.3)
+    occ = tilt.occupation_density(chain)
+    exact = tilt.invariant_density(chain)
     print(json.dumps({
         "codes": codes,
         "after_cli": after_cli,

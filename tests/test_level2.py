@@ -21,7 +21,7 @@ from rwre_ldp.level2 import (
     minimize_entropy,
 )
 from rwre_ldp.passage import drift_limits
-from rwre_ldp.tilt import ansatz_measure
+from rwre_ldp.tilt import ansatz_measure, tilted_chain
 
 from .strategies import environments, jump_laws
 
@@ -47,7 +47,7 @@ class TestPairMeasure:
         assert mu.drift() == pytest.approx(1 / 3)
 
     def test_ansatz_is_shift_stationary(self):
-        mu = from_ansatz(ansatz_measure(PER2_NN, -0.2))
+        mu = from_ansatz(ansatz_measure(tilted_chain(PER2_NN, -0.2)))
         assert mu.shift_defect() < 1e-13
         assert mu.total() == pytest.approx(1.0, abs=1e-12)
 
@@ -84,12 +84,12 @@ class TestEntropy:
     )
     def test_tilted_measure_identity(self, env, r):
         # entropy of the tilted pair measure telescopes to r - xi * growth rate
-        mu = ansatz_measure(env, r)
+        mu = ansatz_measure(tilted_chain(env, r))
         val = entropy(from_ansatz(mu))
         assert val == pytest.approx(r - mu.drift * mu.lam, abs=1e-12)
 
     def test_untilted_measure_has_zero_entropy(self):
-        mu = ansatz_measure(DRIFT2, 0.0)
+        mu = ansatz_measure(tilted_chain(DRIFT2, 0.0))
         assert entropy(from_ansatz(mu)) == pytest.approx(0.0, abs=1e-12)
 
     def test_infinite_off_support(self):
@@ -109,7 +109,7 @@ class TestEntropy:
         assert entropy(PairMeasure(env=env2, weights=w2)) == math.inf
 
     def test_gradient_matches_finite_difference(self):
-        mu = from_ansatz(ansatz_measure(PER2_NN, -0.3))
+        mu = from_ansatz(ansatz_measure(tilted_chain(PER2_NN, -0.3)))
         g = entropy_gradient(mu)
         rng = np.random.default_rng(2)
         direction = rng.normal(size=mu.weights.shape)
@@ -151,7 +151,7 @@ def test_cycle_means_match_the_lp_oracle(env):
 class TestMinimizer:
     @pytest.mark.parametrize("env,r", [(PER2_NN, -0.2), (WIDE, -0.5)])
     def test_recovers_tilted_measure(self, env, r):
-        mu = ansatz_measure(env, r)
+        mu = ansatz_measure(tilted_chain(env, r))
         res = minimize_entropy(env, mu.drift, tol=1e-10)
         assert res.converged
         expect = r - mu.drift * mu.lam
@@ -163,7 +163,7 @@ class TestMinimizer:
         assert res.measure.shift_defect() < 1e-12
 
     def test_warm_start_fast(self):
-        mu = ansatz_measure(PER2_NN, -0.4)
+        mu = ansatz_measure(tilted_chain(PER2_NN, -0.4))
         res = minimize_entropy(PER2_NN, mu.drift, w0=from_ansatz(mu), tol=1e-9)
         assert res.converged
         assert res.iterations <= 10
@@ -285,6 +285,6 @@ class TestEmpirical:
 @given(jump_laws(max_b=2))
 def test_identity_property(law):
     env = homogeneous(law)
-    mu = ansatz_measure(env, -0.6)
+    mu = ansatz_measure(tilted_chain(env, -0.6))
     val = entropy(from_ansatz(mu))
     assert val == pytest.approx(-0.6 - mu.drift * mu.lam, abs=1e-10)

@@ -10,7 +10,9 @@ share its rounds.
 """
 
 import dataclasses
+import importlib
 import math
+import pkgutil
 import sys
 from unittest import mock
 
@@ -272,10 +274,21 @@ def assert_limits_are_u_limit(env, rs, tol):
         assert limit_key(entry) == limit_key(solo)
 
 
-def test_passage_keeps_no_memo():
-    # the class layout tables it imports from `environment` are memoised there
-    assert not [name for name, x in vars(passage).items()
-                if hasattr(x, "cache_info") and x.__module__ == passage.__name__]
+def test_package_keeps_no_memo():
+    # a memo is allowed only where its contents cannot depend on what ran
+    # before: the class layout tables, keyed on values, and the r_c cache
+    # the benchmark's tracer rebuilds around its wrapper
+    import rwre_ldp
+    from rwre_ldp import environment, rate
+
+    allowed = {id(environment.offsets), id(environment.class_probs),
+               id(environment.class_targets), id(rate._rc_cached)}
+    found = []
+    for info in pkgutil.iter_modules(rwre_ldp.__path__):
+        module = importlib.import_module(f"rwre_ldp.{info.name}")
+        found += [f"{info.name}.{name}" for name, x in vars(module).items()
+                  if hasattr(x, "cache_info") and id(x) not in allowed]
+    assert not found
 
 
 @settings(max_examples=30, deadline=None)

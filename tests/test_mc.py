@@ -12,6 +12,7 @@ import pytest
 
 from rwre_ldp import mc, rng
 from rwre_ldp.environment import JumpLaw, homogeneous, periodic, sample_iid
+from rwre_ldp.tilt import tilted_chain
 
 BIASED_NN = homogeneous(JumpLaw(b=1, probs=((-1, 0.25), (1, 0.75))))
 # the environment of configs/mc_verify_per2.json
@@ -22,6 +23,12 @@ PER2_NN = periodic(
     ]
 )
 DRIFT2 = homogeneous(JumpLaw(b=2, probs=((-2, 0.1), (-1, 0.2), (1, 0.3), (2, 0.4))))
+# perfbench's B2_NO_MINUS2 law
+B2_NO_MINUS2 = periodic([
+    {"-2": 0.1, "-1": 0.3, "1": 0.3, "2": 0.3},
+    {"-2": 0.2, "-1": 0.3, "1": 0.25, "2": 0.25},
+    {"-1": 0.35, "1": 0.35, "2": 0.3},
+])
 
 
 def sha256_le(a: np.ndarray) -> str:
@@ -64,7 +71,7 @@ class TestStreams:
         assert np.array_equal(small, large[:3])
 
     def test_thread_split_is_invisible(self):
-        kw = dict(r=-0.2, count_pairs=True, track_corrector=True)
+        kw = dict(chain=tilted_chain(BIASED_NN, -0.2), count_pairs=True, track_corrector=True)
         s1 = mc.walk_ensemble(BIASED_NN, 7, 500, 97, threads=1, **kw)
         s4 = mc.walk_ensemble(BIASED_NN, 7, 500, 97, threads=4, **kw)
         assert np.array_equal(s1.positions, s4.positions)
@@ -110,14 +117,35 @@ class TestStreams:
 
     def test_walk_matches_pinned_values(self):
         # values of the kernel that tallied pairs with np.add.at on every step
-        s = mc.walk_ensemble(PER2_NN, 7, 500, 97, r=-0.3, count_pairs=True)
+        s = mc.walk_ensemble(
+            PER2_NN, 7, 500, 97, chain=tilted_chain(PER2_NN, -0.3), count_pairs=True
+        )
         assert s.pair_counts.tolist() == [[1476, 22774], [6765, 17485]]
         assert sha256_le(s.positions) == (
             "714d47b860b892f7b588d0698bb6a000e03112ad087114d5086bd3869508389c"
         )
 
+    def test_wide_tilted_walk_matches_pinned_values(self):
+        # B = 2 with a zero-mass -2 offset in class 2; recorded before the
+        # sampler took the chain by value
+        s = mc.walk_ensemble(
+            B2_NO_MINUS2, 7, 400, 61, chain=tilted_chain(B2_NO_MINUS2, -0.4),
+            count_pairs=True, track_corrector=True,
+        )
+        assert s.pair_counts.tolist() == [
+            [184, 1027, 2464, 4574], [394, 1024, 2417, 3926], [0, 1042, 3251, 4097],
+        ]
+        assert sha256_le(s.positions) == (
+            "9682e7f4d4054955a940e51c33f6d5a6f8de63ba6ccc4d0bc7f68d3348fb8011"
+        )
+        assert hashlib.sha256(s.corrector_sums.astype("<f8").tobytes()).hexdigest() == (
+            "fda92c8752ca52a176806e79c74a099776e3ff8391ddb341ff45c8f94bf85ff4"
+        )
+
     def test_pair_counts_total(self):
-        s = mc.walk_ensemble(PER2_NN, 8, 400, 25, r=-0.2, count_pairs=True)
+        s = mc.walk_ensemble(
+            PER2_NN, 8, 400, 25, chain=tilted_chain(PER2_NN, -0.2), count_pairs=True
+        )
         assert s.pair_counts.sum() == 400 * 25
         assert s.pair_counts.shape == (2, 2)
 
@@ -143,7 +171,7 @@ class TestDrawBlocks:
         for threads in (1, 3):
             for n_walkers in (5, 41):
                 s = mc.walk_ensemble(
-                    PER2_NN, 7, 300, n_walkers, r=-0.3,
+                    PER2_NN, 7, 300, n_walkers, chain=tilted_chain(PER2_NN, -0.3),
                     count_pairs=True, track_corrector=True, threads=threads,
                 )
                 out += [s.positions, s.pair_counts, s.corrector_sums]

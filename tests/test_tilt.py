@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 from rwre_ldp import tilt
 from rwre_ldp.environment import JumpLaw, class_cycle, homogeneous, offsets, periodic
 from rwre_ldp.errors import SlowConvergenceError
-from rwre_ldp.passage import lyapunov, lyapunov_prime
+from rwre_ldp.passage import log_perron, lyapunov, lyapunov_prime
 from rwre_ldp.tilt import (
     ansatz_measure,
     corrector,
     invariant_density,
+    occupation_density,
     stationary_speed,
     tilt_kernel,
     tilted_chain,
+    velocity,
 )
 
 from .strategies import environments, jump_laws
@@ -34,6 +36,10 @@ WIDE = homogeneous(JumpLaw(b=2, probs=((-2, 1 / 7), (-1, 3 / 7), (1, 1 / 7), (2,
 DRIFT2 = homogeneous(JumpLaw(b=2, probs=((-2, 0.1), (-1, 0.2), (1, 0.3), (2, 0.4))))
 
 CASES = [(SYM_NN, -0.1), (PER2_NN, -0.2), (WIDE, -0.5), (DRIFT2, -0.8)]
+
+
+def slope(env, r, **kw):
+    return lyapunov_prime(env, r, stationary_speed(tilted_chain(env, r)), **kw)
 
 
 class TestKernel:
@@ -87,7 +93,7 @@ class TestStationary:
         e = math.exp(r)
         zeta = (1.0 - math.sqrt(1.0 - e * e)) / e
         expect = 0.5 * e * (1.0 / zeta - zeta)
-        assert stationary_speed(SYM_NN, r) == pytest.approx(expect, abs=1e-13)
+        assert stationary_speed(tilted_chain(SYM_NN, r)) == pytest.approx(expect, abs=1e-13)
 
     def test_singular_solve_raises_with_the_tilt(self):
         # rows that send class 0 to class 1 with weight 1 and class 1 back
@@ -147,11 +153,6 @@ class TestStationary:
 
 
 class TestChain:
-    def test_built_once_per_tilt(self):
-        chain = tilted_chain(PER2_NN, -0.25)
-        assert tilted_chain(PER2_NN, -0.25) is chain
-        assert tilt_kernel(PER2_NN, -0.25) is chain
-
     def test_rows_match_site_loop(self):
         # class 2 has no -2 jump; entries stay p * math.exp(r + log u), bit for bit
         env = periodic([
@@ -180,11 +181,11 @@ class TestChain:
     @pytest.mark.parametrize("env,r", CASES)
     def test_readers_share_its_numbers(self, env, r):
         chain = tilted_chain(env, r)
-        mu = ansatz_measure(env, r)
-        dens = invariant_density(env, r, mode="exact")
+        mu = ansatz_measure(chain)
+        dens = invariant_density(chain)
         assert mu.stat is chain.stat and dens.stat is chain.stat
-        assert mu.drift == dens.speed == stationary_speed(env, r) == chain.drift
-        assert mu.lam == corrector(env, r).lam == chain.lam
+        assert mu.drift == dens.speed == stationary_speed(chain) == chain.drift
+        assert mu.lam == corrector(chain).lam == chain.lam
         assert chain.lam == lyapunov(env, r).value
         np.testing.assert_array_equal(mu.weights, chain.stat[:, None] * chain.probs)
 
@@ -192,44 +193,45 @@ class TestChain:
 class TestSlope:
     @pytest.mark.parametrize("env,r", CASES)
     def test_two_routes_agree(self, env, r):
-        lp = lyapunov_prime(env, r, h_step=1e-5)
+        lp = slope(env, r, h_step=1e-5)
         assert math.isfinite(lp.chain_value)
         assert lp.gap <= 1e-5 * max(1.0, abs(lp.value))
         assert lp.value >= 1.0 / env.b - 1e-9
 
     def test_slope_grows_toward_criticality(self):
         # convexity: the slope increases with the tilt
-        a = lyapunov_prime(WIDE, -2.0).value
-        b = lyapunov_prime(WIDE, -0.3).value
+        a = slope(WIDE, -2.0).value
+        b = slope(WIDE, -0.3).value
         assert b > a
 
 
 class TestInvariantDensity:
     @pytest.mark.parametrize("env,r", [(PER2_NN, -0.2), (WIDE, -0.5)])
     def test_occupation_matches_exact(self, env, r):
-        exact = invariant_density(env, r, mode="exact")
-        occ = invariant_density(env, r, mode="occupation", tol=1e-8)
+        chain = tilted_chain(env, r)
+        exact = invariant_density(chain)
+        occ = occupation_density(chain, tol=1e-8)
         tv = 0.5 * float(np.abs(exact.stat - occ.stat).sum())
         assert tv < 1e-6
         assert occ.gap < 1e-8
 
     @pytest.mark.parametrize("env,r", CASES)
     def test_occupation_scale(self, env, r):
-        inv = invariant_density(env, r, mode="exact")
+        inv = invariant_density(tilted_chain(env, r))
         # class-average of the raw profile is the growth-curve slope
         assert float(np.mean(inv.phi)) == pytest.approx(1.0 / inv.speed, abs=1e-12)
         assert inv.floor_ok
 
     def test_speed_is_reciprocal_slope(self):
-        inv = invariant_density(PER2_NN, -0.2, mode="exact")
-        lp = lyapunov_prime(PER2_NN, -0.2)
+        inv = invariant_density(tilted_chain(PER2_NN, -0.2))
+        lp = slope(PER2_NN, -0.2)
         assert inv.speed == pytest.approx(1.0 / lp.value, rel=1e-10)
 
 
 class TestCorrector:
     @pytest.mark.parametrize("env,r", CASES)
     def test_exact_discrete_gradient(self, env, r):
-        cor = corrector(env, r)
+        cor = corrector(tilted_chain(env, r))
         L = env.period
         offs = offsets(env.b)
         for i in range(L):
@@ -240,12 +242,12 @@ class TestCorrector:
                 assert lhs == pytest.approx(rhs, abs=1e-11)
 
     def test_homogeneous_corrector_vanishes(self):
-        cor = corrector(WIDE, -0.5)
+        cor = corrector(tilted_chain(WIDE, -0.5))
         assert np.max(np.abs(cor.values)) < 1e-12
         assert cor.span == 0.0
 
     def test_path_sums_bounded(self):
-        cor = corrector(PER2_NN, -0.3)
+        cor = corrector(tilted_chain(PER2_NN, -0.3))
         rng = np.random.default_rng(5)
         # arbitrary walk; partial sums must stay within the potential span
         steps = rng.choice([-1, 1], size=500)
@@ -260,7 +262,7 @@ class TestCorrector:
 class TestAnsatz:
     @pytest.mark.parametrize("env,r", CASES)
     def test_pair_measure_shape(self, env, r):
-        mu = ansatz_measure(env, r)
+        mu = ansatz_measure(tilted_chain(env, r))
         assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(mu.weights >= 0)
         np.testing.assert_allclose(mu.weights.sum(axis=1), mu.stat, atol=1e-13)
@@ -268,15 +270,16 @@ class TestAnsatz:
 
     def test_drift_decreases_with_tilt(self):
         # the tilted drift runs from B down toward the critical drift
-        assert ansatz_measure(WIDE, -2.0).drift > ansatz_measure(WIDE, -0.5).drift
+        assert (ansatz_measure(tilted_chain(WIDE, -2.0)).drift
+                > ansatz_measure(tilted_chain(WIDE, -0.5)).drift)
 
     def test_drift_matches_slope_reciprocal(self):
-        mu = ansatz_measure(DRIFT2, -0.8)
-        lp = lyapunov_prime(DRIFT2, -0.8)
+        mu = ansatz_measure(tilted_chain(DRIFT2, -0.8))
+        lp = slope(DRIFT2, -0.8)
         assert mu.drift == pytest.approx(1.0 / lp.value, rel=1e-10)
 
     def test_lam_consistent(self):
-        mu = ansatz_measure(WIDE, -0.5)
+        mu = ansatz_measure(tilted_chain(WIDE, -0.5))
         assert mu.lam == pytest.approx(lyapunov(WIDE, -0.5).value, abs=1e-12)
 
 
@@ -286,7 +289,7 @@ def test_kernel_row_sums_property(law):
     env = homogeneous(law)
     kern = tilt_kernel(env, -0.7)
     assert np.max(np.abs(kern.probs.sum(axis=1) - 1.0)) < 1e-11
-    speed = stationary_speed(env, -0.7)
+    speed = stationary_speed(kern)
     assert 0.0 < speed <= env.b
 
 
@@ -300,6 +303,14 @@ def test_stationary_invariance_property(env, r):
     T = class_cycle(chain.probs)
     defect = np.abs(T.sum(axis=1) - 1.0)
     assert np.all(np.abs(chain.stat @ T - chain.stat) <= chain.stat * (defect + 1e-14))
+
+
+@settings(max_examples=50, deadline=None)
+@given(environments(max_b=3, max_period=64))
+def test_velocity_is_the_perron_slope_at_zero(env):
+    # Lambda'(0) two ways: the bare class chain's stationary drift, and the
+    # slope of log rho(K_s) at s = 0 from the Perron vectors
+    assert velocity(env) == pytest.approx(log_perron(env, 0.0).slope, rel=1e-10, abs=1e-12)
 
 
 def _banded_rows(rng, L: int, b: int) -> np.ndarray:
