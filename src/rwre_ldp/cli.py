@@ -176,6 +176,12 @@ def parse_config(raw: dict, config_sha: str) -> RunConfig:
     control_env = None
     if "control_environment" in raw:
         control_env = env_from_json(raw["control_environment"], where="control_environment")
+        if control_env.kind == "iid":
+            raise ConfigError("control_environment.type", "a sampled window cannot be a control")
+    # every task but lambda-curve needs a finite class cycle
+    if env.kind == "iid" and task != "lambda-curve":
+        raise ConfigError("environment.type", f"task {task} needs a homogeneous or periodic "
+                          "environment, not a sampled window")
 
     if task in ("lambda-curve", "rate-curve", "symmetry-check") and grid is None:
         raise ConfigError("grid", f"task {task} needs a grid")
@@ -354,19 +360,21 @@ def _task_tilt_report(cfg: RunConfig, w: _Writer):
     lp = lyapunov_prime(env, r, stationary_speed(chain))
     cor = corrector(chain)
     dens = invariant_density(chain)
-    mu = ansatz_measure(chain)
-    ident = level2.entropy(level2.from_ansatz(mu)) - (r - mu.drift * mu.lam)
+    ident = level2.entropy(ansatz_measure(chain)) - (r - chain.drift * chain.lam)
     report = {
         "r": r,
         "row_defect": chain.row_defect,
-        "stationary": mu.stat,
+        "stationary": chain.stat,
         "speed": dens.speed,
-        "slope": {"value": lp.value, "fd": lp.fd_value, "chain": lp.chain_value, "gap": lp.gap},
+        "slope": {
+            "value": lp.value, "fd": lp.fd_value, "chain": lp.value,
+            "gap": abs(lp.fd_value - lp.value),
+        },
         "corrector_span": cor.span,
         "invariant_density": {"phi": dens.phi, "gap": dens.gap, "mean": float(np.mean(dens.phi))},
         "entropy_identity_residual": ident,
-        "drift": mu.drift,
-        "growth_rate": mu.lam,
+        "drift": chain.drift,
+        "growth_rate": chain.lam,
     }
     w.json("tilt_report.json", report)
     hard = []

@@ -30,7 +30,6 @@ from .environment import (
 )
 from .errors import InfeasibleDriftError, SlowConvergenceError
 from .passage import drift_limits
-from .tilt import AnsatzMeasure
 
 FLOOR = 1e-12
 
@@ -39,6 +38,9 @@ FLOOR = 1e-12
 # never accepted as an iterate: the line search treats it as a failed trial,
 # and the last-resort step raises.
 _DYKSTRA_ITERS = 200
+
+# projected-gradient steps before minimize_entropy gives up
+_MAX_ITER = 20_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +76,6 @@ class PairMeasure:
 
     def total(self) -> float:
         return float(self.weights.sum())
-
-
-def from_ansatz(mu: AnsatzMeasure) -> PairMeasure:
-    return PairMeasure(env=mu.env, weights=mu.weights)
 
 
 def entropy(mu: PairMeasure) -> float:
@@ -188,7 +186,6 @@ def minimize_entropy(
     xi: float,
     w0: PairMeasure | None = None,
     tol: float = 1e-10,
-    max_iter: int = 20_000,
 ) -> Level2Result:
     """Minimize the pair entropy at fixed drift xi.
 
@@ -266,7 +263,7 @@ def minimize_entropy(
     gmap = math.inf
     # v and g are rebound, never written in place, so the previous pair
     # needs no copy
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if v_prev is not None:
             dv = v - v_prev
             dg = g - g_prev

@@ -8,9 +8,11 @@ replicas, which keeps the z-tests honest: no claim relies on mixing rates
 or within-path independence.
 
 Checks cover the untilted law of large numbers (velocity and passage
-times), the truncated MGF solver at a negative tilt, a closed-form moment
-envelope, the drift of the tilted chain against the stationary prediction,
-and the telescoping of corrector increments along simulated paths.
+times, against Lambda'(0) from `tilt.velocity`), the truncated MGF solver
+at a negative tilt, a closed-form moment envelope, the drift of the tilted
+chain against its stationary prediction, and the telescoping of corrector
+increments along simulated paths. Each tilted check builds the one chain
+it reads.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .environment import (
     require_periodic,
 )
 from .errors import ConfigError
-from .passage import estimate_rc, hit_mgf, lyapunov_prime
-from .tilt import TiltedChain, ansatz_measure, corrector, stationary_speed, tilted_chain, velocity
+from .passage import estimate_rc, hit_mgf
+from .tilt import TiltedChain, ansatz_measure, corrector, tilted_chain, velocity
 
 GATE_SIGMAS = 3.0
 
@@ -279,14 +281,14 @@ def _z_result(name, observed, expected, se, gate, **extra) -> CheckResult:
     )
 
 
-def _velocity_chain(env: Environment, check: str) -> TiltedChain:
-    """The tilted chain at zero: the walk conditioned to move right, whose
-    drift is the walk's velocity only if the velocity Lambda'(0) is
-    positive. Otherwise a ConfigError names `check`."""
+def _right_velocity(env: Environment, check: str) -> float:
+    """The walk's velocity Lambda'(0) (`tilt.velocity`). The velocity and
+    passage checks run only on a walk that moves right; on any other walk a
+    ConfigError names `check`."""
     v = velocity(env)
     if not v > 0:
         raise ConfigError("mc.checks", f"{check} needs a walk that moves right; velocity {v!r}")
-    return tilted_chain(env, 0.0)
+    return v
 
 
 def empirical_velocity_check(
@@ -297,9 +299,9 @@ def empirical_velocity_check(
     gate: float = GATE_SIGMAS,
     threads: int = 1,
 ) -> CheckResult:
-    """Mean endpoint velocity against the stationary speed of the chain at
-    tilt zero. Needs a right-transient environment (`_velocity_chain`)."""
-    v = stationary_speed(_velocity_chain(env, "empirical-velocity"))
+    """Mean endpoint velocity against Lambda'(0). Needs a right-transient
+    environment (`_right_velocity`)."""
+    v = _right_velocity(env, "empirical-velocity")
     sample = walk_ensemble(env, seed, n_steps, n_walkers, threads=threads)
     per_walker = sample.positions / n_steps
     se = float(np.std(per_walker, ddof=1) / math.sqrt(n_walkers))
@@ -318,10 +320,9 @@ def passage_lln_check(
     threads: int = 1,
 ) -> CheckResult:
     """Mean passage time per level against the slope of the growth curve at
-    tilt zero (which equals the reciprocal speed). Needs a right-transient
-    environment (`_velocity_chain`)."""
-    speed = stationary_speed(_velocity_chain(env, "passage-lln"))
-    slope = lyapunov_prime(env, 0.0, speed).value
+    tilt zero, the reciprocal velocity 1/Lambda'(0). Needs a right-transient
+    environment (`_right_velocity`)."""
+    slope = 1.0 / _right_velocity(env, "passage-lln")
     max_steps = int(50 * level * slope)
     tau, censored = passage_ensemble(env, seed, level, n_walkers, max_steps, threads=threads)
     per_walker = tau / level
@@ -412,16 +413,15 @@ def tilted_drift_check(
     """Drift of the simulated tilted chain against the stationary
     prediction; also reports the pooled (class, jump) occupation gap."""
     chain = tilted_chain(env, r)
-    mu = ansatz_measure(chain)
     sample = walk_ensemble(
         env, seed, n_steps, n_walkers, chain=chain, count_pairs=True, threads=threads
     )
     per_walker = sample.positions / n_steps
     se = float(np.std(per_walker, ddof=1) / math.sqrt(n_walkers))
     emp = sample.pair_counts / sample.pair_counts.sum()
-    tv = 0.5 * float(np.abs(emp - mu.weights).sum())
+    tv = 0.5 * float(np.abs(emp - ansatz_measure(chain).weights).sum())
     return _z_result(
-        "tilted-drift", float(np.mean(per_walker)), mu.drift, se, gate,
+        "tilted-drift", float(np.mean(per_walker)), chain.drift, se, gate,
         r=r, n_steps=n_steps, n_walkers=n_walkers, pair_tv=tv,
     )
 

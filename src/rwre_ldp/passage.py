@@ -300,9 +300,13 @@ class ZetaSolve:
     converged: bool
 
 
-def zeta_nn(
-    env: Environment, r: float, tol: float = 1e-15, max_cycles: int = 2_000_000
-) -> ZetaSolve:
+# sweeps of the zeta recursion: stop once no class moves by more than
+# _ZETA_TOL, give up after _ZETA_MAX_CYCLES
+_ZETA_TOL = 1e-15
+_ZETA_MAX_CYCLES = 2_000_000
+
+
+def zeta_nn(env: Environment, r: float) -> ZetaSolve:
     """One-level passage MGFs for B = 1 via the forward recursion
 
         zeta(x) = p(x) e^r / (1 - q(x) e^r zeta(x-1)),
@@ -322,7 +326,7 @@ def zeta_nn(
     upper = 1.0 if r <= 0 else 1.0 / (env.delta * e)
     cycles = 0
     prev = zeta.copy()
-    while cycles < max_cycles:
+    while cycles < _ZETA_MAX_CYCLES:
         cycles += 1
         for i in range(L):
             den = 1.0 - q[i] * e * zeta[(i - 1) % L]
@@ -340,7 +344,7 @@ def zeta_nn(
                 diagnostics={"cycles": cycles, "max_zeta": float(zeta.max())},
             )
         change = float(np.max(np.abs(zeta - prev)))
-        if change <= tol:
+        if change <= _ZETA_TOL:
             break
         prev = zeta.copy()
     resid = 0.0
@@ -349,7 +353,7 @@ def zeta_nn(
             resid,
             abs(p[i] * e / zeta[i] + q[i] * e * zeta[(i - 1) % L] - 1.0),
         )
-    return ZetaSolve(r=r, zeta=zeta, cycles=cycles, residual=resid, converged=change <= tol)
+    return ZetaSolve(r=r, zeta=zeta, cycles=cycles, residual=resid, converged=change <= _ZETA_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -987,38 +991,34 @@ def lyapunov_bar(env: Environment, r: float, tol: float = 1e-10) -> LambdaSample
 
 @dataclass(frozen=True)
 class LambdaPrime:
-    """Slope of the Lyapunov curve by two routes."""
+    """Slope of the Lyapunov curve, with its finite-difference check."""
 
     r: float
     value: float
     fd_value: float
-    chain_value: float
-    gap: float
-    h_step: float
 
 
-def lyapunov_prime(
-    env: Environment,
-    r: float,
-    speed: float,
-    h_step: float = 1e-5,
-    gate: float = 1e-4,
-) -> LambdaPrime:
+# half-width of the slope stencil r +- h, and the relative gap it may
+# leave to the chain's slope
+_FD_STEP = 1e-5
+_FD_GATE = 1e-4
+
+
+def lyapunov_prime(env: Environment, r: float, speed: float) -> LambdaPrime:
     """d lambda / d r at a subcritical tilt of a periodic environment.
 
     The value is 1/speed, the reciprocal of the tilted chain's stationary
     speed at r (`tilt.stationary_speed`). A central finite difference of
     the Lyapunov curve, its two tilts solved as one `lyapunov_grid`, checks
-    it: the two must agree within `gate` (relative), and the slope is
+    it: the two must agree within `_FD_GATE` (relative), and the slope is
     always >= 1/B.
     """
-    lo, hi = lyapunov_grid(env, (r - h_step, r + h_step))
+    lo, hi = lyapunov_grid(env, (r - _FD_STEP, r + _FD_STEP))
     if not (math.isfinite(lo.value) and math.isfinite(hi.value)):
         raise SupercriticalError("finite-difference stencil crosses the critical tilt", r=r)
-    fd = (hi.value - lo.value) / (2 * h_step)
+    fd = (hi.value - lo.value) / (2 * _FD_STEP)
     value = 1.0 / speed
-    gap = abs(fd - value)
-    if gap > gate * max(1.0, abs(value)):
+    if abs(fd - value) > _FD_GATE * max(1.0, abs(value)):
         raise DriftMismatchError(
             f"slope methods disagree: fd={fd!r} chain={value!r}", drift=speed,
             reciprocal_slope=1.0 / fd,
@@ -1028,7 +1028,7 @@ def lyapunov_prime(
             f"slope {value} below its floor 1/B={1.0 / env.b}",
             diagnostics={"fd": fd, "chain": value},
         )
-    return LambdaPrime(r=r, value=value, fd_value=fd, chain_value=value, gap=gap, h_step=h_step)
+    return LambdaPrime(r=r, value=value, fd_value=fd)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,15 @@ walk conditioned to realize a prescribed passage-time tilt. `tilted_chain`
 builds it from one ratio solve: kernel rows, stationary class law, drift
 and growth rate. The stationary law comes from GTH state reduction along
 the class cycle, which subtracts nothing and holds only a (2B+1)-square
-block of the chain at a time. Everything level-2 needs takes that object
-as its argument, built once and passed down: the stationary speed and
+block of the chain at a time; `velocity` runs the same reduction on the
+bare rows for Lambda'(0), which the Monte Carlo velocity and passage
+checks read without building a chain. Everything level-2 needs takes the
+chain as its argument, built once and passed down: the stationary speed and
 environment density, the corrector making the tilted increments a
 telescoping sum, and the induced pair measure on (environment class,
-jump). The raw occupation profile (`occupation_density`) stays a separate
-route, as an independent check on the stationary law.
+jump), the paper's Ansatz, as a `level2.PairMeasure`. The raw occupation
+profile (`occupation_density`) stays a separate route, as an independent
+check on the stationary law.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .environment import (
     require_periodic,
 )
 from .errors import SlowConvergenceError
+from .level2 import PairMeasure
 from .passage import u_limit
 
 
@@ -326,29 +330,7 @@ def corrector(chain: TiltedChain) -> Corrector:
     return Corrector(env=env, r=chain.r, lam=lam, values=values, potential=potential, span=span)
 
 
-@dataclass(frozen=True, eq=False)
-class AnsatzMeasure:
+def ansatz_measure(chain: TiltedChain) -> PairMeasure:
     """Pair measure (class, jump) of the tilted walk in its stationary
-    environment: the conjectured level-2 minimizer at its own drift."""
-
-    env: Environment
-    r: float
-    lam: float
-    weights: np.ndarray  # (L, 2B), sums to 1
-    stat: np.ndarray  # first marginal over classes
-    drift: float
-
-    @property
-    def slope(self) -> float:
-        return 1.0 / self.drift
-
-
-def ansatz_measure(chain: TiltedChain) -> AnsatzMeasure:
-    return AnsatzMeasure(
-        env=chain.env,
-        r=chain.r,
-        lam=chain.lam,
-        weights=chain.stat[:, None] * chain.probs,
-        stat=chain.stat,
-        drift=chain.drift,
-    )
+    environment: the conjectured level-2 minimizer at the chain's drift."""
+    return PairMeasure(env=chain.env, weights=chain.stat[:, None] * chain.probs)

@@ -4,9 +4,20 @@ Laws are built from integer weights so normalization is exact to float
 round-off, and offsets +-1 always get positive weight.
 """
 
+import os
+
 from hypothesis import strategies as st
 
 from rwre_ldp.environment import Environment, JumpLaw, periodic
+
+# HYPOTHESIS_PROFILE=ci (tests/conftest.py) runs every property test on four
+# times the examples it runs by default
+_DEPTH = 4 if os.environ.get("HYPOTHESIS_PROFILE") == "ci" else 1
+
+
+def examples(n: int) -> int:
+    """`max_examples` of a property test that runs n examples by default."""
+    return _DEPTH * n
 
 
 @st.composite

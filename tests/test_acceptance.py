@@ -188,9 +188,9 @@ def test_constrained_minimizer_recovers_tilted_pair_measure():
     for seed, length, b in LEVEL2_CASES:
         env = seeded_periodic(seed, length, b)
         for r in LEVEL2_TILTS:
-            mu = ansatz_measure(tilted_chain(env, r))
-            ref = level2.from_ansatz(mu)
-            res = level2.minimize_entropy(env, mu.drift, tol=1e-10)
+            chain = tilted_chain(env, r)
+            ref = ansatz_measure(chain)
+            res = level2.minimize_entropy(env, chain.drift, tol=1e-10)
             assert res.converged
             worst_val = max(worst_val, abs(res.value - level2.entropy(ref)))
             worst_tv = max(
@@ -211,9 +211,9 @@ def test_entropy_of_tilted_measure_equals_tilt_cost():
     cases = [(seeded_periodic(s, l, b), r) for s, l, b in LEVEL2_CASES for r in LEVEL2_TILTS]
     cases += [(env, r) for _, env in CORPUS for r in (-0.3, -1.0)]
     for env, r in cases:
-        mu = ansatz_measure(tilted_chain(env, r))
-        val = level2.entropy(level2.from_ansatz(mu))
-        worst = max(worst, abs(val - (r - mu.drift * mu.lam)))
+        chain = tilted_chain(env, r)
+        val = level2.entropy(ansatz_measure(chain))
+        worst = max(worst, abs(val - (r - chain.drift * chain.lam)))
     ok = worst <= 1e-6
     verdict(
         "entropy identity",

@@ -31,12 +31,24 @@ PER3_B2_LEFT = {"type": "periodic", "B": 2, "laws": [
     {"2": 0.15, "1": 0.25, "-1": 0.3, "-2": 0.3},
     {"2": 0.1, "1": 0.3, "-1": 0.25, "-2": 0.35},
 ]}
+# full support and rightward drift (velocity about 0.49)
+B2_DRIFTED = {"type": "periodic", "B": 2, "laws": [
+    {"-2": 0.1, "-1": 0.2, "1": 0.3, "2": 0.4},
+    {"-2": 0.15, "-1": 0.25, "1": 0.3, "2": 0.3},
+    {"-2": 0.1, "-1": 0.3, "1": 0.25, "2": 0.35},
+]}
+# a sampled window of a two-atom iid law
+WINDOW = {"type": "iid", "B": 1, "window": [-50, 50], "seed": 7, "atoms": [
+    {"weight": 0.5, "law": {"-1": 0.3, "1": 0.7}},
+    {"weight": 0.5, "law": {"-1": 0.6, "1": 0.4}},
+]}
 WIDE = {
     "type": "homogeneous",
     "B": 2,
     "laws": [{"-2": 0.1, "-1": 0.2, "1": 0.5, "2": 0.2}],
 }
 MC_SMALL = {"n_steps": 1500, "n_walkers": 80, "mgf_walkers": 15000, "level": 6, "r": -0.3}
+MC_TINY = {"n_steps": 1000, "n_walkers": 50, "mgf_walkers": 2000}
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -158,6 +170,27 @@ class TestConfigErrors:
         code, _ = run_cfg(tmp_path, cfg)
         assert code == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, patch, key", [
+        *[(t, {}, "environment.type") for t in
+          ("rate-curve", "tilt-report", "level2-min", "mc-verify", "counterexample",
+           "symmetry-check")],
+        ("counterexample", {"environment": WIDE, "control_environment": WINDOW},
+         "control_environment.type"),
+    ])
+    def test_window_outside_lambda_curve_names_its_key(self, tmp_path, capsys, task, patch, key):
+        # every task but lambda-curve needs a finite class cycle
+        cfg = {"task": task, "environment": WINDOW, "grid": [0.3], "r": -0.3, "xi": 0.3,
+               "seed": 1, **patch}
+        code, _ = run_cfg(tmp_path, cfg)
+        assert code == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    def test_window_runs_lambda_curve(self, tmp_path):
+        cfg = {"task": "lambda-curve", "environment": WINDOW, "grid": [-0.3], "rc_tol": 1e-2}
+        code, out = run_cfg(tmp_path, cfg)
+        assert code == 0
+        assert (out / "lambda_curve.csv").exists()
 
     def test_parse_config_requires_object(self):
         from rwre_ldp.errors import ConfigError
@@ -463,6 +496,40 @@ class TestMcVerify:
             "mc_report.jsonl": "83852f5331430ef8a4584a19d6b258e8ff9fa8a5080eb19c1a05e216a3c75049",
             "mc_summary.json": "9bd7de245cf532914e38ee39b9a1c657e225d99495692e32d798a9734f83e1fe",
         }
+
+    def test_b2_run_matches_pinned_artifacts(self, tmp_path):
+        # digests written when both velocity checks read the tilted chain at
+        # zero, and passage-lln its finite-difference slope cross-check
+        cfg = {"task": "mc-verify", "environment": B2_DRIFTED, "seed": 7, "mc": MC_TINY}
+        code, out = run_cfg(tmp_path, cfg)
+        assert code == 0
+        digest = {name: sha256(out / name) for name in ("mc_report.jsonl", "mc_summary.json")}
+        assert digest == {
+            "mc_report.jsonl": "4d29c5f27d4be7226348b08c453dec1523ea5266b48ddc2ce58a8f7545121ef8",
+            "mc_summary.json": "d4fc7ee1714e33284336a032300bd25c59ac4f7eacfe54adc81d0c59fe77f267",
+        }
+
+    @pytest.mark.parametrize("env, solve", [(PER2, "zeta_nn"), (B2_DRIFTED, "_perron_root")],
+                             ids=["per2", "b2"])
+    def test_one_chain_per_tilted_check(self, tmp_path, monkeypatch, env, solve):
+        # the velocity checks read tilt.velocity; tilted-drift and
+        # corrector-path each build the one chain they read, from one ratio
+        # solve at r (a zeta recursion for B = 1, a Perron root for B >= 2)
+        calls = {"_kernel_rows": 0, solve: 0}
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(tilt, "_kernel_rows", counted(tilt._kernel_rows, "_kernel_rows"))
+        monkeypatch.setattr(passage, solve, counted(getattr(passage, solve), solve))
+        code, _ = run_cfg(tmp_path, {"task": "mc-verify", "environment": env, "seed": 7,
+                                     "mc": MC_TINY})
+        assert code == 0
+        assert calls == {"_kernel_rows": 2, solve: 2}
 
     @pytest.mark.parametrize("checks", [None, ["passage-lln"], ["mgf-match", "empirical-velocity"]])
     @pytest.mark.parametrize("env", [PER2_LEFT, PER3_B2_LEFT, SYM], ids=["per2", "b2", "sym"])

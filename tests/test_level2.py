@@ -17,13 +17,12 @@ from rwre_ldp.level2 import (
     empirical_pair_measure,
     entropy,
     entropy_gradient,
-    from_ansatz,
     minimize_entropy,
 )
 from rwre_ldp.passage import drift_limits
 from rwre_ldp.tilt import ansatz_measure, tilted_chain
 
-from .strategies import environments, jump_laws
+from .strategies import environments, examples, jump_laws
 
 SYM_NN = homogeneous(JumpLaw(b=1, probs=((-1, 0.5), (1, 0.5))))
 PER2_NN = periodic(
@@ -47,7 +46,7 @@ class TestPairMeasure:
         assert mu.drift() == pytest.approx(1 / 3)
 
     def test_ansatz_is_shift_stationary(self):
-        mu = from_ansatz(ansatz_measure(tilted_chain(PER2_NN, -0.2)))
+        mu = ansatz_measure(tilted_chain(PER2_NN, -0.2))
         assert mu.shift_defect() < 1e-13
         assert mu.total() == pytest.approx(1.0, abs=1e-12)
 
@@ -84,13 +83,13 @@ class TestEntropy:
     )
     def test_tilted_measure_identity(self, env, r):
         # entropy of the tilted pair measure telescopes to r - xi * growth rate
-        mu = ansatz_measure(tilted_chain(env, r))
-        val = entropy(from_ansatz(mu))
-        assert val == pytest.approx(r - mu.drift * mu.lam, abs=1e-12)
+        chain = tilted_chain(env, r)
+        val = entropy(ansatz_measure(chain))
+        assert val == pytest.approx(r - chain.drift * chain.lam, abs=1e-12)
 
     def test_untilted_measure_has_zero_entropy(self):
         mu = ansatz_measure(tilted_chain(DRIFT2, 0.0))
-        assert entropy(from_ansatz(mu)) == pytest.approx(0.0, abs=1e-12)
+        assert entropy(mu) == pytest.approx(0.0, abs=1e-12)
 
     def test_infinite_off_support(self):
         w = np.array([[0.5, 0.25], [0.0, 0.25]])
@@ -109,7 +108,7 @@ class TestEntropy:
         assert entropy(PairMeasure(env=env2, weights=w2)) == math.inf
 
     def test_gradient_matches_finite_difference(self):
-        mu = from_ansatz(ansatz_measure(tilted_chain(PER2_NN, -0.3)))
+        mu = ansatz_measure(tilted_chain(PER2_NN, -0.3))
         g = entropy_gradient(mu)
         rng = np.random.default_rng(2)
         direction = rng.normal(size=mu.weights.shape)
@@ -138,7 +137,7 @@ class TestDriftRange:
         assert hi == pytest.approx(1.0, abs=1e-9)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(environments(max_b=2, max_period=4))
 def test_cycle_means_match_the_lp_oracle(env):
     # the minimizer's feasibility check (Karp) against the LP over the
@@ -151,20 +150,21 @@ def test_cycle_means_match_the_lp_oracle(env):
 class TestMinimizer:
     @pytest.mark.parametrize("env,r", [(PER2_NN, -0.2), (WIDE, -0.5)])
     def test_recovers_tilted_measure(self, env, r):
-        mu = ansatz_measure(tilted_chain(env, r))
-        res = minimize_entropy(env, mu.drift, tol=1e-10)
+        chain = tilted_chain(env, r)
+        mu = ansatz_measure(chain)
+        res = minimize_entropy(env, chain.drift, tol=1e-10)
         assert res.converged
-        expect = r - mu.drift * mu.lam
+        expect = r - chain.drift * chain.lam
         assert res.value == pytest.approx(expect, abs=1e-7)
         tv = 0.5 * float(np.abs(res.measure.weights - mu.weights).sum())
         assert tv < 1e-5
         assert res.constraint_residual < 1e-12
-        assert res.measure.drift() == pytest.approx(mu.drift, abs=1e-12)
+        assert res.measure.drift() == pytest.approx(chain.drift, abs=1e-12)
         assert res.measure.shift_defect() < 1e-12
 
     def test_warm_start_fast(self):
-        mu = ansatz_measure(tilted_chain(PER2_NN, -0.4))
-        res = minimize_entropy(PER2_NN, mu.drift, w0=from_ansatz(mu), tol=1e-9)
+        chain = tilted_chain(PER2_NN, -0.4)
+        res = minimize_entropy(PER2_NN, chain.drift, w0=ansatz_measure(chain), tol=1e-9)
         assert res.converged
         assert res.iterations <= 10
 
@@ -281,10 +281,10 @@ class TestEmpirical:
             empirical_pair_measure(PER2_NN, np.array([0, 3]))
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=examples(12), deadline=None)
 @given(jump_laws(max_b=2))
 def test_identity_property(law):
     env = homogeneous(law)
-    mu = ansatz_measure(tilted_chain(env, -0.6))
-    val = entropy(from_ansatz(mu))
-    assert val == pytest.approx(-0.6 - mu.drift * mu.lam, abs=1e-10)
+    chain = tilted_chain(env, -0.6)
+    val = entropy(ansatz_measure(chain))
+    assert val == pytest.approx(-0.6 - chain.drift * chain.lam, abs=1e-10)

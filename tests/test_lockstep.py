@@ -39,7 +39,7 @@ from rwre_ldp.passage import (
 from rwre_ldp.rate import _slope_root_steps, asymmetry_demo
 
 from .refusing_lapack import refusing
-from .strategies import environments
+from .strategies import environments, examples
 from .test_perron_stack import B2_NO_MINUS2, _cycle, bits
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def hexes(ss):
     return [s.hex() for s in ss]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(
     environments(max_b=3, max_period=64),
     st.floats(-3.0, 1.0),
@@ -291,7 +291,7 @@ def test_package_keeps_no_memo():
     assert not found
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(
     environments(max_b=3, max_period=24).filter(lambda e: e.b >= 2),
     st.lists(st.floats(-3.0, 1.0), min_size=1, max_size=6),

@@ -48,7 +48,7 @@ from rwre_ldp.passage import (
 from rwre_ldp.tilt import tilt_kernel
 
 from .refusing_lapack import refusing
-from .strategies import environments, jump_laws
+from .strategies import environments, examples, jump_laws
 
 SYM_NN = homogeneous(JumpLaw(b=1, probs=((-1, 0.5), (1, 0.5))))
 BIASED_NN = homogeneous(JumpLaw(b=1, probs=((-1, 0.25), (1, 0.75))))
@@ -253,7 +253,7 @@ class TestHarmonicRatios:
     """Closed-form periodic ratios: the zeta route for B=1, the Perron
     vector for B>=2, both certified by their row-stochasticity residual."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(environments(max_b=3, max_period=64), st.floats(-2.0, -0.01))
     def test_rows_and_chain_rule(self, env, r):
         ul = u_limit(env, r)
@@ -540,7 +540,7 @@ class TestPerronOracle:
     """numpy's eigenvalues and bordered Perron-vector solves against dgeev,
     with the Collatz-Wielandt bracket as the certificate."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(environments(max_b=3, max_period=64), st.floats(-3.0, 3.0))
     def test_matches_dgeev_with_a_certified_bracket(self, env, s):
         value, slope = dgeev_oracle(env, s)
@@ -636,7 +636,7 @@ class TestLambdaCurve:
         assert 0.0 < c < 1.0
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(jump_laws(b=1), st.floats(min_value=-2.0, max_value=-0.1))
 def test_nn_direction_gap_property(law, r):
     env = homogeneous(law)
@@ -645,7 +645,7 @@ def test_nn_direction_gap_property(law, r):
     assert gap == pytest.approx(expect, abs=1e-8)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 @given(jump_laws(max_b=2), st.floats(min_value=-1.5, max_value=-0.2))
 def test_growth_rate_bounds_property(law, r):
     env = homogeneous(law)
@@ -656,7 +656,7 @@ def test_growth_rate_bounds_property(law, r):
     assert s2.value <= s.value + 1e-10  # nondecreasing in the tilt
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=examples(10), deadline=None)
 @given(jump_laws(max_b=2))
 def test_row_sum_identity_property(law):
     env = homogeneous(law)

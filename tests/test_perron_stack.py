@@ -30,7 +30,7 @@ from rwre_ldp.errors import SlowConvergenceError
 from rwre_ldp.passage import PerronPoint, log_perron, perron_stack
 
 from .refusing_lapack import RefusingLapack, refusing, system_of
-from .strategies import environments
+from .strategies import environments, examples
 
 B2_NO_MINUS2 = periodic(
     [
@@ -157,7 +157,7 @@ def assert_matches_oracle(env, s, got):
 
 
 class TestAgainstTheSingleTiltOracle:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(
         environments(max_b=3, max_period=64),
         st.integers(1, 4),

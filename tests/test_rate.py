@@ -38,7 +38,7 @@ from rwre_ldp.rate import (
 )
 
 from .refusing_lapack import refusing
-from .strategies import environments
+from .strategies import environments, examples
 
 SYM_NN = homogeneous(JumpLaw(b=1, probs=((-1, 0.5), (1, 0.5))))
 BIASED_NN = homogeneous(JumpLaw(b=1, probs=((-1, 0.25), (1, 0.75))))
@@ -277,7 +277,7 @@ class TestXiCritical:
         assert xc.bracket[0] <= xc.value <= xc.bracket[1]
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(environments(max_b=2, max_period=4))
 def test_finite_exactly_on_drift_range_and_convex_property(env):
     lo, hi = level2.drift_range(env)
@@ -292,7 +292,7 @@ def test_finite_exactly_on_drift_range_and_convex_property(env):
     assert min(second) >= -1e-6
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=examples(10), deadline=None)
 @given(xi=st.floats(min_value=0.05, max_value=0.95))
 def test_duality_property_biased(xi):
     assert rate(BIASED_NN, xi).value == pytest.approx(
@@ -347,7 +347,7 @@ class TestBrent:
                 got = _brent(f, a, b, xtol, rtol, 300)
                 assert got == ref, (k, a, b, xtol, rtol, got, ref)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     @given(environments(max_b=2, max_period=4), st.floats(0.02, 0.98))
     def test_matches_brentq_on_the_drift_equation(self, env, frac):
         from scipy.optimize import brentq
@@ -484,7 +484,7 @@ class TestLockstepGrid:
 
     GRID = (-2.0, -1.5, -1.1, -0.6, -0.2, 0.0, 0.15, 0.4, 0.9, 1.3, 1.75, 2.0, 2.3)
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     @given(environments(max_b=2, max_period=4), st.randoms(use_true_random=False))
     def test_shuffled_grid_gives_the_same_floats_as_lone_points(self, env, rnd):
         lo, hi = drift_limits(env)

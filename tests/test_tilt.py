@@ -23,7 +23,7 @@ from rwre_ldp.tilt import (
     velocity,
 )
 
-from .strategies import environments, jump_laws
+from .strategies import environments, examples, jump_laws
 
 SYM_NN = homogeneous(JumpLaw(b=1, probs=((-1, 0.5), (1, 0.5))))
 PER2_NN = periodic(
@@ -38,8 +38,8 @@ DRIFT2 = homogeneous(JumpLaw(b=2, probs=((-2, 0.1), (-1, 0.2), (1, 0.3), (2, 0.4
 CASES = [(SYM_NN, -0.1), (PER2_NN, -0.2), (WIDE, -0.5), (DRIFT2, -0.8)]
 
 
-def slope(env, r, **kw):
-    return lyapunov_prime(env, r, stationary_speed(tilted_chain(env, r)), **kw)
+def slope(env, r):
+    return lyapunov_prime(env, r, stationary_speed(tilted_chain(env, r)))
 
 
 class TestKernel:
@@ -181,21 +181,20 @@ class TestChain:
     @pytest.mark.parametrize("env,r", CASES)
     def test_readers_share_its_numbers(self, env, r):
         chain = tilted_chain(env, r)
-        mu = ansatz_measure(chain)
         dens = invariant_density(chain)
-        assert mu.stat is chain.stat and dens.stat is chain.stat
-        assert mu.drift == dens.speed == stationary_speed(chain) == chain.drift
-        assert mu.lam == corrector(chain).lam == chain.lam
+        assert dens.stat is chain.stat
+        assert dens.speed == stationary_speed(chain) == chain.drift
+        assert corrector(chain).lam == chain.lam
         assert chain.lam == lyapunov(env, r).value
+        mu = ansatz_measure(chain)
         np.testing.assert_array_equal(mu.weights, chain.stat[:, None] * chain.probs)
 
 
 class TestSlope:
     @pytest.mark.parametrize("env,r", CASES)
     def test_two_routes_agree(self, env, r):
-        lp = slope(env, r, h_step=1e-5)
-        assert math.isfinite(lp.chain_value)
-        assert lp.gap <= 1e-5 * max(1.0, abs(lp.value))
+        lp = slope(env, r)
+        assert abs(lp.fd_value - lp.value) <= 1e-5 * max(1.0, abs(lp.value))
         assert lp.value >= 1.0 / env.b - 1e-9
 
     def test_slope_grows_toward_criticality(self):
@@ -262,28 +261,27 @@ class TestCorrector:
 class TestAnsatz:
     @pytest.mark.parametrize("env,r", CASES)
     def test_pair_measure_shape(self, env, r):
-        mu = ansatz_measure(tilted_chain(env, r))
+        chain = tilted_chain(env, r)
+        mu = ansatz_measure(chain)
         assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(mu.weights >= 0)
-        np.testing.assert_allclose(mu.weights.sum(axis=1), mu.stat, atol=1e-13)
-        assert -env.b < mu.drift < env.b
+        np.testing.assert_allclose(mu.weights.sum(axis=1), chain.stat, atol=1e-13)
+        assert -env.b < chain.drift < env.b
 
     def test_drift_decreases_with_tilt(self):
         # the tilted drift runs from B down toward the critical drift
-        assert (ansatz_measure(tilted_chain(WIDE, -2.0)).drift
-                > ansatz_measure(tilted_chain(WIDE, -0.5)).drift)
+        assert tilted_chain(WIDE, -2.0).drift > tilted_chain(WIDE, -0.5).drift
 
     def test_drift_matches_slope_reciprocal(self):
-        mu = ansatz_measure(tilted_chain(DRIFT2, -0.8))
         lp = slope(DRIFT2, -0.8)
-        assert mu.drift == pytest.approx(1.0 / lp.value, rel=1e-10)
+        assert tilted_chain(DRIFT2, -0.8).drift == pytest.approx(1.0 / lp.value, rel=1e-10)
 
     def test_lam_consistent(self):
-        mu = ansatz_measure(tilted_chain(WIDE, -0.5))
-        assert mu.lam == pytest.approx(lyapunov(WIDE, -0.5).value, abs=1e-12)
+        chain = tilted_chain(WIDE, -0.5)
+        assert chain.lam == pytest.approx(lyapunov(WIDE, -0.5).value, abs=1e-12)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 @given(jump_laws(max_b=2))
 def test_kernel_row_sums_property(law):
     env = homogeneous(law)
@@ -293,7 +291,7 @@ def test_kernel_row_sums_property(law):
     assert 0.0 < speed <= env.b
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(environments(max_b=3, max_period=64), st.floats(-2.0, -0.01))
 def test_stationary_invariance_property(env, r):
     # stat T - stat = stat * (row sum - 1) exactly, so each class may miss
@@ -305,7 +303,7 @@ def test_stationary_invariance_property(env, r):
     assert np.all(np.abs(chain.stat @ T - chain.stat) <= chain.stat * (defect + 1e-14))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 @given(environments(max_b=3, max_period=64))
 def test_velocity_is_the_perron_slope_at_zero(env):
     # Lambda'(0) two ways: the bare class chain's stationary drift, and the

@@ -59,9 +59,9 @@ def test_threshold_cache_can_be_rebuilt_around_the_tracer():
 
 def test_traced_run_sees_every_tilt_layer(tmp_path):
     # a fresh interpreter, since install rebinds the package's functions for
-    # good; one chain for the tilt report, and one for each of the four
-    # mc-verify checks that read one (velocity and passage at tilt zero,
-    # tilted drift and corrector path at r)
+    # good; one chain for the tilt report, and one for each of the two
+    # mc-verify checks that read one (tilted drift and corrector path at r;
+    # the velocity and passage checks read tilt.velocity)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, str(TRACING), str(ROOT / "configs"), str(tmp_path)],
@@ -70,6 +70,6 @@ def test_traced_run_sees_every_tilt_layer(tmp_path):
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["codes"] == [0, 0]
     metrics = out["metrics"]
-    assert metrics["tilt.tilt_kernel.calls"] == 5
+    assert metrics["tilt.tilt_kernel.calls"] == 3
     read = [k for k in metrics if k.startswith("tilt.")] + ["passage.lyapunov_prime.s"]
     assert [k for k in read if not metrics[k] > 0] == []
