@@ -510,7 +510,7 @@ def _task_symmetry_check(cfg: RunConfig, w: _Writer):
     env = cfg.env
     if not all(xi > 0 for xi in cfg.grid):
         raise ConfigError("grid", "symmetry-check needs strictly positive speeds")
-    gaps = symmetry_gaps(env, cfg.grid, rc_tol=cfg.rc_tol)
+    gaps = symmetry_gaps(env, cfg.grid)
     rows = [
         {
             "xi": g.xi,

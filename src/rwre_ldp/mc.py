@@ -281,13 +281,13 @@ def _z_result(name, observed, expected, se, gate, **extra) -> CheckResult:
     )
 
 
-def _right_velocity(env: Environment, check: str) -> float:
-    """The walk's velocity Lambda'(0) (`tilt.velocity`). The velocity and
-    passage checks run only on a walk that moves right; on any other walk a
-    ConfigError names `check`."""
+def _right_velocity(env: Environment) -> float:
+    """The walk's velocity Lambda'(0) (`tilt.velocity`), for passage-lln,
+    whose walkers must reach levels to the right; on a walk that does not
+    move right a ConfigError names the check."""
     v = velocity(env)
     if not v > 0:
-        raise ConfigError("mc.checks", f"{check} needs a walk that moves right; velocity {v!r}")
+        raise ConfigError("mc.checks", f"passage-lln needs a walk that moves right; velocity {v!r}")
     return v
 
 
@@ -299,9 +299,9 @@ def empirical_velocity_check(
     gate: float = GATE_SIGMAS,
     threads: int = 1,
 ) -> CheckResult:
-    """Mean endpoint velocity against Lambda'(0). Needs a right-transient
-    environment (`_right_velocity`)."""
-    v = _right_velocity(env, "empirical-velocity")
+    """Mean endpoint velocity against Lambda'(0) (`tilt.velocity`), in
+    either direction."""
+    v = velocity(env)
     sample = walk_ensemble(env, seed, n_steps, n_walkers, threads=threads)
     per_walker = sample.positions / n_steps
     se = float(np.std(per_walker, ddof=1) / math.sqrt(n_walkers))
@@ -322,7 +322,7 @@ def passage_lln_check(
     """Mean passage time per level against the slope of the growth curve at
     tilt zero, the reciprocal velocity 1/Lambda'(0). Needs a right-transient
     environment (`_right_velocity`)."""
-    slope = 1.0 / _right_velocity(env, "passage-lln")
+    slope = 1.0 / _right_velocity(env)
     max_steps = int(50 * level * slope)
     tau, censored = passage_ensemble(env, seed, level, n_walkers, max_steps, threads=threads)
     per_walker = tau / level
@@ -509,8 +509,8 @@ def run_standard_checks(
 ) -> McReport:
     """Run the named checks with distinct sub-seeds per check.
 
-    Velocity and passage checks require a right-transient environment; ask
-    only for the other checks on recurrent or left-transient input.
+    The passage check requires a walk that moves right; ask only for the
+    other checks on recurrent or left-transient input.
     """
     t0 = time.time()
     out: list[CheckResult] = []

@@ -17,7 +17,10 @@ Periodic and homogeneous environments go through a finite Perron core:
 h(x) = e^{s x} phi(x mod L) with phi the Perron vector of the class-cycle
 kernel K_s, so lambda(r), r_c and the rate function all follow from
 searches over log rho(K_s), all of which `lockstep` runs on stacked
-evaluations of the core. `_periodic_limits` gives the harmonic ratios at
+evaluations of the core. One of them, Brent's method on the drift equation
+Lambda'(s) = xi (`_slope_root_steps`), serves both the rate function,
+which runs it to its root, and r_c = -min Lambda = I(0), which runs it at
+xi = 0 until its bracket on min Lambda is narrow enough. `_periodic_limits` gives the harmonic ratios at
 a grid of tilts in closed form, by one of two routes: the zeta recursion
 for B = 1, tilt by tilt, and the Perron vector at the root of
 log rho(K_s) = -r for B >= 2, the roots of all the tilts running as the
@@ -35,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -647,48 +651,161 @@ def _perron_root(env: Environment, r: float):
     )
 
 
-def _perron_min(env: Environment, tol: float):
-    """`lockstep` search bracketing min Lambda within tol, by bisection on
-    the sign of Lambda'.
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
 
-    The minimiser stays inside [a, b] with Lambda'(a) < 0 < Lambda'(b). The
-    smallest value seen bounds min Lambda from above; the crossing of the
-    tangents at a and b bounds it from below, since a convex function lies
-    above its tangents. Returns ((-upper, -lower) for r_c, (a, b), their
-    slopes, evals); 0.0 - x keeps a zero threshold from printing as -0.
+
+def _brent_steps(a: float, b: float, xtol: float, rtol: float, maxiter: int,
+                 fa: float | None = None, fb: float | None = None):
+    """Brent's method for a root in [a, b] as a step generator: it yields
+    each x to evaluate, is sent f(x), and returns the root.
+
+    A line-for-line port of scipy's brentq.c, with the same floating-point
+    operations in the same order, so it returns the same float. fa and fb,
+    when given, are f(a) and f(b) already in hand. A NaN value, a bracket
+    without a sign change or an exhausted budget raises SlowConvergenceError
+    whose diagnostics carry the bracket and the iteration count.
     """
 
-    def tangent_floor(pa: PerronPoint, pb: PerronPoint) -> float:
-        if pa.slope >= 0.0:
-            return pa.value
-        if pb.slope <= 0.0:
-            return pb.value
-        x = (pb.value - pa.value + pa.slope * pa.s - pb.slope * pb.s) / (pa.slope - pb.slope)
-        return pa.value + pa.slope * (x - pa.s)
+    def fail(message: str, it: int, **extra) -> SlowConvergenceError:
+        return SlowConvergenceError(
+            message, diagnostics={"bracket": [a, b], "iterations": it, **extra}
+        )
 
-    p0 = yield 0.0
-    if p0.slope == 0.0:
-        return (0.0 - p0.value, 0.0 - p0.value), (0.0, 0.0), (p0.slope, p0.slope), 1
-    evals = 1
-    # Lambda(s) >= log(delta) + |s| and Lambda(0) = 0 put the minimiser
-    # between 0 and log(delta) on the side against the drift
-    edge = yield math.log(env.delta) if p0.slope > 0 else -math.log(env.delta)
-    evals += 1
-    pa, pb = (edge, p0) if p0.slope > 0 else (p0, edge)
-    best = min(pa.value, pb.value)
-    lower = tangent_floor(pa, pb)
-    while best - lower > tol and pb.s - pa.s > 4e-16 * max(1.0, abs(pa.s)):
-        pm = yield 0.5 * (pa.s + pb.s)
-        evals += 1
-        best = min(best, pm.value)
-        if pm.slope == 0.0:
-            pa = pb = pm
-        elif pm.slope < 0.0:
-            pa = pm
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre = (yield xpre) if fa is None else fa
+    fcur = (yield xcur) if fb is None else fb
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise fail("root finder met NaN at an end of its bracket", 0, f_bracket=[fpre, fcur])
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise fail("root finder bracket has no sign change", 0, f_bracket=[fpre, fcur])
+    for it in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
         else:
-            pb = pm
-        lower = min(best, tangent_floor(pa, pb))
-    return (0.0 - best, 0.0 - lower), (pa.s, pb.s), (pa.slope, pb.slope), evals
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = yield xcur
+        if math.isnan(fcur):
+            raise fail(f"root finder met NaN at x={xcur}", it, x=xcur)
+    raise fail(f"root finder did not converge in {maxiter} iterations", maxiter, x=xcur)
+
+
+class SlopeRoot(NamedTuple):
+    """What a drift-root search leaves: min_s [Lambda(s) - s xi], which is
+    -I(xi), lies in [crossing, least]."""
+
+    point: PerronPoint | None  # Brent's root; None when tol stopped the search first
+    least: float  # least Lambda(s) - s xi over the tilts evaluated
+    crossing: float  # min(least, crossing of the tangents at below and above)
+    below: PerronPoint  # the largest tilt evaluated with Lambda' <= xi
+    above: PerronPoint  # the smallest tilt evaluated with Lambda' >= xi
+    evaluations: int
+
+
+def _slope_root(seen: dict, xi: float, root: PerronPoint | None) -> SlopeRoot:
+    """The SlopeRoot of the points seen, once they hold both signs of
+    Lambda' - xi. The convex Lambda(s) - s xi lies above its tangents, so
+    its minimum is at least where the tangents at below and above cross."""
+    below = max((p for p in seen.values() if p.slope <= xi), key=lambda p: p.s)
+    above = min((p for p in seen.values() if p.slope >= xi), key=lambda p: p.s)
+    least = min(p.value - p.s * xi for p in seen.values())
+    ga, gb = below.value - below.s * xi, above.value - above.s * xi
+    da, db = below.slope - xi, above.slope - xi
+    if da < 0.0 < db:
+        x = (gb - ga + da * below.s - db * above.s) / (da - db)
+        floor = ga + da * (x - below.s)
+    else:  # a root among the points
+        floor = ga if da == 0.0 else gb
+    return SlopeRoot(root, least, min(least, floor), below, above, len(seen))
+
+
+def _slope_root_steps(xi: float, tol: float | None = None):
+    """`lockstep` search for the tilt s with Lambda'(s) = xi, for xi inside
+    the drift range. A walk outward from 0 brackets s, then Brent's method
+    finds it; an error raised inside the Brent phase is reported with xi.
+
+    Without tol, Brent runs to its end. With tol, the search stops once the
+    bracket [crossing, least] on min_s [Lambda(s) - s xi] (`_slope_root`)
+    is at most tol wide; at xi = 0 that is min Lambda = -r_c
+    (`estimate_rc`). Returns a SlopeRoot.
+    """
+    p0 = yield 0.0
+    f0 = p0.slope - xi
+    seen = {0.0: p0}  # every point sent, by tilt; Brent's root is one of them
+    if f0 == 0.0:
+        return _slope_root(seen, xi, p0)
+    # Lambda' increases; walk outward from 0 until the sign flips
+    a, b = 0.0, (1.0 if f0 < 0.0 else -1.0)
+    seen[b] = yield b
+    while (seen[b].slope - xi < 0.0) == (f0 < 0.0):
+        a, b = b, 2.0 * b
+        if abs(b) > 1e4:
+            raise SlowConvergenceError(
+                f"drift equation has no bracket within |s| <= 1e4 at xi={xi}",
+                diagnostics={"xi": xi},
+            )
+        seen[b] = yield b
+    a, b = min(a, b), max(a, b)
+    steps = _brent_steps(a, b, xtol=1e-13, rtol=8.9e-16, maxiter=300,
+                         fa=seen[a].slope - xi, fb=seen[b].slope - xi)
+    try:
+        s = next(steps)
+        while tol is None or (found := _slope_root(seen, xi, None)).least - found.crossing > tol:
+            seen[s] = yield s
+            s = steps.send(seen[s].slope - xi)
+        return found
+    except StopIteration as stop:
+        return _slope_root(seen, xi, seen[stop.value])
+    except SlowConvergenceError as e:
+        raise SlowConvergenceError(
+            f"drift equation at xi={xi}: {e}", diagnostics={"xi": xi, **e.diagnostics}
+        ) from e
 
 
 def _max_cycle_mean(env: Environment, sign: float) -> tuple[float, np.ndarray]:
@@ -1112,29 +1229,31 @@ def _bisect_rc(env: Environment, tol: float) -> tuple[tuple[float, float], int]:
 def estimate_rc(env: Environment, tol: float | None = None) -> RcEstimate:
     """Bracket the critical tilt r_c = -min_s Lambda(s).
 
-    Periodic and homogeneous environments minimise Lambda through the Perron
-    core (`lockstep`); the bracket has width <= tol. Sampled windows bisect
-    between 0 and -log(delta) on box divergence, whose bracket carries a
-    small upward bias from the finite box (widen the window to shrink it).
-    The same search runs on the reflected environment; the two midpoints
-    estimate the same threshold.
+    Periodic and homogeneous environments run the drift-root search at
+    xi = 0 (`_slope_root_steps`), stopped once its bracket on min Lambda is
+    at most tol wide; r_c = I(0) is then bracketed by (-least, -crossing),
+    and 0.0 - x keeps a zero threshold from printing as -0. Sampled windows
+    bisect between 0 and -log(delta) on box divergence, whose bracket
+    carries a small upward bias from the finite box (widen the window to
+    shrink it). The same search runs on the reflected environment; the two
+    midpoints estimate the same threshold.
     """
     if env.kind in ("homogeneous", "periodic"):
         if tol is None:
             tol = 1e-6
         bar = reflect(env)
-        found = _raise_first(lockstep([(env, _perron_min(env, tol)), (bar, _perron_min(bar, tol))]))
-        (bracket, argmin, slopes, e1), (bracket_bar, argmin_bar, slopes_bar, e2) = found
+        fwd, back = _raise_first(lockstep([(env, _slope_root_steps(0.0, tol)),
+                                           (bar, _slope_root_steps(0.0, tol))]))
         return RcEstimate(
-            bracket=bracket,
-            bracket_reflected=bracket_bar,
+            bracket=(0.0 - fwd.least, 0.0 - fwd.crossing),
+            bracket_reflected=(0.0 - back.least, 0.0 - back.crossing),
             tol=tol,
             predicate="perron",
-            evaluations=e1 + e2,
-            argmin=argmin,
-            argmin_slopes=slopes,
-            argmin_reflected=argmin_bar,
-            argmin_slopes_reflected=slopes_bar,
+            evaluations=fwd.evaluations + back.evaluations,
+            argmin=(fwd.below.s, fwd.above.s),
+            argmin_slopes=(fwd.below.slope, fwd.above.slope),
+            argmin_reflected=(back.below.s, back.above.s),
+            argmin_slopes_reflected=(back.below.slope, back.above.slope),
         )
     if tol is None:
         tol = 1e-3

@@ -6,17 +6,19 @@ site classes, and with Lambda(s) = log rho(K_s) the rate is
     I(xi) = sup_s [s xi - Lambda(s)] = s* xi - Lambda(s*),  Lambda'(s*) = xi.
 
 The tilt solving the drift equation is r* = -Lambda(s*), with growth rate
-lambda(r*) = -s*. Velocity zero costs exactly the criticality threshold
-r_c = -min Lambda. Speeds strictly inside the attainable drift range (the
-extreme cycle means of the class jump graph) are interior; its two ends take
-the limit of s xi - Lambda(s) as s runs off to infinity, and speeds outside
-it are impossible. Leftward velocities go through the reflected environment.
-The drift equation is solved by a port of Brent's bracketed root finder
-(Brent 1973, as in scipy's brentq), so the analytic tasks never load
-scipy.optimize. It is written as a step generator, so that each speed of a
-grid runs as a search of `passage.lockstep` (`rate_grid`). A classical
-one-step Legendre transform for homogeneous environments rides along as an
-independent cross-check.
+lambda(r*) = -s*. Speeds strictly inside the attainable drift range (the
+extreme cycle means of the class jump graph) are interior, zero among them:
+its drift root is the minimiser of Lambda, so it costs exactly the
+criticality threshold r_c = -min Lambda. The two ends of the range take the
+limit of s xi - Lambda(s) as s runs off to infinity, and speeds outside it
+are impossible. Leftward velocities go through the reflected environment.
+The drift equation is solved by `passage._slope_root_steps`, a port of
+Brent's bracketed root finder (Brent 1973, as in scipy's brentq), so the
+analytic tasks never load scipy.optimize; the same search, stopped at a
+tolerance, brackets r_c in `passage.estimate_rc`. It is a step generator, so
+that each speed of a grid runs as a search of `passage.lockstep`
+(`rate_grid`). A classical one-step Legendre transform for homogeneous
+environments rides along as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from functools import lru_cache
 import numpy as np
 
 from .environment import Environment, JumpLaw, reflect, require_periodic
-from .errors import RwreError, SlowConvergenceError
+from .errors import RwreError
 from .passage import (
     PerronPoint,
     RcEstimate,
     _lyapunov_samples,
     _raise_first,
+    _slope_root_steps,
     drift_limits,
     edge_rate,
     estimate_rc,
@@ -41,7 +44,7 @@ from .passage import (
     log_perron,
 )
 
-# threshold brackets are deterministic and shared across every velocity query
+# threshold brackets are deterministic, shared by rate_curve and xi_critical
 _rc_cached = lru_cache(maxsize=256)(estimate_rc)
 
 # speeds this close to an end of the drift range take the end's limit value
@@ -54,7 +57,7 @@ class RateResult:
 
     xi: float
     value: float
-    branch: str  # "interior" | "zero" | "edge" | "outside"
+    branch: str  # "interior" | "edge" | "outside"
     r_star: float  # tilt -Lambda(s*) whose tilted walk has drift xi
     lam_star: float  # growth rate -s* at that tilt
     slope: float  # dI/dxi = s* = -lam_star
@@ -62,134 +65,10 @@ class RateResult:
     mirrored: bool  # solved through the reflected environment
 
 
-def _signbit(x: float) -> bool:
-    return math.copysign(1.0, x) < 0.0
-
-
-def _brent_steps(a: float, b: float, xtol: float, rtol: float, maxiter: int,
-                 fa: float | None = None, fb: float | None = None):
-    """Brent's method for a root in [a, b] as a step generator: it yields
-    each x to evaluate, is sent f(x), and returns the root.
-
-    A line-for-line port of scipy's brentq.c, with the same floating-point
-    operations in the same order, so it returns the same float. fa and fb,
-    when given, are f(a) and f(b) already in hand. A NaN value, a bracket
-    without a sign change or an exhausted budget raises SlowConvergenceError
-    whose diagnostics carry the bracket and the iteration count.
-    """
-
-    def fail(message: str, it: int, **extra) -> SlowConvergenceError:
-        return SlowConvergenceError(
-            message, diagnostics={"bracket": [a, b], "iterations": it, **extra}
-        )
-
-    xpre, xcur = a, b
-    xblk = fblk = spre = scur = 0.0
-    fpre = (yield xpre) if fa is None else fa
-    fcur = (yield xcur) if fb is None else fb
-    if math.isnan(fpre) or math.isnan(fcur):
-        raise fail("root finder met NaN at an end of its bracket", 0, f_bracket=[fpre, fcur])
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if _signbit(fpre) == _signbit(fcur):
-        raise fail("root finder bracket has no sign change", 0, f_bracket=[fpre, fcur])
-    for it in range(1, maxiter + 1):
-        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
-            xblk = xpre
-            fblk = fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre = xcur
-            xcur = xblk
-            xblk = xpre
-            fpre = fcur
-            fcur = fblk
-            fblk = fpre
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre = scur
-                scur = stry
-            else:
-                # bisect
-                spre = sbis
-                scur = sbis
-        else:
-            # bisect
-            spre = sbis
-            scur = sbis
-
-        xpre = xcur
-        fpre = fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = yield xcur
-        if math.isnan(fcur):
-            raise fail(f"root finder met NaN at x={xcur}", it, x=xcur)
-    raise fail(f"root finder did not converge in {maxiter} iterations", maxiter, x=xcur)
-
-
-def _slope_root_steps(xi: float):
-    """The point at the tilt s with Lambda'(s) = xi, for xi inside the drift
-    range, as a `passage.lockstep` search. A walk outward from 0 brackets s,
-    then Brent's method finds it; an error raised inside the Brent phase is
-    reported with xi."""
-    p0 = yield 0.0
-    f0 = p0.slope - xi
-    if f0 == 0.0:
-        return p0
-    # Lambda' increases; walk outward from 0 until the sign flips
-    a, pa = 0.0, p0
-    b = 1.0 if f0 < 0.0 else -1.0
-    pb = yield b
-    while (pb.slope - xi < 0.0) == (f0 < 0.0):
-        a, pa = b, pb
-        b = 2.0 * b
-        if abs(b) > 1e4:
-            raise SlowConvergenceError(
-                f"drift equation has no bracket within |s| <= 1e4 at xi={xi}",
-                diagnostics={"xi": xi},
-            )
-        pb = yield b
-    seen = {a: pa, b: pb}  # Brent's root is one of the tilts it was sent
-    a, b = min(a, b), max(a, b)
-    steps = _brent_steps(a, b, xtol=1e-13, rtol=8.9e-16, maxiter=300,
-                         fa=seen[a].slope - xi, fb=seen[b].slope - xi)
-    try:
-        s = next(steps)
-        while True:
-            seen[s] = pt = yield s
-            s = steps.send(pt.slope - xi)
-    except StopIteration as stop:
-        return seen[stop.value]
-    except SlowConvergenceError as e:
-        raise SlowConvergenceError(
-            f"drift equation at xi={xi}: {e}", diagnostics={"xi": xi, **e.diagnostics}
-        ) from e
-
-
-def _limit_rate(env: Environment, xi: float, hi: float, rc_tol: float) -> RateResult | None:
+def _limit_rate(env: Environment, xi: float, hi: float) -> RateResult | None:
     """The rate at a speed xi >= 0 that needs no drift root: outside the
-    drift range, whose upper end is hi, at that end, or at zero. None for
-    interior speeds."""
+    drift range, whose upper end is hi, or at that end. None for interior
+    speeds."""
     if xi > hi + _EDGE_TOL:
         return RateResult(
             xi=xi, value=math.inf, branch="outside", r_star=math.nan, lam_star=math.nan,
@@ -201,17 +80,10 @@ def _limit_rate(env: Environment, xi: float, hi: float, rc_tol: float) -> RateRe
             xi=xi, value=edge_rate(env, 1.0), branch="edge", r_star=-math.inf,
             lam_star=-math.inf, slope=math.inf, xi_residual=0.0, mirrored=False,
         )
-    if xi < 1e-15:
-        rc = _rc_cached(env, tol=rc_tol)
-        return RateResult(
-            xi=xi, value=rc.value, branch="zero", r_star=rc.value, lam_star=math.nan,
-            slope=math.nan, xi_residual=0.0, mirrored=False,
-        )
     return None
 
 
-def _rate_grid(env: Environment, bar: Environment | None, xis: list[float],
-               rc_tol: float) -> list[RateResult]:
+def _rate_grid(env: Environment, bar: Environment | None, xis: list[float]) -> list[RateResult]:
     """`rate_grid` with the reflected environment bar given (or None, to
     build it when a leftward speed needs it)."""
     results: list = [None] * len(xis)
@@ -224,14 +96,14 @@ def _rate_grid(env: Environment, bar: Environment | None, xis: list[float],
         try:
             if id(side) not in tops:
                 tops[id(side)] = drift_limits(side)[1]
-            results[i] = _limit_rate(side, speed, tops[id(side)], rc_tol)
+            results[i] = _limit_rate(side, speed, tops[id(side)])
         except RwreError as e:
             results[i] = e
         if results[i] is None:
             jobs.append((side, _slope_root_steps(speed)))
             interior.append(i)
     for i, pt in zip(interior, lockstep(jobs)):
-        results[i] = pt if isinstance(pt, RwreError) else _interior(abs(xis[i]), pt)
+        results[i] = pt if isinstance(pt, RwreError) else _interior(abs(xis[i]), pt.point)
     for i, xi in enumerate(xis):
         if isinstance(results[i], RwreError):
             raise results[i]
@@ -245,7 +117,7 @@ def _interior(xi: float, pt: PerronPoint) -> RateResult:
         xi=xi,
         value=pt.s * xi - pt.value,
         branch="interior",
-        r_star=-pt.value,
+        r_star=0.0 - pt.value,  # a zero threshold prints as 0, not -0
         lam_star=-pt.s,
         slope=pt.s,
         xi_residual=abs(pt.slope - xi),
@@ -253,7 +125,7 @@ def _interior(xi: float, pt: PerronPoint) -> RateResult:
     )
 
 
-def rate_grid(env: Environment, xi_grid, rc_tol: float = 1e-8) -> list[RateResult]:
+def rate_grid(env: Environment, xi_grid) -> list[RateResult]:
     """Evaluate the rate function on a velocity grid, the interior points
     in lockstep.
 
@@ -266,18 +138,18 @@ def rate_grid(env: Environment, xi_grid, rc_tol: float = 1e-8) -> list[RateResul
     in grid order is raised, as a loop over the grid would.
     """
     require_periodic(env, "rate evaluation")
-    return _rate_grid(env, None, [float(xi) for xi in xi_grid], rc_tol)
+    return _rate_grid(env, None, [float(xi) for xi in xi_grid])
 
 
-def rate(env: Environment, xi: float, rc_tol: float = 1e-8) -> RateResult:
+def rate(env: Environment, xi: float) -> RateResult:
     """Evaluate the rate function at one velocity: `rate_grid` at one point.
 
     Interior velocities solve Lambda'(s*) = xi by bracketed root finding and
-    return s* xi - Lambda(s*), with the drift residual reported. Velocity
-    zero returns the midpoint of the threshold bracket, of width <= rc_tol.
-    Leftward velocities are solved on the reflected environment.
+    return s* xi - Lambda(s*), with the drift residual reported; at
+    velocity zero that is the threshold -min Lambda. Leftward velocities
+    are solved on the reflected environment.
     """
-    return rate_grid(env, (xi,), rc_tol=rc_tol)[0]
+    return rate_grid(env, (xi,))[0]
 
 
 @dataclass(frozen=True)
@@ -326,9 +198,9 @@ def rate_curve(env: Environment, xi_grid, rc_tol: float = 1e-8) -> RateCurve:
     part."""
     require_periodic(env, "rate evaluation")
     bar = reflect(env)
+    results = _rate_grid(env, bar, [float(xi) for xi in xi_grid])
     rc = _rc_cached(env, tol=rc_tol)
     rc_bar = rc.reflected()
-    results = _rate_grid(env, bar, [float(xi) for xi in xi_grid], rc_tol)
     fin = [(res.xi, res.value) for res in results if math.isfinite(res.value)]
     convex = True
     for (x0, v0), (x1, v1), (x2, v2) in zip(fin, fin[1:], fin[2:]):
@@ -389,14 +261,14 @@ class SymmetryGap:
     defect: float
 
 
-def symmetry_gaps(env: Environment, xis, rc_tol: float = 1e-8) -> list[SymmetryGap]:
+def symmetry_gaps(env: Environment, xis) -> list[SymmetryGap]:
     """I(|xi|) - I(-|xi|) against the predicted skew at every speed of xis,
     with all the rates solved as one rate grid."""
     require_periodic(env, "rate evaluation")
     speeds = [abs(float(xi)) for xi in xis]
     # right and left speed of each point in turn: the order a loop over the
     # points would meet them, and so the error it would raise first
-    rates = rate_grid(env, [v for xi in speeds for v in (xi, -xi)], rc_tol=rc_tol)
+    rates = rate_grid(env, [v for xi in speeds for v in (xi, -xi)])
     log_odds = float(
         np.mean([math.log(law.prob(-1) / law.prob(1)) for law in env.laws])
     )

@@ -256,7 +256,7 @@ def test_structural_invariants_across_corpus():
         assert rcurve.convex_ok, (name, "cost curve convexity")
         rc = estimate_rc(env, tol=1e-7)
         assert rc.reflect_gap <= 2e-7, (name, "left/right threshold agreement")
-        zero = rate(env, 0.0, rc_tol=1e-8)
+        zero = rate(env, 0.0)
         assert rc.bracket[0] - 1e-7 <= zero.value <= rc.bracket[1] + 1e-7, (
             name, "zero-speed cost inside threshold bracket")
         if env.kind == "homogeneous":

@@ -15,6 +15,7 @@ import pytest
 
 from rwre_ldp import mc, passage, rate, tilt
 from rwre_ldp.cli import main, parse_config
+from rwre_ldp.environment import env_from_json
 
 from .refusing_lapack import refusing
 
@@ -255,7 +256,7 @@ class TestRateCurve:
         by_xi = {float(r[0]): r for r in rows}
         assert float(by_xi[0.5][1]) == pytest.approx(0.130812, abs=1e-6)
         assert by_xi[0.5][3] == "interior"
-        assert by_xi[0.0][3] == "zero"
+        assert by_xi[0.0][3] == "interior"
         assert all(r[4] == "0" for r in rows)
 
     def test_summary_reports_both_directions(self, rate_run):
@@ -488,24 +489,27 @@ class TestMcVerify:
 
     def test_committed_config_matches_pinned_artifacts(self, tmp_path):
         # digests written by the kernels that drew for every walker at every
-        # step; skipping the draws of arrived walkers must not move a byte
+        # step; skipping the draws of arrived walkers must not move a byte.
+        # mc_report.jsonl was re-pinned when r_c came from the drift-root
+        # search: only its moment-envelope row moved (test_rc_pins)
         out = tmp_path / "per2"
         assert main(["run", str(CONFIG_DIR / "mc_verify_per2.json"), "--out", str(out)]) == 0
         digest = {name: sha256(out / name) for name in ("mc_report.jsonl", "mc_summary.json")}
         assert digest == {
-            "mc_report.jsonl": "83852f5331430ef8a4584a19d6b258e8ff9fa8a5080eb19c1a05e216a3c75049",
+            "mc_report.jsonl": "a19b4dcf50b4ad4412f6975e6e3f2e08a1c811821455e9a2c328631dc01b0a8b",
             "mc_summary.json": "9bd7de245cf532914e38ee39b9a1c657e225d99495692e32d798a9734f83e1fe",
         }
 
     def test_b2_run_matches_pinned_artifacts(self, tmp_path):
         # digests written when both velocity checks read the tilted chain at
-        # zero, and passage-lln its finite-difference slope cross-check
+        # zero, and passage-lln its finite-difference slope cross-check;
+        # mc_report.jsonl re-pinned as the per2 one above
         cfg = {"task": "mc-verify", "environment": B2_DRIFTED, "seed": 7, "mc": MC_TINY}
         code, out = run_cfg(tmp_path, cfg)
         assert code == 0
         digest = {name: sha256(out / name) for name in ("mc_report.jsonl", "mc_summary.json")}
         assert digest == {
-            "mc_report.jsonl": "4d29c5f27d4be7226348b08c453dec1523ea5266b48ddc2ce58a8f7545121ef8",
+            "mc_report.jsonl": "dc79ee647f4c248fdf7188f96920b0c67c7781ef0f372581df967a70f8c54901",
             "mc_summary.json": "d4fc7ee1714e33284336a032300bd25c59ac4f7eacfe54adc81d0c59fe77f267",
         }
 
@@ -536,17 +540,24 @@ class TestMcVerify:
     def test_velocity_checks_refuse_a_walk_that_does_not_move_right(
         self, tmp_path, capsys, env, checks
     ):
-        # at tilt zero the tilted chain is the walk conditioned to move
-        # right; its drift is the velocity only when the walk moves right
+        # passage-lln's walkers must reach levels to the right, so it refuses
+        # such a walk; empirical-velocity compares with tilt.velocity, which
+        # holds in either direction, and runs
         mc_block = {"n_steps": 2000, "n_walkers": 50}
         if checks is not None:
             mc_block["checks"] = checks
-        code, _ = run_cfg(tmp_path, {"task": "mc-verify", "environment": env, "seed": 1,
-                                     "mc": mc_block})
-        assert code == 2
+        code, out = run_cfg(tmp_path, {"task": "mc-verify", "environment": env, "seed": 1,
+                                       "mc": mc_block})
         err = capsys.readouterr().err
-        named = "passage-lln" if checks == ["passage-lln"] else "empirical-velocity"
-        assert "config key 'mc.checks'" in err and named in err
+        if checks is None or "passage-lln" in checks:
+            assert code == 2
+            assert "config key 'mc.checks'" in err and "passage-lln" in err
+            return
+        assert code == 0
+        rows = [json.loads(line) for line in (out / "mc_report.jsonl").read_text().splitlines()[1:]]
+        velocity_row = next(r for r in rows if r["name"] == "empirical-velocity")
+        assert velocity_row["passed"]
+        assert velocity_row["expected"] == tilt.velocity(env_from_json(env)) <= 0.0
 
     def test_statistical_failures_warn_by_default(self, tmp_path, capsys):
         cfg = {"task": "mc-verify", "environment": PER2, "seed": 42,
@@ -627,11 +638,14 @@ class TestSymmetryCheck:
 
 # digests of every artifact of the committed configs whose runs read the
 # harmonic ratios and Lyapunov grids, written while a periodic `u_limit`
-# and `lyapunov_grid` reached the ratios by two separate paths
+# and `lyapunov_grid` reached the ratios by two separate paths;
+# lambda_curve.json (its r_c block) and rate_curve.csv (the branch of its
+# zero-speed row) were re-pinned when r_c came from the drift-root search
+# (test_rc_pins)
 COMMITTED_DIGESTS = {
     "lambda_curve_per2.json": {
         "lambda_curve.csv": "c09548118ff8731d4f9f5ceb908e60c4ce808b61f7c87f9bac756c436cbf2a0e",
-        "lambda_curve.json": "f3f900392ca29d163b7d53e562c2125f5a404aaa6267cd6ab4dd272bbf9b2229",
+        "lambda_curve.json": "1e27706f2feca65abac58dceaeda5fb96893cf27a1a4389cca5ea43034d88676",
     },
     "counterexample_sevenths.json": {
         "counterexample.csv": "8296e4e02992ad537a6b5f70c7cb1cc042ec46e9cda5c405e4b23df88b134242",
@@ -639,7 +653,7 @@ COMMITTED_DIGESTS = {
         "counterexample.txt": "bfc263654a09a75c78c3d9a471666128f46e8e9eeb7bc145cc7c79a10e6abb06",
     },
     "rate_curve_sym.json": {
-        "rate_curve.csv": "a8f1733206169de54d8419e8efcb0016ec937fdb2c59410443bf2ec66edfb8c9",
+        "rate_curve.csv": "6e875b32d419da99168f22778f5f39aabd4ee107bb6f88ee672d11435295e109",
         "rate_curve.json": "1983be5e3057df54f99705f84a4f921dd49693141fa321048fdfa90ede4ec6a8",
     },
 }

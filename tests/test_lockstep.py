@@ -1,12 +1,14 @@
 """Searches over Lambda driven by `passage.lockstep` against the serial
 loops they replaced.
 
-`serial_perron_root` and `serial_perron_min` below are those loops, kept
-verbatim as oracles: one `log_perron` call per tilt; `serial_lyapunov` is
-`lyapunov` as it was before Lyapunov grids ran in lockstep. A driven
-search must ask for the same tilts in the same order and reach the same
-result to the last bit, or fail with the same error, whatever other jobs
-share its rounds.
+`serial_perron_root` below is such a loop, kept verbatim as an oracle: one
+`log_perron` call per tilt; `serial_lyapunov` is `lyapunov` as it was
+before Lyapunov grids ran in lockstep. A driven search must ask for the
+same tilts in the same order and reach the same result to the last bit, or
+fail with the same error, whatever other jobs share its rounds; the r_c
+search (the drift-root search at xi = 0) is held to its own serial drive.
+`serial_perron_min`, the bisection on the sign of Lambda' that bracketed
+r_c before, stays as the r_c search's independent oracle.
 """
 
 import dataclasses
@@ -29,6 +31,7 @@ from rwre_ldp.passage import (
     PerronPoint,
     _class_mean_start,
     _lyapunov_samples,
+    _slope_root_steps,
     estimate_rc,
     lockstep,
     log_perron,
@@ -36,7 +39,7 @@ from rwre_ldp.passage import (
     lyapunov_grid,
     u_limit,
 )
-from rwre_ldp.rate import _slope_root_steps, asymmetry_demo
+from rwre_ldp.rate import asymmetry_demo, rate
 
 from .refusing_lapack import refusing
 from .strategies import environments, examples
@@ -110,6 +113,27 @@ def serial_perron_min(env, tol: float):
     return (0.0 - best, 0.0 - lower), (pa.s, pb.s), evals
 
 
+def rc_search(env, tol: float):
+    """The r_c search: the drift-root search at xi = 0, stopped at tol."""
+    return _slope_root_steps(0.0, tol)
+
+
+def serial_rc_search(env, tol: float):
+    """`rc_search` driven serially, one `log_perron` call per tilt."""
+    search = rc_search(env, tol)
+    try:
+        s = next(search)
+        while True:
+            try:
+                pt = log_perron(env, s)
+            except RwreError as e:
+                s = search.throw(e)
+            else:
+                s = search.send(pt)
+    except StopIteration as stop:
+        return stop.value
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -171,21 +195,15 @@ def test_driven_searches_match_the_serial_oracles(env, r, tol):
     cases = [  # (environment, search, its serial oracle, the oracle's argument)
         (env, passage._perron_root, serial_perron_root, r),
         (bar, passage._perron_root, serial_perron_root, r),
-        (env, passage._perron_min, serial_perron_min, tol),
-        (bar, passage._perron_min, serial_perron_min, tol),
+        (env, rc_search, serial_rc_search, tol),
+        (bar, rc_search, serial_rc_search, tol),
     ]
     solo = []
     for e, search, oracle, arg in cases:
         want, want_asked = serial(oracle, e, arg)
         got, got_asked = driven(e, search(e, arg))
         assert hexes(got_asked) == hexes(want_asked)
-        if oracle is serial_perron_min and not isinstance(got, RwreError):
-            bracket, argmin, slopes, evals = got
-            assert key((bracket, argmin, evals)) == key(want)
-            # the slopes xi_critical used to evaluate again at the argmin ends
-            assert key(slopes) == key(tuple(log_perron(e, s).slope for s in argmin))
-        else:
-            assert key(got) == key(want)
+        assert key(got) == key(want)
         solo.append(got)
     # all four in one lockstep: every job reaches its solo result
     together = lockstep([(e, search(e, arg)) for e, search, _, arg in cases])
@@ -198,14 +216,42 @@ def test_driven_searches_match_the_serial_oracles(env, r, tol):
         assert key(exc.value) == key(failed[0])
         return
     rc = estimate_rc(env, tol=tol)
-    (bracket, argmin, slopes, e1), (bracket_bar, _, _, e2) = solo[2:]
-    assert key(rc.bracket) == key(bracket) and key(rc.bracket_reflected) == key(bracket_bar)
-    assert key(rc.argmin) == key(argmin) and key(rc.argmin_slopes) == key(slopes)
-    assert rc.evaluations == e1 + e2
+    fwd, back = solo[2:]
+    assert key(rc.bracket) == key((0.0 - fwd.least, 0.0 - fwd.crossing))
+    assert key(rc.bracket_reflected) == key((0.0 - back.least, 0.0 - back.crossing))
+    assert key(rc.argmin) == key((fwd.below.s, fwd.above.s))
+    assert key(rc.argmin_slopes) == key((fwd.below.slope, fwd.above.slope))
+    assert rc.evaluations == fwd.evaluations + back.evaluations
     # the reflected environment's estimate is this one, read the other way
     assert key(dataclasses.astuple(rc.reflected())) == key(
         dataclasses.astuple(estimate_rc(bar, tol=tol))
     )
+
+
+@settings(max_examples=examples(30), deadline=None)
+@given(environments(max_b=3, max_period=64), st.sampled_from([1e-4, 1e-8, 1e-12]))
+def test_rc_search_against_the_bisection(env, tol):
+    # Lambda(s) is known only to rounding, so two brackets on min Lambda,
+    # each within rounding of it, may miss each other by a few 1e-17
+    # (five fair laws: r_c = 0, brackets 3e-17 apart); 1e-14 is the slack
+    # of the zero-speed rate below
+    slack = 1e-14
+    rc = estimate_rc(env, tol=tol)
+    for (lo, hi), e in zip((rc.bracket, rc.bracket_reflected), (env, reflect(env))):
+        bracket, _, _ = serial_perron_min(e, tol)
+        assert hi - lo <= tol
+        assert lo <= bracket[1] + slack and bracket[0] <= hi + slack
+    # I(0) is r_c: the zero-speed rate lies in the bracket, up to rounding
+    lo, hi = rc.bracket
+    assert lo - slack <= rate(env, 0.0).value <= hi + slack
+
+
+def test_rc_search_halves_the_bisection_evaluations():
+    env, bar = B2_NO_MINUS2, reflect(B2_NO_MINUS2)
+    bisection = sum(serial_perron_min(e, 1e-5)[2] for e in (env, bar))
+    assert bisection == 22
+    assert 2 * estimate_rc(env, tol=1e-5).evaluations <= bisection
+
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +419,8 @@ def test_asymmetry_demo_raises_as_the_loop_over_tilts_would(r_env, r_bar, first)
 def test_a_refused_tilt_fails_only_its_own_job():
     env, bar = B2_NO_MINUS2, reflect(B2_NO_MINUS2)
     makers = [
-        (env, lambda: passage._perron_min(env, 1e-10)),
-        (bar, lambda: passage._perron_min(bar, 1e-10)),
+        (env, lambda: rc_search(env, 1e-10)),
+        (bar, lambda: rc_search(bar, 1e-10)),
         (env, lambda: passage._perron_root(env, -0.4)),
         (bar, lambda: passage._perron_root(bar, -0.4)),
         (env, lambda: _slope_root_steps(0.2)),

@@ -25,6 +25,7 @@ from rwre_ldp.environment import (
     homogeneous,
     offsets,
     periodic,
+    sample_iid,
 )
 from rwre_ldp.errors import SlowConvergenceError
 from rwre_ldp.passage import PerronPoint, log_perron, perron_stack
@@ -299,3 +300,29 @@ class TestRefusedMatrices:
             got = perron_stack(env, ss)
             for s, pt in zip(ss, got):
                 assert_matches_oracle(env, s, pt)
+
+
+def _periodized_window(width: int):
+    """A sampled two-atom iid window of `width` sites around the origin as
+    one period: class c takes the law of the window's site x = c mod width."""
+    lo = -(width // 2)
+    window = sample_iid([(0.5, JumpLaw(b=1, probs=((-1, 0.3), (1, 0.7)))),
+                         (0.5, JumpLaw(b=1, probs=((-1, 0.6), (1, 0.4))))],
+                        lo, lo + width - 1, seed=7)
+    return periodic([window.laws[(c - lo) % width] for c in range(width)])
+
+
+def test_long_period_points_are_certified_or_refused():
+    # at L = 601 the Perron vector spans about 13 decades near the
+    # minimiser, past what the dense bordered solve resolves: with
+    # reference LAPACK s = -0.14 is refused and s = -0.16 comes back with a
+    # Collatz-Wielandt width of 1e-4. Whatever the LAPACK, no point may come
+    # back with a vector that is not positive or a bracket missing its value
+    ss = [-0.16, -0.14]
+    for s, pt in zip(ss, perron_stack(_periodized_window(601), ss)):
+        if isinstance(pt, SlowConvergenceError):
+            assert pt.diagnostics["s"] == s and f"s={s}" in str(pt)
+        else:
+            assert isinstance(pt, PerronPoint) and pt.s == s
+            assert (pt.right > 0.0).all()
+            assert pt.bracket[0] <= pt.value <= pt.bracket[1]

@@ -26,9 +26,8 @@ from rwre_ldp.environment import (
     sample_iid,
 )
 from rwre_ldp.errors import SlowConvergenceError
-from rwre_ldp.passage import drift_limits, estimate_rc, log_perron
+from rwre_ldp.passage import _brent_steps, drift_limits, estimate_rc, log_perron
 from rwre_ldp.rate import (
-    _brent_steps,
     asymmetry_demo,
     cramer_oracle,
     rate,
@@ -103,7 +102,7 @@ class TestRateValues:
 
     def test_zero_speed_costs_the_threshold(self):
         res = rate(BIASED_NN, 0.0)
-        assert res.branch == "zero"
+        assert res.branch == "interior"
         assert res.value == pytest.approx(BIASED_RC, abs=5e-8)
 
     def test_lln_speed_costs_nothing(self):
@@ -353,7 +352,7 @@ class TestBrent:
         from scipy.optimize import brentq
 
         compared = []
-        real_steps = rate_module._brent_steps
+        real_steps = passage._brent_steps
         side = []  # the environment and speed rate() solves on
 
         def checked(a, b, xtol, rtol, maxiter, fa=None, fb=None):
@@ -368,7 +367,7 @@ class TestBrent:
             return got
 
         lo, hi = drift_limits(env)
-        with mock.patch.object(rate_module, "_brent_steps", checked):
+        with mock.patch.object(passage, "_brent_steps", checked):
             for xi in (lo + (hi - lo) * frac, 0.5 * (lo + hi), hi * frac, lo * frac):
                 if abs(xi) > 1e-12:
                     side.append((env, xi) if xi > 0 else (reflect(env), -xi))
@@ -501,7 +500,7 @@ class TestLockstepGrid:
         results = rate_module.rate_grid(B2_NO_MINUS2, self.GRID)
         for xi, res in zip(self.GRID, results):
             assert _result_bits(res) == _result_bits(rate(B2_NO_MINUS2, xi))
-        assert {res.branch for res in results} == {"outside", "edge", "zero", "interior"}
+        assert {res.branch for res in results} == {"outside", "edge", "interior"}
 
     def test_first_failing_point_in_grid_order_raises_its_own_error(self):
         # make the eigen-solve fail at the last tilt Brent visits for two
