@@ -198,6 +198,8 @@ def rate_curve(env: Environment, xi_grid, rc_tol: float = 1e-8) -> RateCurve:
     part."""
     require_periodic(env, "rate evaluation")
     bar = reflect(env)
+    # the grid before the r_c search, which runs the same drift-root search:
+    # a fault both meet is reported at the grid point that met it
     results = _rate_grid(env, bar, [float(xi) for xi in xi_grid])
     rc = _rc_cached(env, tol=rc_tol)
     rc_bar = rc.reflected()
