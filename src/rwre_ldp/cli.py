@@ -240,6 +240,8 @@ def _jsonable(obj):
         f = float(obj)
         return f if math.isfinite(f) else str(f)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()  # already plain floats, in nested lists
         return [_jsonable(v) for v in obj.tolist()]
     return obj
 

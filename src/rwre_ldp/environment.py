@@ -10,13 +10,18 @@ Uniform ellipticity is declared, not inferred: an environment carries a
 constant delta > 0 and is expected to satisfy prob(+-1) >= delta at every
 site. `validate` reports violations instead of aborting so that broken
 inputs can be diagnosed.
+
+Every computation reads one (class, jump) table off the environment it is
+given: `Environment.probs`, and for a class cycle its layout, `targets`
+and the scatter index of `class_cycle`. Each object builds its own table
+once, on first use; the module keeps no memo of environments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,34 +53,13 @@ def require_periodic(env: Environment, what: str) -> None:
         raise ValueError(f"{what} requires a homogeneous or periodic environment")
 
 
-@lru_cache(maxsize=256)
-def class_probs(env: Environment) -> np.ndarray:
-    """p_i(z) as an (L, 2B) array aligned with offsets(B); read-only."""
-    probs = np.stack([law.as_array() for law in env.laws])
-    probs.flags.writeable = False
-    return probs
-
-
-@lru_cache(maxsize=64)
-def class_targets(L: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """The class-cycle layout of (L, 2B) rows: dst[i, j] = (i + z_j) mod L,
-    and the offset-major flat index i*L + dst[i, j] into the L x L cycle
-    that `class_cycle` scatters through. Both read-only."""
-    dst = (np.arange(L)[:, None] + offsets(b)) % L
-    flat = (np.arange(L)[:, None] * L + dst).T.ravel()
-    for arr in (dst, flat):
-        arr.flags.writeable = False
-    return dst, flat
-
-
-def class_cycle(rows: np.ndarray) -> np.ndarray:
-    """Scatter per-(class, offset) values onto the class cycle: the L x L
+def class_cycle(env: Environment, rows: np.ndarray) -> np.ndarray:
+    """Scatter per-(class, offset) values onto env's class cycle: the L x L
     matrix M[i, (i+z_j) mod L] = sum_j rows[i, j], added in ascending
     offset order (bincount adds its weights in input order, from 0.0).
     A stack of rows, shape (n, L, 2B), gives the stack of n cycles, each
     added in the same order."""
-    L, width = rows.shape[-2:]
-    flat = class_targets(L, width // 2)[1]
+    L, flat = env.period, env.cycle_index
     n = rows.size // flat.size
     if n > 1:
         flat = (flat + (L * L) * np.arange(n)[:, None]).ravel()
@@ -195,21 +179,39 @@ class Environment:
         elif self.window is not None:
             raise ValueError("only iid environments carry a window")
 
-    def __hash__(self) -> int:
-        # memo lookups hash the environment on every call, and hashing the
-        # fields walks all L laws; they are frozen, so hash them once
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.kind, self.b, self.delta, self.laws, self.window, self.seed))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def __getstate__(self) -> dict:
-        # hash(None) and str hashes differ between processes, so the cached
-        # hash is left out of a pickle and recomputed after loading
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+        # only the fields travel: an array comes back from a pickle
+        # writeable, so the tables below are rebuilt, read-only, on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    # The (class, jump) table and the cycle layout, built once per object:
+    # cached_property writes to the instance __dict__, past the frozen
+    # __setattr__, and equality and hash still see the fields only.
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """p(z) per entry of `laws` (per class, or per window site) as a
+        (len(laws), 2B) array aligned with offsets(B); read-only."""
+        probs = np.stack([law.as_array() for law in self.laws])
+        probs.flags.writeable = False
+        return probs
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """Class after each jump: dst[i, j] = (i + z_j) mod L; read-only."""
+        require_periodic(self, "the class-cycle layout")
+        L = self.period
+        dst = (np.arange(L)[:, None] + offsets(self.b)) % L
+        dst.flags.writeable = False
+        return dst
+
+    @cached_property
+    def cycle_index(self) -> np.ndarray:
+        """The offset-major flat index i*L + dst[i, j] into the L x L cycle
+        that `class_cycle` scatters through; read-only."""
+        L = self.period
+        flat = (np.arange(L)[:, None] * L + self.targets).T.ravel()
+        flat.flags.writeable = False
+        return flat
 
     @property
     def period(self) -> int | None:

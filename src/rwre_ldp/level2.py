@@ -22,8 +22,6 @@ import numpy as np
 
 from .environment import (
     Environment,
-    class_probs,
-    class_targets,
     offset_index,
     offsets,
     require_periodic,
@@ -64,8 +62,7 @@ class PairMeasure:
         """Class marginal after the jump: mass arriving at each class,
         added in ascending source class."""
         L, w = self.env.period, self.weights
-        dst = class_targets(L, self.env.b)[0]
-        return np.bincount(dst.ravel(), weights=w.ravel(), minlength=L)
+        return np.bincount(self.env.targets.ravel(), weights=w.ravel(), minlength=L)
 
     def drift(self) -> float:
         offs = offsets(self.env.b).astype(float)
@@ -83,11 +80,10 @@ def entropy(mu: PairMeasure) -> float:
 
     Returns +inf when mass sits on jumps the environment never makes.
     """
-    P = class_probs(mu.env)
     total = 0.0
     # on Python floats, in row-major order: math on numpy scalars would cost
     # more than the terms themselves
-    for w_i, m1_i, p_i in zip(mu.weights.tolist(), mu.m1().tolist(), P.tolist()):
+    for w_i, m1_i, p_i in zip(mu.weights.tolist(), mu.m1().tolist(), mu.env.probs.tolist()):
         for wij, pij in zip(w_i, p_i):
             if wij <= 0.0:
                 continue
@@ -101,11 +97,10 @@ def entropy(mu: PairMeasure) -> float:
 def entropy_gradient(mu: PairMeasure) -> np.ndarray:
     """Elementwise log(w / (m1 pi)); the m1-dependence cancels in the
     gradient because the per-class weights sum inside their own marginal."""
-    P = class_probs(mu.env)
     w = mu.weights
     m1 = mu.m1()
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.log(w / (m1[:, None] * P))
+        g = np.log(w / (m1[:, None] * mu.env.probs))
     g = np.where(np.isfinite(g), g, 0.0)
     return g
 
@@ -149,7 +144,7 @@ def drift_range(env: Environment) -> tuple[float, float]:
     from scipy.optimize import linprog
 
     require_periodic(env, "a pair measure")
-    mask = class_probs(env) > 0
+    mask = env.probs > 0
     A, rhs, idx = _constraints(env, 0.0, mask)
     # drop the drift row; keep mass + stationarity
     A_eq, b_eq = A[:-1], rhs[:-1]
@@ -195,7 +190,7 @@ def minimize_entropy(
     with the attainable range (Karp's extreme cycle means) in the error.
     """
     require_periodic(env, "a pair measure")
-    mask = class_probs(env) > 0
+    mask = env.probs > 0
     lo, hi = drift_limits(env)
     margin = 1e-12
     if not (lo - margin <= xi <= hi + margin):
@@ -234,7 +229,6 @@ def minimize_entropy(
         return x, float(np.abs(A @ x - rhs).max()) <= reach
 
     L = env.period
-    P = class_probs(env)
     rows, cols = idx.T  # the supported coordinates, in the order of v
 
     def unflatten(v: np.ndarray) -> np.ndarray:
@@ -252,7 +246,7 @@ def minimize_entropy(
         v = w0.weights[rows, cols]
     else:
         # untilted product measure, then made feasible
-        v = P[rows, cols] / L
+        v = env.probs[rows, cols] / L
     v = proj(v)[0]
     f = fval(v)
     g = gval(v)

@@ -26,8 +26,6 @@ import numpy as np
 from . import rng
 from .environment import (
     Environment,
-    class_probs,
-    class_targets,
     env_to_json,
     offsets,
     require_periodic,
@@ -65,7 +63,7 @@ class _Sampler:
 
 def _sampler(env: Environment, chain: TiltedChain | None) -> _Sampler:
     """Sampler for the bare environment, or for the tilted chain's rows."""
-    rows = class_probs(env) if chain is None else chain.probs
+    rows = env.probs if chain is None else chain.probs
     cum = np.cumsum(rows, axis=1)
     L, width = cum.shape
     offs = offsets(env.b)
@@ -73,7 +71,7 @@ def _sampler(env: Environment, chain: TiltedChain | None) -> _Sampler:
         width=width,
         thresholds=tuple(np.ascontiguousarray(cum[:, k]) for k in range(width - 1)),
         jump=np.tile(offs, L),
-        next_cls=class_targets(L, env.b)[0].ravel(),
+        next_cls=env.targets.ravel(),
     )
 
 

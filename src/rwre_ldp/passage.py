@@ -46,8 +46,6 @@ from numpy.linalg import _umath_linalg
 from .environment import (
     Environment,
     class_cycle,
-    class_probs,
-    class_targets,
     offset_index,
     offsets,
     reflect,
@@ -77,19 +75,17 @@ def contraction_rate(env: Environment, r: float) -> float:
 
 def _log_rows(env: Environment, x_lo: int, x_hi: int, r: float) -> np.ndarray:
     """log(prob) + r per site x in [x_lo, x_hi) and offset, -inf off support."""
-    b = env.b
-    out = np.full((x_hi - x_lo, 2 * b), NEG_INF)
     if env.kind == "iid":
         lo, hi = env.window
         if x_lo < lo or x_hi - 1 > hi:
             raise WindowExhaustedError(
                 f"need laws on [{x_lo}, {x_hi - 1}] but window is [{lo}, {hi}]; widen the window"
             )
-    for x in range(x_lo, x_hi):
-        arr = env.laws[env.site_class(x)].as_array()
-        with np.errstate(divide="ignore"):
-            out[x - x_lo] = np.where(arr > 0, np.log(np.maximum(arr, 1e-300)) + r, NEG_INF)
-    return out
+        arr = env.probs[x_lo - lo : x_hi - lo]
+    else:
+        arr = env.probs[np.arange(x_lo, x_hi) % len(env.laws)]
+    with np.errstate(divide="ignore"):
+        return np.where(arr > 0, np.log(np.maximum(arr, 1e-300)) + r, NEG_INF)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,13 +248,6 @@ def brute_mgf(env: Environment, r: float, level: int, max_len: int) -> BruteMgf:
         raise ValueError("brute-force oracle needs r < 0")
     b = env.b
     lo = -b * max_len - 1
-    probs = {}
-
-    def row(x: int) -> np.ndarray:
-        if x not in probs:
-            probs[x] = env.laws[env.site_class(x)].as_array()
-        return probs[x]
-
     offs = offsets(b)
     size = level - lo
     mass = np.zeros(size)
@@ -270,7 +259,7 @@ def brute_mgf(env: Environment, r: float, level: int, max_len: int) -> BruteMgf:
         nz = np.nonzero(mass)[0]
         for i in nz:
             x = i + lo
-            pr = row(x)
+            pr = env.probs[env.site_class(x)]
             for j, z in enumerate(offs):
                 if pr[j] == 0.0:
                     continue
@@ -324,8 +313,7 @@ def zeta_nn(env: Environment, r: float) -> ZetaSolve:
     require_periodic(env, "the zeta recursion")
     e = math.exp(r)
     L = env.period
-    p = np.array([law.prob(1) for law in env.laws])
-    q = np.array([law.prob(-1) for law in env.laws])
+    q, p = env.probs.T
     zeta = np.zeros(L)
     upper = 1.0 if r <= 0 else 1.0 / (env.delta * e)
     cycles = 0
@@ -453,13 +441,13 @@ def _perron_chunk(env: Environment, ss: list[float]) -> list:
     only its own tilt, with the wrapper's message.
     """
     offs = offsets(env.b).astype(float)
-    probs = class_probs(env)
+    probs = env.probs
     n, L = len(ss), len(probs)
     shifts = [abs(s) * env.b for s in ss]
     out: list = [None] * n
     with np.errstate(all="ignore"):  # refusals are read off the NaN they leave
         rows = probs * np.exp(np.multiply.outer(ss, offs) - np.array(shifts)[:, None])[:, None]
-        K = class_cycle(rows)  # entries in [0, 1], or NaN where a shift is not finite
+        K = class_cycle(env, rows)  # entries in [0, 1], or NaN where a shift is not finite
         if L == 1:  # homogeneous: K_s is the scalar sum_z p(z) e^{s z - shift}
             tops = K.ravel().tolist()
         else:
@@ -490,7 +478,7 @@ def _perron_chunk(env: Environment, ss: list[float]) -> list:
             K, rows = K[live], rows[live]
         roots = [tops[m].real for m in live]
         phi, left = _perron_vectors(K, np.array(roots))  # phi sums to 1 up to rounding
-        terms = rows * phi[:, class_targets(L, env.b)[0]]  # K_s phi and K'_s phi, term by term
+        terms = rows * phi[:, env.targets]  # K_s phi and K'_s phi, term by term
         quot = np.add.reduce(terms, axis=2) / phi  # Collatz-Wielandt quotients
         per_point = zip(
             live, roots, np.minimum.reduce(phi, axis=1).tolist(),
@@ -593,27 +581,38 @@ def lockstep(jobs) -> list:
     return out
 
 
-def _class_mean_start(env: Environment, r: float, safe: float) -> float:
-    """Starting tilt for _perron_root: the larger root of
+def _class_mean_starts(env: Environment, rs: list[float]) -> list[float]:
+    """Starting tilts for _perron_root, one per r of rs: the larger root of
     mean_i log g_i(s) = -r, with g_i(s) = sum_z p_i(z) e^{s z} the row sums
-    of K_s, by a few Newton steps from `safe`. The class-averaged cumulant
-    is convex and close to Lambda, and costs no eigen-solve."""
+    of K_s, by a few Newton steps from _perron_root's safe tilt, all the
+    tilts in one pass per step; a tilt whose slope turns nonpositive keeps
+    its safe tilt. The class-averaged cumulant is convex and close to
+    Lambda, and costs no eigen-solve."""
     offs = offsets(env.b).astype(float)
-    probs = class_probs(env)
-    L = len(probs)
-    s = safe
+    L = len(env.probs)
+    safe = [1.0 - math.log(env.delta) - r for r in rs]
+    s = list(safe)
+    live = list(range(len(rs)))
     for _ in range(8):
-        terms = probs * np.exp(s * offs)
-        g = terms.sum(axis=1)
-        slope = float(((terms @ offs) / g).sum()) / L
-        if slope <= 0.0:
-            return safe
-        s -= (float(np.log(g).sum()) / L + r) / slope
+        terms = env.probs * np.exp(np.multiply.outer([s[m] for m in live], offs))[:, None]
+        g = terms.sum(axis=2)
+        slopes = ((terms @ offs) / g).sum(axis=1).tolist()
+        logs = np.log(g).sum(axis=1).tolist()
+        still = []
+        for m, slope, log_g in zip(live, slopes, logs):
+            slope /= L
+            if slope <= 0.0:
+                s[m] = safe[m]
+            else:
+                s[m] -= (log_g / L + rs[m]) / slope
+                still.append(m)
+        live = still
     return s
 
 
-def _perron_root(env: Environment, r: float):
-    """`lockstep` search for the point at the larger root of Lambda(s) = -r.
+def _perron_root(env: Environment, r: float, s: float):
+    """`lockstep` search for the point at the larger root of Lambda(s) = -r,
+    from the start s of `_class_mean_starts`.
 
     From any start where Lambda' > 0 the first Newton step lands right of
     the root, and on a convex function Newton's iterates then decrease
@@ -623,7 +622,6 @@ def _perron_root(env: Environment, r: float):
     the minimiser because Lambda(s) >= log(delta) + |s|.
     """
     safe = 1.0 - math.log(env.delta) - r
-    s = _class_mean_start(env, r, safe)
     pt = yield s
     if pt.slope <= 0.0 and s < safe:
         s = safe
@@ -815,14 +813,13 @@ def _max_cycle_mean(env: Environment, sign: float) -> tuple[float, np.ndarray]:
     is <= 0 on every edge and 0 on the edges of maximal-mean cycles."""
     L = env.period
     offs = offsets(env.b)
-    probs = class_probs(env)
     idx = np.arange(L)
     D = np.full((L + 1, L), NEG_INF)  # D[k, j]: heaviest k-step walk 0 -> j
     D[0, 0] = 0.0
     for k in range(1, L + 1):
         for j, z in enumerate(offs):
             src = (idx - int(z)) % L
-            cand = np.where(probs[src, j] > 0, D[k - 1, src] + sign * z, NEG_INF)
+            cand = np.where(env.probs[src, j] > 0, D[k - 1, src] + sign * z, NEG_INF)
             np.maximum(D[k], cand, out=D[k])
     ends = np.isfinite(D[L])
     ratios = (D[L, ends] - D[:L, ends]) / (L - np.arange(L))[:, None]
@@ -845,13 +842,11 @@ def edge_rate(env: Environment, sign: float) -> float:
     -log rho of the jump matrix restricted to edges on maximal-mean cycles.
     With every class holding the jump sign*B this is -log rho(P_{sign B})."""
     mean, u = _max_cycle_mean(env, sign)
-    L = env.period
     offs = offsets(env.b)
-    probs = class_probs(env)
-    dst = class_targets(L, env.b)[0]
-    tight = (probs > 0) & (sign * offs - mean + u[:, None] - u[dst] > -1e-9)
+    probs = env.probs
+    tight = (probs > 0) & (sign * offs - mean + u[:, None] - u[env.targets] > -1e-9)
     try:
-        rho = float(np.max(np.abs(np.linalg.eigvals(class_cycle(np.where(tight, probs, 0.0))))))
+        rho = float(np.max(np.abs(np.linalg.eigvals(class_cycle(env, np.where(tight, probs, 0.0))))))
     except np.linalg.LinAlgError as e:
         raise SlowConvergenceError(
             "eigen-solve of the edge matrix failed",
@@ -935,8 +930,8 @@ def _periodic_limits(env: Environment, rs) -> list:
     if env.b == 1:
         found = [_caught(zeta_nn, env, r) for r in rs]
     else:
-        found = lockstep([(env, _perron_root(env, r)) for r in rs])
-    probs = class_probs(env)
+        found = lockstep([(env, _perron_root(env, r, s))
+                          for r, s in zip(rs, _class_mean_starts(env, rs))])
     up = offset_index(env.b, 1)
     out: list = []
     for r, sol in zip(rs, found):
@@ -949,10 +944,9 @@ def _periodic_limits(env: Environment, rs) -> list:
             cycles, diagnostics = sol.cycles, {"r": r}
         else:
             log_phi = np.log(sol.right)
-            dst = class_targets(env.period, env.b)[0]
-            log_u = sol.s * offsets(env.b) + log_phi[dst] - log_phi[:, None]
+            log_u = sol.s * offsets(env.b) + log_phi[env.targets] - log_phi[:, None]
             cycles, diagnostics = 0, {"r": r, "s": sol.s}
-        res = float(np.max(np.abs((probs * np.exp(r + log_u)).sum(axis=1) - 1.0)))
+        res = float(np.max(np.abs((env.probs * np.exp(r + log_u)).sum(axis=1) - 1.0)))
         worst = float(np.max(np.abs(log_u[:, up])))
         bound = -(math.log(env.delta) + r)
         if not res <= _RATIO_RESIDUAL_TOL:

@@ -31,7 +31,6 @@ import numpy as np
 
 from .environment import (
     Environment,
-    class_probs,
     offset_index,
     offsets,
     require_periodic,
@@ -60,7 +59,7 @@ class TiltedChain:
 
 def _kernel_rows(env: Environment, r: float, log_u: np.ndarray) -> np.ndarray:
     """k(i, z) = p_i(z) e^{r + log u(i, z)} on the support, 0 off it."""
-    p = class_probs(env)
+    p = env.probs
     on = p > 0
     probs = np.zeros(p.shape)
     probs[on] = p[on] * np.fromiter((math.exp(x) for x in r + log_u[on]), float)
@@ -187,7 +186,7 @@ tilt_kernel = tilted_chain
 def velocity(env: Environment) -> float:
     """Lambda'(0), the untilted walk's velocity: the mean jump under the
     stationary law of the bare class chain, by the same GTH reduction."""
-    rows = class_probs(env)
+    rows = env.probs
     return float(_stationary(rows, 0.0) @ (rows @ offsets(env.b).astype(float)))
 
 

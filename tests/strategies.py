@@ -8,7 +8,7 @@ import os
 
 from hypothesis import strategies as st
 
-from rwre_ldp.environment import Environment, JumpLaw, periodic
+from rwre_ldp.environment import Environment, JumpLaw, periodic, sample_iid
 
 # HYPOTHESIS_PROFILE=ci (tests/conftest.py) runs every property test on four
 # times the examples it runs by default
@@ -44,6 +44,16 @@ def environments(draw, max_b: int = 2, max_period: int = 4) -> Environment:
     if L == 1 and draw(st.booleans()):
         return Environment(kind="homogeneous", b=b, delta=_max_delta(laws), laws=tuple(laws))
     return periodic(laws)
+
+
+@st.composite
+def windows(draw, max_b: int = 2, max_atoms: int = 3) -> Environment:
+    """A sampled window of a few to a few dozen sites around the origin."""
+    b = draw(st.integers(1, max_b))
+    atoms = [(draw(st.integers(1, 5)), draw(jump_laws(b=b)))
+             for _ in range(draw(st.integers(1, max_atoms)))]
+    lo, hi = draw(st.integers(-20, -1)), draw(st.integers(1, 20))
+    return sample_iid(atoms, lo, hi, seed=draw(st.integers(0, 2**32 - 1)))
 
 
 def _max_delta(laws) -> float:

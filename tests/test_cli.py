@@ -741,3 +741,22 @@ def test_cli_runs_without_scipy(tmp_path):
     assert rep["cramer"] == pytest.approx(0.13081203594113697, abs=1e-12)
     assert rep["occupation_gap"] < 1e-6
     assert rep["loaded"] == {"scipy.optimize": True, "scipy.linalg": True}
+
+
+@pytest.mark.parametrize("arr", [
+    np.linspace(-1.0, 1.0, 7) / 3.0,
+    np.arange(12.0).reshape(3, 4) * 0.1,
+    np.array([0.5, np.nan, -np.inf, np.inf]),
+    np.array([[1.5, np.nan], [2.5, 3.5]]),
+    np.array([0.1, 0.2], dtype=np.float32),
+    np.array([1, -2, 3]),
+    np.array([True, False]),
+    np.zeros((0, 2)),
+], ids=["1d", "2d", "nonfinite", "nonfinite-2d", "float32", "int", "bool", "empty"])
+def test_jsonable_array_writes_what_the_element_walk_writes(arr):
+    # an all-finite float array goes out through one tolist(); the text is
+    # the walk over its entries, which keeps non-finite floats as strings
+    from rwre_ldp.cli import _jsonable
+
+    walked = [_jsonable(v) for v in arr.tolist()]
+    assert json.dumps(_jsonable({"a": arr})) == json.dumps({"a": walked})

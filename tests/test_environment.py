@@ -3,15 +3,13 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwre_ldp.environment import (
     Environment,
     JumpLaw,
     class_cycle,
-    class_probs,
-    class_targets,
     env_from_json,
     env_to_json,
     homogeneous,
@@ -26,7 +24,7 @@ from rwre_ldp.environment import (
 )
 from rwre_ldp.errors import ConfigError, WindowExhaustedError
 
-from .strategies import environments, jump_laws
+from .strategies import environments, examples, jump_laws, windows
 
 
 def test_offsets_order():
@@ -50,7 +48,7 @@ class TestClassLayout:
     ])
 
     def test_class_probs_rows_are_the_laws(self):
-        probs = class_probs(self.ENV)
+        probs = self.ENV.probs
         assert probs.shape == (3, 4)
         assert not probs.flags.writeable
         for i, law in enumerate(self.ENV.laws):
@@ -64,13 +62,16 @@ class TestClassLayout:
             for j, z in enumerate(offsets(2)):
                 want[i, (i + int(z)) % L] += rows[i, j]
         # same additions in the same order, so equal to the last bit
-        np.testing.assert_array_equal(class_cycle(rows), want)
+        env = periodic([self.ENV.laws[0]] * L)
+        np.testing.assert_array_equal(class_cycle(env, rows), want)
 
     @pytest.mark.parametrize("L,b", [(1, 1), (2, 3), (5, 2)])
     def test_layout_is_cached_and_read_only(self, L, b):
+        # offsets per jump bound; the cycle layout per environment object
         assert offsets(b) is offsets(b)
-        dst, flat = class_targets(L, b)
-        assert class_targets(L, b)[0] is dst
+        env = periodic([JumpLaw(b=b, probs=((-1, 0.5), (1, 0.5)))] * L)
+        dst, flat = env.targets, env.cycle_index
+        assert env.targets is dst and env.cycle_index is flat
         for arr in (offsets(b), dst, flat):
             assert not arr.flags.writeable
         for i in range(L):
@@ -83,6 +84,34 @@ class TestClassLayout:
         window = sample_iid([(1.0, self.ENV.laws[0])], -5, 5, seed=3)
         with pytest.raises(ValueError, match="this check requires"):
             require_periodic(window, "this check")
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(st.one_of(environments(max_b=3, max_period=8), windows(max_b=3)))
+def test_environment_owns_its_table(env):
+    fresh = Environment(kind=env.kind, b=env.b, delta=env.delta, laws=env.laws,
+                        window=env.window, seed=env.seed)
+    h = hash(fresh)
+    probs = env.probs
+    assert probs.shape == (len(env.laws), 2 * env.b) and not probs.flags.writeable
+    for row, law in zip(probs, env.laws):
+        np.testing.assert_array_equal(row, law.as_array())
+    assert env.probs is probs  # built once per object
+    if env.kind == "iid":
+        with pytest.raises(ValueError, match="requires a homogeneous or periodic"):
+            env.targets
+    else:
+        L = env.period
+        want = [[(i + int(z)) % L for z in offsets(env.b)] for i in range(L)]
+        assert env.targets.tolist() == want and not env.targets.flags.writeable
+        assert not env.cycle_index.flags.writeable
+    # the table takes no part in equality or hash
+    assert fresh == env and hash(fresh) == hash(env) == h
+    back = pickle.loads(pickle.dumps(env))
+    assert back == env and hash(back) == h
+    assert not {"probs", "targets", "cycle_index"} & set(vars(back))
+    np.testing.assert_array_equal(back.probs, probs)
+    assert not back.probs.flags.writeable
 
 
 class TestJumpLaw:
@@ -222,13 +251,18 @@ class TestHash:
         assert other != a
         assert Environment(kind=a.kind, b=a.b, delta=a.delta, laws=a.laws) == a
 
-    def test_cached_hash_is_not_pickled(self):
+    def test_cached_table_is_not_pickled(self):
         env = self.build()
         h = hash(env)
+        env.probs, env.targets, env.cycle_index  # build the tables
         back = pickle.loads(pickle.dumps(env))
-        # the hash of None and of strings changes between processes
-        assert "_hash" not in vars(back)
+        # an array comes back from a pickle writeable: the tables stay
+        # behind and are rebuilt, read-only, on first use
+        assert not {"probs", "targets", "cycle_index"} & set(vars(back))
         assert back == env and hash(back) == h
+        for name in ("probs", "targets", "cycle_index"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(env, name))
+            assert not getattr(back, name).flags.writeable
 
 
 class TestValidate:

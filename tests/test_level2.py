@@ -69,7 +69,7 @@ class TestPairMeasure:
         if b > 1:
             w[:, 0] = 0.0  # no mass on offset -b
         mu = PairMeasure(env=env, weights=w / w.sum())
-        want = class_cycle(mu.weights).sum(axis=0)
+        want = class_cycle(env, mu.weights).sum(axis=0)
         if L >= 2 * b + 1:
             np.testing.assert_array_equal(mu.m2(), want)
         else:

@@ -24,12 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwre_ldp import passage
-from rwre_ldp.environment import JumpLaw, periodic, reflect
+from rwre_ldp.environment import JumpLaw, offsets, periodic, reflect
 from rwre_ldp.errors import RwreError, SlowConvergenceError, SupercriticalError
 from rwre_ldp.passage import (
     LambdaSample,
     PerronPoint,
-    _class_mean_start,
     _lyapunov_samples,
     _slope_root_steps,
     estimate_rc,
@@ -49,9 +48,32 @@ from .test_perron_stack import B2_NO_MINUS2, _cycle, bits
 # the oracles: the serial searches, as they were before `lockstep`
 
 
+def class_mean_start(env, r: float, safe: float) -> float:
+    """`passage._class_mean_starts` at one tilt, as the scalar loop it was:
+    the reference its stacked pass must match to the last bit."""
+    offs = offsets(env.b).astype(float)
+    probs = env.probs
+    L = len(probs)
+    s = safe
+    for _ in range(8):
+        terms = probs * np.exp(s * offs)
+        g = terms.sum(axis=1)
+        slope = float(((terms @ offs) / g).sum()) / L
+        if slope <= 0.0:
+            return safe
+        s -= (float(np.log(g).sum()) / L + r) / slope
+    return s
+
+
+def perron_root(env, r: float):
+    """`passage._perron_root` from its class-mean start, as
+    `_periodic_limits` runs it."""
+    return passage._perron_root(env, r, passage._class_mean_starts(env, [r])[0])
+
+
 def serial_perron_root(env, r: float) -> PerronPoint:
     safe = 1.0 - math.log(env.delta) - r
-    s = _class_mean_start(env, r, safe)
+    s = class_mean_start(env, r, safe)
     pt = log_perron(env, s)
     if pt.slope <= 0.0 and s < safe:
         s = safe
@@ -193,8 +215,8 @@ def hexes(ss):
 def test_driven_searches_match_the_serial_oracles(env, r, tol):
     bar = reflect(env)
     cases = [  # (environment, search, its serial oracle, the oracle's argument)
-        (env, passage._perron_root, serial_perron_root, r),
-        (bar, passage._perron_root, serial_perron_root, r),
+        (env, perron_root, serial_perron_root, r),
+        (bar, perron_root, serial_perron_root, r),
         (env, rc_search, serial_rc_search, tol),
         (bar, rc_search, serial_rc_search, tol),
     ]
@@ -309,6 +331,16 @@ def limit_key(x):
     return x.log_u.tobytes(), x.residual.hex(), x.n_used
 
 
+@settings(max_examples=examples(100), deadline=None)
+@given(environments(max_b=3, max_period=64), st.lists(st.floats(-3.0, 1.0), max_size=8))
+def test_class_mean_starts_match_the_scalar_loop(env, rs):
+    # a tilt beyond r_c <= -log(delta) ends on its safe tilt
+    rs = rs + [0.5 - math.log(env.delta)]
+    for e in (env, reflect(env)):
+        want = [class_mean_start(e, r, 1.0 - math.log(e.delta) - r) for r in rs]
+        assert hexes(passage._class_mean_starts(e, rs)) == hexes(want)
+
+
 def assert_limits_are_u_limit(env, rs, tol):
     """Entry m of `_periodic_limits(env, rs)` is `u_limit(env, rs[m])`, or
     the error it raises."""
@@ -322,17 +354,20 @@ def assert_limits_are_u_limit(env, rs, tol):
 
 def test_package_keeps_no_memo():
     # a memo is allowed only where its contents cannot depend on what ran
-    # before: the class layout tables, keyed on values, and the r_c cache
-    # the benchmark's tracer rebuilds around its wrapper
+    # before: the offsets per jump bound, and the r_c cache the benchmark's
+    # tracer rebuilds around its wrapper; an environment's table is its own
     import rwre_ldp
     from rwre_ldp import environment, rate
 
-    allowed = {id(environment.offsets), id(environment.class_probs),
-               id(environment.class_targets), id(rate._rc_cached)}
+    allowed = {id(environment.offsets), id(rate._rc_cached)}
     found = []
     for info in pkgutil.iter_modules(rwre_ldp.__path__):
         module = importlib.import_module(f"rwre_ldp.{info.name}")
-        found += [f"{info.name}.{name}" for name, x in vars(module).items()
+        names = dict(vars(module))
+        for cls_name, cls in vars(module).items():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                names.update((f"{cls_name}.{k}", v) for k, v in vars(cls).items())
+        found += [f"{info.name}.{name}" for name, x in names.items()
                   if hasattr(x, "cache_info") and id(x) not in allowed]
     assert not found
 
@@ -378,7 +413,7 @@ def test_unit_jump_grid_is_the_loop():
 def _refused_newton_tilt(env, r):
     """The third tilt the Newton root of Lambda(s) = -r asks for on env, and
     a predicate refusing the eigen-solve of its K_s."""
-    bad_s = driven(env, passage._perron_root(env, r))[1][2]
+    bad_s = driven(env, perron_root(env, r))[1][2]
     bad = _cycle(env, bad_s)
     return bad_s, lambda K: np.array_equal(K, bad)
 
@@ -421,8 +456,8 @@ def test_a_refused_tilt_fails_only_its_own_job():
     makers = [
         (env, lambda: rc_search(env, 1e-10)),
         (bar, lambda: rc_search(bar, 1e-10)),
-        (env, lambda: passage._perron_root(env, -0.4)),
-        (bar, lambda: passage._perron_root(bar, -0.4)),
+        (env, lambda: perron_root(env, -0.4)),
+        (bar, lambda: perron_root(bar, -0.4)),
         (env, lambda: _slope_root_steps(0.2)),
         (bar, lambda: _slope_root_steps(0.3)),
     ]

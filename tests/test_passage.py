@@ -20,7 +20,6 @@ from rwre_ldp.environment import (
     Environment,
     JumpLaw,
     class_cycle,
-    class_probs,
     homogeneous,
     offsets,
     periodic,
@@ -301,8 +300,8 @@ class TestHarmonicRatios:
     def test_perturbed_perron_root_raises(self, monkeypatch):
         root = passage._perron_root
 
-        def perturbed(env, r):
-            pt = yield from root(env, r)
+        def perturbed(env, r, start):
+            pt = yield from root(env, r, start)
             return dataclasses.replace(pt, s=pt.s + 1e-6)
 
         monkeypatch.setattr(passage, "_perron_root", perturbed)
@@ -517,10 +516,10 @@ def dgeev_oracle(env: Environment, s: float) -> tuple[float, float]:
     from scipy.linalg.lapack import dgeev  # the oracle only: the library is numpy-only
 
     offs = offsets(env.b)
-    probs = class_probs(env)
+    probs = env.probs
     shift = abs(s) * env.b
     w = np.exp(s * offs - shift)
-    K = class_cycle(probs * w)
+    K = class_cycle(env, probs * w)
     wr, wi, vl, vr, info = dgeev(K)
     assert info == 0
     k = int(np.argmax(np.where(wi == 0.0, wr, -np.inf)))
@@ -532,7 +531,7 @@ def dgeev_oracle(env: Environment, s: float) -> tuple[float, float]:
     # takes it off.
     shifted = K - rho * (1.0 + 2.0**-46) * np.eye(len(K))
     r_vec, l_vec = np.linalg.solve(shifted, r_vec), np.linalg.solve(shifted.T, l_vec)
-    slope = float(l_vec @ class_cycle(probs * (w * offs)) @ r_vec) / (rho * float(l_vec @ r_vec))
+    slope = float(l_vec @ class_cycle(env, probs * (w * offs)) @ r_vec) / (rho * float(l_vec @ r_vec))
     return math.log(rho) + shift, slope
 
 
@@ -556,7 +555,7 @@ class TestPerronOracle:
     def test_bracket_is_the_collatz_wielandt_span_of_the_vector(self):
         s = 0.7
         pt = log_perron(B2_NO_MINUS2, s)
-        K = class_cycle(class_probs(B2_NO_MINUS2) * np.exp(s * offsets(2)))
+        K = class_cycle(B2_NO_MINUS2, B2_NO_MINUS2.probs * np.exp(s * offsets(2)))
         quot = (K @ pt.right) / pt.right
         assert pt.bracket == pytest.approx((math.log(quot.min()), math.log(quot.max())), abs=1e-14)
 

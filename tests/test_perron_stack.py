@@ -20,8 +20,6 @@ from numpy.linalg import _umath_linalg
 from rwre_ldp import passage
 from rwre_ldp.environment import (
     JumpLaw,
-    class_probs,
-    class_targets,
     homogeneous,
     offsets,
     periodic,
@@ -58,9 +56,9 @@ SKEWED = periodic(
 _BORDER_SLACK = 8.0
 
 
-def _single_class_cycle(rows):
-    L, width = rows.shape
-    flat = class_targets(L, width // 2)[1]
+def _single_class_cycle(env, rows):
+    L = len(rows)
+    flat = env.cycle_index
     return np.bincount(flat, weights=rows.T.ravel(), minlength=L * L).reshape(L, L)
 
 
@@ -95,11 +93,11 @@ def _single_perron_vectors(K, rho, s):
 
 def single_tilt_log_perron(env, s):
     offs = offsets(env.b)
-    probs = class_probs(env)
+    probs = env.probs
     L = len(probs)
     shift = abs(s) * env.b
     rows = probs * np.exp(s * offs - shift)
-    K = _single_class_cycle(rows)
+    K = _single_class_cycle(env, rows)
     if L == 1:
         top = K[0, 0]
     else:
@@ -122,7 +120,7 @@ def single_tilt_log_perron(env, s):
             f"Perron vector of K_s not positive at s={s}",
             diagnostics={"s": s, "min": float(phi.min())},
         )
-    terms = rows * phi[class_targets(L, env.b)[0]]
+    terms = rows * phi[env.targets]
     quot = terms.sum(axis=1) / phi
     value = math.log(rho) + shift
     return PerronPoint(
@@ -209,7 +207,7 @@ class TestAgainstTheSingleTiltOracle:
 def _cycle(env, s):
     """K_s as the core builds it, to recognise one tilt's matrix in a stack."""
     offs = offsets(env.b)
-    return _single_class_cycle(class_probs(env) * np.exp(s * offs - abs(s) * env.b))
+    return _single_class_cycle(env, env.probs * np.exp(s * offs - abs(s) * env.b))
 
 
 def assert_refused(pt, s, what, linalg):

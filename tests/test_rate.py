@@ -18,7 +18,6 @@ from rwre_ldp import rate as rate_module
 from rwre_ldp.environment import (
     JumpLaw,
     class_cycle,
-    class_probs,
     homogeneous,
     offsets,
     periodic,
@@ -511,8 +510,8 @@ class TestLockstepGrid:
         bad = []
         for i, on in failing.items():
             s = abs(rate(B2_NO_MINUS2, grid[i]).slope)
-            probs = class_probs(on)
-            bad.append(class_cycle(probs * np.exp(s * offsets(2) - 2 * abs(s))))
+            probs = on.probs
+            bad.append(class_cycle(on, probs * np.exp(s * offsets(2) - 2 * abs(s))))
 
         def first_error(xis):
             with pytest.raises(SlowConvergenceError) as exc:

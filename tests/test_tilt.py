@@ -60,7 +60,7 @@ class TestKernel:
 
     def test_transition_matrix_stochastic(self):
         kern = tilt_kernel(PER2_NN, -0.2)
-        T = class_cycle(kern.probs)
+        T = class_cycle(kern.env, kern.probs)
         assert T.shape == (2, 2)
         assert np.max(np.abs(T.sum(axis=1) - 1.0)) < 1e-12
 
@@ -84,7 +84,7 @@ class TestStationary:
         stat = chain.stat
         assert stat.sum() == pytest.approx(1.0, abs=1e-14)
         assert np.all(stat >= 0)
-        T = class_cycle(chain.probs)
+        T = class_cycle(chain.env, chain.probs)
         assert np.max(np.abs(stat @ T - stat)) < 1e-13
 
     def test_symmetric_nn_speed_closed_form(self):
@@ -298,7 +298,7 @@ def test_stationary_invariance_property(env, r):
     # by its row's own defect; rounding in the reduction and in stat T
     # stays under 1e-14 relative
     chain = tilted_chain(env, r)
-    T = class_cycle(chain.probs)
+    T = class_cycle(chain.env, chain.probs)
     defect = np.abs(T.sum(axis=1) - 1.0)
     assert np.all(np.abs(chain.stat @ T - chain.stat) <= chain.stat * (defect + 1e-14))
 
@@ -327,9 +327,17 @@ def _banded_row_sets():
         yield _banded_rows(rng, int(rng.integers(1, 80)), int(rng.integers(1, 4)))
 
 
+def _cycle_of(probs: np.ndarray) -> np.ndarray:
+    """class_cycle of bare (L, 2B) rows, on a placeholder environment of
+    their shape (the layout depends on L and B only)."""
+    L, width = probs.shape
+    env = periodic([JumpLaw(b=width // 2, probs=((-1, 0.5), (1, 0.5)))] * L)
+    return class_cycle(env, probs)
+
+
 def _gth_long_double(probs: np.ndarray) -> np.ndarray:
     """Dense GTH state reduction in long double: the accuracy oracle."""
-    A = class_cycle(probs).astype(np.longdouble)
+    A = _cycle_of(probs).astype(np.longdouble)
     L = A.shape[0]
     for n in range(L - 1, 0, -1):
         A[:n, n] /= A[n, :n].sum()
@@ -345,7 +353,7 @@ def _dense_bordered(probs: np.ndarray) -> np.ndarray:
     """The dense bordered solve the reduction replaced: (I - T^T) pi = 0
     with one balance equation swapped for the normalisation."""
     L = probs.shape[0]
-    A = np.eye(L) - class_cycle(probs).T
+    A = np.eye(L) - _cycle_of(probs).T
     A[-1, :] = 1.0
     rhs = np.zeros(L)
     rhs[-1] = 1.0
