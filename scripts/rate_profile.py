@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +31,7 @@ def main() -> int:
     ap.add_argument("--points", type=int, default=11)
     args = ap.parse_args()
 
-    raw = json.loads(open(args.config).read())
+    raw = json.loads(Path(args.config).read_text())
     env_blob = raw.get("environment", raw)
     env = env_from_json(env_blob)
     hi = args.max if args.max is not None else 0.95 * env.b

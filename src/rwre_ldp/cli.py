@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +92,6 @@ class RunConfig:
     mc_params: McParams
     out_dir: str
     config_sha: str
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def _numbers(values, where: str) -> tuple[float, ...]:
@@ -207,7 +206,6 @@ def parse_config(raw: dict, config_sha: str) -> RunConfig:
         mc_params=_parse_mc(raw.get("mc"), "mc"),
         out_dir=str(raw.get("out_dir", "out")),
         config_sha=config_sha,
-        raw=raw,
     )
 
 
@@ -338,7 +336,7 @@ def _task_rate_curve(cfg: RunConfig, w: _Writer):
             hard.append(f"drift equation residual {res.xi_residual:g} at xi={res.xi:g}")
         rows.append([res.xi, res.value, res.r_star, res.branch, err])
     w.csv("rate_curve.csv", ["xi", "I", "r_star", "branch", "err_flag"], rows)
-    rc, rc_bar = curve.rc, curve.rc_reflected
+    rc = curve.rc  # the reflection's Lambda is Lambda(-s), with the same threshold
     w.json(
         "rate_curve.json",
         {
@@ -346,7 +344,7 @@ def _task_rate_curve(cfg: RunConfig, w: _Writer):
             "min_value": curve.min_value,
             "argmin": curve.argmin,
             "rc": {"bracket": list(rc.bracket), "value": rc.value},
-            "rc_reflected": {"bracket": list(rc_bar.bracket), "value": rc_bar.value},
+            "rc_reflected": {"bracket": list(rc.bracket_reflected), "value": rc.value},
             "xi_critical": curve.xi_critical.value,
             "xi_critical_reflected": curve.xi_critical_reflected.value,
         },

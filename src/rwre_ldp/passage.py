@@ -20,7 +20,10 @@ searches over log rho(K_s), all of which `lockstep` runs on stacked
 evaluations of the core. One of them, Brent's method on the drift equation
 Lambda'(s) = xi (`_slope_root_steps`), serves both the rate function,
 which runs it to its root, and r_c = -min Lambda = I(0), which runs it at
-xi = 0 until its bracket on min Lambda is narrow enough. `_periodic_limits` gives the harmonic ratios at
+xi = 0 until its bracket on min Lambda is narrow enough. The reflected
+environment has Lambda(-s) for its Lambda, so neither search runs on it: a
+leftward speed is a root at a negative tilt, and the reflection's r_c is
+the same. `_periodic_limits` gives the harmonic ratios at
 a grid of tilts in closed form, by one of two routes: the zeta recursion
 for B = 1, tilt by tilt, and the Perron vector at the root of
 log rho(K_s) = -r for B >= 2, the roots of all the tilts running as the
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -585,27 +588,30 @@ def _class_mean_starts(env: Environment, rs: list[float]) -> list[float]:
     """Starting tilts for _perron_root, one per r of rs: the larger root of
     mean_i log g_i(s) = -r, with g_i(s) = sum_z p_i(z) e^{s z} the row sums
     of K_s, by a few Newton steps from _perron_root's safe tilt, all the
-    tilts in one pass per step; a tilt whose slope turns nonpositive keeps
-    its safe tilt. The class-averaged cumulant is convex and close to
-    Lambda, and costs no eigen-solve."""
+    tilts in one pass per step; a tilt whose slope turns nonpositive, or
+    whose step is not finite (e^{s z} overflows far right of a tilt beyond
+    the threshold), keeps its safe tilt. The class-averaged cumulant is
+    convex and close to Lambda, and costs no eigen-solve."""
     offs = offsets(env.b).astype(float)
     L = len(env.probs)
     safe = [1.0 - math.log(env.delta) - r for r in rs]
     s = list(safe)
     live = list(range(len(rs)))
     for _ in range(8):
-        terms = env.probs * np.exp(np.multiply.outer([s[m] for m in live], offs))[:, None]
-        g = terms.sum(axis=2)
-        slopes = ((terms @ offs) / g).sum(axis=1).tolist()
-        logs = np.log(g).sum(axis=1).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):  # shows as a non-finite step
+            terms = env.probs * np.exp(np.multiply.outer([s[m] for m in live], offs))[:, None]
+            g = terms.sum(axis=2)
+            slopes = ((terms @ offs) / g).sum(axis=1).tolist()
+            logs = np.log(g).sum(axis=1).tolist()
         still = []
         for m, slope, log_g in zip(live, slopes, logs):
             slope /= L
-            if slope <= 0.0:
-                s[m] = safe[m]
-            else:
-                s[m] -= (log_g / L + rs[m]) / slope
+            step = (log_g / L + rs[m]) / slope if slope > 0.0 else math.nan
+            if math.isfinite(step):
+                s[m] -= step
                 still.append(m)
+            else:
+                s[m] = safe[m]
         live = still
     return s
 
@@ -1094,6 +1100,12 @@ def _lyapunov_samples(env: Environment, rs, tol: float = 1e-10) -> list:
     return out
 
 
+def _lyapunov_bar_samples(env: Environment, rs, tol: float = 1e-10) -> list:
+    """`_lyapunov_samples` of the left-passage growth rate: the right-passage
+    samples of the reflected environment."""
+    return _lyapunov_samples(reflect(env), rs, tol)
+
+
 def lyapunov_bar(env: Environment, r: float, tol: float = 1e-10) -> LambdaSample:
     """Left-passage growth rate: the right-passage rate of the reflected
     environment."""
@@ -1148,7 +1160,10 @@ def lyapunov_prime(env: Environment, r: float, speed: float) -> LambdaPrime:
 
 @dataclass(frozen=True)
 class RcEstimate:
-    """Two-sided bracket for the largest tilt with finite MGF growth."""
+    """Two-sided bracket for the largest tilt with finite MGF growth, with
+    the bracket of the reflected environment. A periodic law's reflection
+    has Lambda(-s) for its Lambda, so the same threshold and bracket; a
+    sampled window's reflection is a box of its own, searched apart."""
 
     bracket: tuple[float, float]
     bracket_reflected: tuple[float, float]
@@ -1157,8 +1172,6 @@ class RcEstimate:
     evaluations: int
     argmin: tuple[float, float] | None = None  # perron: bracket of argmin Lambda
     argmin_slopes: tuple[float, float] | None = None  # perron: Lambda' at its ends
-    argmin_reflected: tuple[float, float] | None = None  # the same two for the
-    argmin_slopes_reflected: tuple[float, float] | None = None  # reflected search
 
     @property
     def value(self) -> float:
@@ -1172,20 +1185,6 @@ class RcEstimate:
     def reflect_gap(self) -> float:
         mid_bar = 0.5 * (self.bracket_reflected[0] + self.bracket_reflected[1])
         return abs(self.value - mid_bar)
-
-    def reflected(self) -> RcEstimate:
-        """The estimate of the reflected environment. `estimate_rc` runs the
-        same two searches on it, the other way round, and reflecting twice
-        gives back the environment, so this is that estimate to the bit."""
-        return replace(
-            self,
-            bracket=self.bracket_reflected,
-            bracket_reflected=self.bracket,
-            argmin=self.argmin_reflected,
-            argmin_slopes=self.argmin_slopes_reflected,
-            argmin_reflected=self.argmin,
-            argmin_slopes_reflected=self.argmin_slopes,
-        )
 
 
 def _subcritical_predicate(env: Environment):
@@ -1226,28 +1225,26 @@ def estimate_rc(env: Environment, tol: float | None = None) -> RcEstimate:
     Periodic and homogeneous environments run the drift-root search at
     xi = 0 (`_slope_root_steps`), stopped once its bracket on min Lambda is
     at most tol wide; r_c = I(0) is then bracketed by (-least, -crossing),
-    and 0.0 - x keeps a zero threshold from printing as -0. Sampled windows
-    bisect between 0 and -log(delta) on box divergence, whose bracket
-    carries a small upward bias from the finite box (widen the window to
-    shrink it). The same search runs on the reflected environment; the two
-    midpoints estimate the same threshold.
+    and 0.0 - x keeps a zero threshold from printing as -0. The reflection
+    has the same Lambda, mirrored, so this is its bracket too. Sampled
+    windows bisect between 0 and -log(delta) on box divergence, whose
+    bracket carries a small upward bias from the finite box (widen the
+    window to shrink it); the same bisection runs on the reflected window,
+    and the two midpoints estimate the same threshold.
     """
     if env.kind in ("homogeneous", "periodic"):
         if tol is None:
             tol = 1e-6
-        bar = reflect(env)
-        fwd, back = _raise_first(lockstep([(env, _slope_root_steps(0.0, tol)),
-                                           (bar, _slope_root_steps(0.0, tol))]))
+        (found,) = _raise_first(lockstep([(env, _slope_root_steps(0.0, tol))]))
+        bracket = (0.0 - found.least, 0.0 - found.crossing)
         return RcEstimate(
-            bracket=(0.0 - fwd.least, 0.0 - fwd.crossing),
-            bracket_reflected=(0.0 - back.least, 0.0 - back.crossing),
+            bracket=bracket,
+            bracket_reflected=bracket,
             tol=tol,
             predicate="perron",
-            evaluations=fwd.evaluations + back.evaluations,
-            argmin=(fwd.below.s, fwd.above.s),
-            argmin_slopes=(fwd.below.slope, fwd.above.slope),
-            argmin_reflected=(back.below.s, back.above.s),
-            argmin_slopes_reflected=(back.below.slope, back.above.slope),
+            evaluations=found.evaluations,
+            argmin=(found.below.s, found.above.s),
+            argmin_slopes=(found.below.slope, found.above.slope),
         )
     if tol is None:
         tol = 1e-3

@@ -10,12 +10,14 @@ lambda(r*) = -s*. Speeds strictly inside the attainable drift range (the
 extreme cycle means of the class jump graph) are interior, zero among them:
 its drift root is the minimiser of Lambda, so it costs exactly the
 criticality threshold r_c = -min Lambda. The two ends of the range take the
-limit of s xi - Lambda(s) as s runs off to infinity, and speeds outside it
-are impossible. Leftward velocities go through the reflected environment.
-The drift equation is solved by `passage._slope_root_steps`, a port of
-Brent's bracketed root finder (Brent 1973, as in scipy's brentq), so the
-analytic tasks never load scipy.optimize; the same search, stopped at a
-tolerance, brackets r_c in `passage.estimate_rc`. It is a step generator, so
+limit of s xi - Lambda(s) as s runs off to +inf or -inf, and speeds outside
+it are impossible. Speeds of either sign are solved on the environment's own
+Lambda, so I(xi) and I(-xi) come from one core, as the skew identity of
+`symmetry_gaps` reads them. The drift equation is solved by
+`passage._slope_root_steps`, a port of Brent's bracketed root finder (Brent
+1973, as in scipy's brentq), so the analytic tasks never load
+scipy.optimize; the same search, stopped at a tolerance, brackets r_c in
+`passage.estimate_rc`. It is a step generator, so
 that each speed of a grid runs as a search of `passage.lockstep`
 (`rate_grid`). A classical one-step Legendre transform for homogeneous
 environments rides along as an independent cross-check.
@@ -24,16 +26,18 @@ environments rides along as an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .environment import Environment, JumpLaw, reflect, require_periodic
+from .environment import Environment, JumpLaw, require_periodic
 from .errors import RwreError
 from .passage import (
     PerronPoint,
     RcEstimate,
+    _caught,
+    _lyapunov_bar_samples,
     _lyapunov_samples,
     _raise_first,
     _slope_root_steps,
@@ -59,57 +63,26 @@ class RateResult:
     value: float
     branch: str  # "interior" | "edge" | "outside"
     r_star: float  # tilt -Lambda(s*) whose tilted walk has drift xi
-    lam_star: float  # growth rate -s* at that tilt
-    slope: float  # dI/dxi = s* = -lam_star
+    slope: float  # dI/dxi = s*
     xi_residual: float  # |Lambda'(s*) - xi|
-    mirrored: bool  # solved through the reflected environment
 
 
-def _limit_rate(env: Environment, xi: float, hi: float) -> RateResult | None:
-    """The rate at a speed xi >= 0 that needs no drift root: outside the
-    drift range, whose upper end is hi, or at that end. None for interior
-    speeds."""
-    if xi > hi + _EDGE_TOL:
+def _limit_rate(env: Environment, xi: float, lo: float, hi: float) -> RateResult | None:
+    """The rate at a speed that needs no drift root: outside the drift range
+    [lo, hi], or at one of its ends. None for interior speeds."""
+    if xi > hi + _EDGE_TOL or xi < lo - _EDGE_TOL:
         return RateResult(
-            xi=xi, value=math.inf, branch="outside", r_star=math.nan, lam_star=math.nan,
-            slope=math.nan, xi_residual=0.0, mirrored=False,
+            xi=xi, value=math.inf, branch="outside", r_star=math.nan, slope=math.nan,
+            xi_residual=0.0,
         )
-    if xi >= hi - _EDGE_TOL:
-        # the supremum is the limit s -> +inf: r* -> -inf, lambda(r*) -> -inf
-        return RateResult(
-            xi=xi, value=edge_rate(env, 1.0), branch="edge", r_star=-math.inf,
-            lam_star=-math.inf, slope=math.inf, xi_residual=0.0, mirrored=False,
-        )
+    for sign, end in ((1.0, hi), (-1.0, lo)):
+        if sign * xi >= sign * end - _EDGE_TOL:
+            # the supremum is the limit s -> sign*inf, where r* -> -inf
+            return RateResult(
+                xi=xi, value=edge_rate(env, sign), branch="edge", r_star=-math.inf,
+                slope=sign * math.inf, xi_residual=0.0,
+            )
     return None
-
-
-def _rate_grid(env: Environment, bar: Environment | None, xis: list[float]) -> list[RateResult]:
-    """`rate_grid` with the reflected environment bar given (or None, to
-    build it when a leftward speed needs it)."""
-    results: list = [None] * len(xis)
-    jobs, interior = [], []
-    tops: dict[int, float] = {}  # id(side) -> upper end of its drift range
-    for i, xi in enumerate(xis):
-        if xi < 0 and bar is None:
-            bar = reflect(env)
-        side, speed = (bar, -xi) if xi < 0 else (env, xi)
-        try:
-            if id(side) not in tops:
-                tops[id(side)] = drift_limits(side)[1]
-            results[i] = _limit_rate(side, speed, tops[id(side)])
-        except RwreError as e:
-            results[i] = e
-        if results[i] is None:
-            jobs.append((side, _slope_root_steps(speed)))
-            interior.append(i)
-    for i, pt in zip(interior, lockstep(jobs)):
-        results[i] = pt if isinstance(pt, RwreError) else _interior(abs(xis[i]), pt.point)
-    for i, xi in enumerate(xis):
-        if isinstance(results[i], RwreError):
-            raise results[i]
-        if xi < 0:
-            results[i] = replace(results[i], xi=xi, slope=-results[i].slope, mirrored=True)
-    return results
 
 
 def _interior(xi: float, pt: PerronPoint) -> RateResult:
@@ -118,10 +91,8 @@ def _interior(xi: float, pt: PerronPoint) -> RateResult:
         value=pt.s * xi - pt.value,
         branch="interior",
         r_star=0.0 - pt.value,  # a zero threshold prints as 0, not -0
-        lam_star=-pt.s,
         slope=pt.s,
         xi_residual=abs(pt.slope - xi),
-        mirrored=False,
     )
 
 
@@ -131,14 +102,21 @@ def rate_grid(env: Environment, xi_grid) -> list[RateResult]:
 
     Each interior speed walks out its own bracket and runs its own Brent
     iteration on Lambda'(s) = xi (`_slope_root_steps`) as a job of
-    `passage.lockstep`, the reflected environment serving the leftward
-    speeds. A point never sees the rest of the grid: its result is a
+    `passage.lockstep`, on the environment itself whatever the speed's
+    sign. A point never sees the rest of the grid: its result is a
     function of (env, xi) alone, the same to the last bit as a lone
     `rate(env, xi)`. If points fail, the error of the first failing point
     in grid order is raised, as a loop over the grid would.
     """
     require_periodic(env, "rate evaluation")
-    return _rate_grid(env, None, [float(xi) for xi in xi_grid])
+    xis = [float(xi) + 0.0 for xi in xi_grid]  # -0.0 is speed 0
+    lo, hi = drift_limits(env)
+    results = [_caught(_limit_rate, env, xi, lo, hi) for xi in xis]
+    interior = [i for i, res in enumerate(results) if res is None]
+    roots = lockstep([(env, _slope_root_steps(xis[i])) for i in interior])
+    for i, found in zip(interior, roots):
+        results[i] = found if isinstance(found, RwreError) else _interior(xis[i], found.point)
+    return _raise_first(results)
 
 
 def rate(env: Environment, xi: float) -> RateResult:
@@ -146,8 +124,7 @@ def rate(env: Environment, xi: float) -> RateResult:
 
     Interior velocities solve Lambda'(s*) = xi by bracketed root finding and
     return s* xi - Lambda(s*), with the drift residual reported; at
-    velocity zero that is the threshold -min Lambda. Leftward velocities
-    are solved on the reflected environment.
+    velocity zero that is the threshold -min Lambda.
     """
     return rate_grid(env, (xi,))[0]
 
@@ -180,7 +157,6 @@ class RateCurve:
     min_value: float
     argmin: float
     rc: RcEstimate
-    rc_reflected: RcEstimate
     xi_critical: XiCritical
     xi_critical_reflected: XiCritical
 
@@ -195,14 +171,13 @@ class RateCurve:
 def rate_curve(env: Environment, xi_grid, rc_tol: float = 1e-8) -> RateCurve:
     """Evaluate the rate on a velocity grid, attach the threshold bracket and
     critical drift of both directions, and check convexity along the finite
-    part."""
-    require_periodic(env, "rate evaluation")
-    bar = reflect(env)
+    part. The reflected environment has Lambda(-s) for its Lambda: the same
+    threshold, and the critical drift mirrored."""
     # the grid before the r_c search, which runs the same drift-root search:
     # a fault both meet is reported at the grid point that met it
-    results = _rate_grid(env, bar, [float(xi) for xi in xi_grid])
+    results = rate_grid(env, xi_grid)
     rc = _rc_cached(env, tol=rc_tol)
-    rc_bar = rc.reflected()
+    xc = xi_critical(env, rc_est=rc)
     fin = [(res.xi, res.value) for res in results if math.isfinite(res.value)]
     convex = True
     for (x0, v0), (x1, v1), (x2, v2) in zip(fin, fin[1:], fin[2:]):
@@ -220,9 +195,10 @@ def rate_curve(env: Environment, xi_grid, rc_tol: float = 1e-8) -> RateCurve:
         min_value=vals[k] if vals else math.nan,
         argmin=fin[k][0] if fin else math.nan,
         rc=rc,
-        rc_reflected=rc_bar,
-        xi_critical=xi_critical(env, rc_est=rc),
-        xi_critical_reflected=xi_critical(bar, rc_est=rc_bar),
+        xi_critical=xc,
+        xi_critical_reflected=XiCritical(
+            value=0.0 - xc.value, bracket=(0.0 - xc.bracket[1], 0.0 - xc.bracket[0])
+        ),
     )
 
 
@@ -304,9 +280,8 @@ def asymmetry_demo(env: Environment, rs) -> AsymmetryDemo:
     (tilt, direction) in the order lambda(r), lambda_bar(r), r by r, as a
     loop over the tilts would raise it."""
     require_periodic(env, "rate evaluation")
-    bar = reflect(env)
     rs = tuple(float(r) for r in rs)
-    pairs = list(zip(_lyapunov_samples(env, rs), _lyapunov_samples(bar, rs)))
+    pairs = list(zip(_lyapunov_samples(env, rs), _lyapunov_bar_samples(env, rs)))
     _raise_first([x for pair in pairs for x in pair])
     gaps = tuple(lam_bar.value - lam.value for lam, lam_bar in pairs)
     return AsymmetryDemo(

@@ -610,13 +610,14 @@ class TestSymmetryCheck:
         assert row["gap"] == pytest.approx(row["predicted"], abs=1e-10)
 
     def test_committed_config_matches_pinned_report(self, tmp_path):
-        # digest written when Lambda' came from numpy's eigenvalues and the
-        # bordered Perron-vector solves; test_agrees_with_the_dgeev_report
-        # holds it to the report of the dgeev core it replaced
+        # digest written when the leftward rates came to be solved on the
+        # environment's own Lambda, not its reflection's; test_mirror_pins
+        # holds it to the report of the reflection route (digest 66818b8d...),
+        # and test_agrees_with_the_dgeev_report to that of the dgeev core
         out = tmp_path / "per3"
         assert main(["run", str(CONFIG_DIR / "symmetry_check_per3.json"), "--out", str(out)]) == 0
         assert sha256(out / "symmetry_check.json") == (
-            "66818b8d00e68bffbfbd688d0a00c9c3cd454adcd72d511f890cf08196ed8446"
+            "8e578a2574c8e3d25acd982100310715ba06000be29a3018a900d06861af976b"
         )
 
     def test_agrees_with_the_dgeev_report(self, tmp_path):

@@ -56,12 +56,15 @@ def class_mean_start(env, r: float, safe: float) -> float:
     L = len(probs)
     s = safe
     for _ in range(8):
-        terms = probs * np.exp(s * offs)
-        g = terms.sum(axis=1)
-        slope = float(((terms @ offs) / g).sum()) / L
-        if slope <= 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = probs * np.exp(s * offs)
+            g = terms.sum(axis=1)
+            slope = float(((terms @ offs) / g).sum()) / L
+            log_g = float(np.log(g).sum())
+        step = (log_g / L + r) / slope if slope > 0.0 else math.nan
+        if not math.isfinite(step):
             return safe
-        s -= (float(np.log(g).sum()) / L + r) / slope
+        s -= step
     return s
 
 
@@ -231,23 +234,20 @@ def test_driven_searches_match_the_serial_oracles(env, r, tol):
     together = lockstep([(e, search(e, arg)) for e, search, _, arg in cases])
     assert [key(x) for x in together] == [key(x) for x in solo]
 
-    failed = [x for x in solo[2:] if isinstance(x, RwreError)]
-    if failed:
+    # estimate_rc is the one search on env; the reflection has the same
+    # threshold, and test_rate holds the search on it to the same bracket
+    fwd = solo[2]
+    if isinstance(fwd, RwreError):
         with pytest.raises(RwreError) as exc:
             estimate_rc(env, tol=tol)
-        assert key(exc.value) == key(failed[0])
+        assert key(exc.value) == key(fwd)
         return
     rc = estimate_rc(env, tol=tol)
-    fwd, back = solo[2:]
     assert key(rc.bracket) == key((0.0 - fwd.least, 0.0 - fwd.crossing))
-    assert key(rc.bracket_reflected) == key((0.0 - back.least, 0.0 - back.crossing))
+    assert key(rc.bracket_reflected) == key(rc.bracket)
     assert key(rc.argmin) == key((fwd.below.s, fwd.above.s))
     assert key(rc.argmin_slopes) == key((fwd.below.slope, fwd.above.slope))
-    assert rc.evaluations == fwd.evaluations + back.evaluations
-    # the reflected environment's estimate is this one, read the other way
-    assert key(dataclasses.astuple(rc.reflected())) == key(
-        dataclasses.astuple(estimate_rc(bar, tol=tol))
-    )
+    assert rc.evaluations == fwd.evaluations
 
 
 @settings(max_examples=examples(30), deadline=None)
@@ -269,10 +269,10 @@ def test_rc_search_against_the_bisection(env, tol):
 
 
 def test_rc_search_halves_the_bisection_evaluations():
-    env, bar = B2_NO_MINUS2, reflect(B2_NO_MINUS2)
-    bisection = sum(serial_perron_min(e, 1e-5)[2] for e in (env, bar))
-    assert bisection == 22
-    assert 2 * estimate_rc(env, tol=1e-5).evaluations <= bisection
+    # one search on env brackets the threshold of both directions
+    bisection = serial_perron_min(B2_NO_MINUS2, 1e-5)[2]
+    assert bisection == 11
+    assert 2 * estimate_rc(B2_NO_MINUS2, tol=1e-5).evaluations <= bisection
 
 
 
@@ -339,6 +339,21 @@ def test_class_mean_starts_match_the_scalar_loop(env, rs):
     for e in (env, reflect(env)):
         want = [class_mean_start(e, r, 1.0 - math.log(e.delta) - r) for r in rs]
         assert hexes(passage._class_mean_starts(e, rs)) == hexes(want)
+
+
+def test_overflowing_newton_start_keeps_the_safe_tilt():
+    # r_c is about 2.6e-4; far beyond it the class-mean Newton steps run
+    # right until e^{s z} overflows, and the start falls back to the safe
+    # tilt, from which the root search finds the tilt supercritical
+    def law(weights):
+        total = sum(weights.values())
+        return JumpLaw(b=2, probs=tuple((z, w / total) for z, w in sorted(weights.items())))
+
+    env = periodic([law({-2: 8, -1: 7, 1: 12, 2: 13}), law({-2: 13, -1: 16, 1: 13, 2: 5})])
+    r = 0.975
+    assert passage._class_mean_starts(env, [r]) == [1.0 - math.log(env.delta) - r]
+    sample = lyapunov(env, r)
+    assert sample.status == "supercritical" and sample.value == math.inf
 
 
 def assert_limits_are_u_limit(env, rs, tol):

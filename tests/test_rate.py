@@ -27,10 +27,12 @@ from rwre_ldp.environment import (
 from rwre_ldp.errors import SlowConvergenceError
 from rwre_ldp.passage import _brent_steps, drift_limits, estimate_rc, log_perron
 from rwre_ldp.rate import (
+    XiCritical,
     asymmetry_demo,
     cramer_oracle,
     rate,
     rate_curve,
+    rate_grid,
     symmetry_gaps,
     xi_critical,
 )
@@ -196,18 +198,54 @@ class TestPerronLegendre:
 
 
 class TestMirror:
-    def test_negative_speed_goes_through_reflection(self):
+    def test_negative_speed_matches_the_reflection(self):
+        # solved on WIDE's own Lambda; the reflection's is Lambda(-s)
         res = rate(WIDE, -0.8)
-        assert res.mirrored
-        direct = rate(reflect(WIDE), 0.8)
-        assert res.value == direct.value
-        assert res.slope == pytest.approx(-direct.slope, abs=0)
+        mirror = rate(reflect(WIDE), 0.8)
+        assert res.branch == mirror.branch == "interior"
+        assert res.value == pytest.approx(mirror.value, rel=1e-12, abs=0)
+        assert res.r_star == pytest.approx(mirror.r_star, rel=1e-12, abs=0)
+        assert res.slope == pytest.approx(-mirror.slope, rel=1e-12, abs=0)
+        assert res.slope < 0.0
+
+    def test_negative_zero_is_speed_zero(self):
+        # the sign of a zero speed picks no direction, and a zero rate
+        # prints as 0, not -0
+        for env in (SYM_NN, PER2_NN):
+            assert _result_bits(rate(env, -0.0)) == _result_bits(rate(env, 0.0))
 
     def test_slope_matches_finite_difference(self):
         xi, h = 0.7, 1e-5
         res = rate(BIASED_NN, xi)
         fd = (rate(BIASED_NN, xi + h).value - rate(BIASED_NN, xi - h).value) / (2 * h)
         assert res.slope == pytest.approx(fd, rel=1e-6)
+
+
+@settings(max_examples=examples(25), deadline=None)
+@given(environments(max_b=3, max_period=8), st.floats(0.02, 0.98))
+def test_the_reflection_is_the_oracle_of_the_mirrored_speed(env, frac):
+    # I(-xi) on env is I(xi) on its reflection, whose Lambda is Lambda(-s):
+    # K_s of one is K_{-s} of the other with the classes permuted, and the
+    # edge matrices are permuted alike, so the two agree to rounding; 1e-14
+    # is the absolute floor of a rate near zero, as in test_lockstep's r_c
+    # slack
+    bar = reflect(env)
+    lo, hi = drift_limits(env)
+    assert drift_limits(bar) == (-hi, -lo)
+    speeds = [lo + (hi - lo) * frac, lo * frac, hi * frac, 0.0, lo, hi, lo - 0.25, hi + 0.25]
+    for got, want in zip(rate_grid(env, [-xi for xi in speeds]), rate_grid(bar, speeds)):
+        assert got.branch == want.branch
+        if got.branch == "outside":
+            assert got.value == want.value == math.inf
+            continue
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-14)
+        if got.branch == "edge":
+            assert got.slope == -want.slope and math.isinf(got.slope)
+        else:
+            assert got.slope == pytest.approx(-want.slope, rel=1e-12, abs=1e-12)
+    slack = 1e-14
+    (a, b), (a_bar, b_bar) = estimate_rc(env, tol=1e-8).bracket, estimate_rc(bar, tol=1e-8).bracket
+    assert a <= b_bar + slack and a_bar <= b + slack
 
 
 class TestSymmetryGap:
@@ -352,14 +390,13 @@ class TestBrent:
 
         compared = []
         real_steps = passage._brent_steps
-        side = []  # the environment and speed rate() solves on
+        speeds = []  # the speed rate() solves for
 
         def checked(a, b, xtol, rtol, maxiter, fa=None, fb=None):
             got = yield from real_steps(a, b, xtol, rtol, maxiter, fa=fa, fb=fb)
-            on, speed = side[-1]
 
             def f(s):
-                return log_perron(on, s).slope - speed
+                return log_perron(env, s).slope - speeds[-1]
 
             assert got == brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
             compared.append(got)
@@ -369,7 +406,7 @@ class TestBrent:
         with mock.patch.object(passage, "_brent_steps", checked):
             for xi in (lo + (hi - lo) * frac, 0.5 * (lo + hi), hi * frac, lo * frac):
                 if abs(xi) > 1e-12:
-                    side.append((env, xi) if xi > 0 else (reflect(env), -xi))
+                    speeds.append(xi)
                     rate(env, float(xi))
         assert compared
 
@@ -446,8 +483,8 @@ def test_xi_critical_evaluates_only_the_interpolated_tilt():
 
 
 def test_rate_curve_searches_the_threshold_once(monkeypatch):
-    # the reflected estimate is the forward one read the other way round;
-    # the drift range is found once per direction, not once per speed
+    # the reflected estimate and critical drift are the forward ones read
+    # the other way round; the drift range is found once, not once per speed
     calls, limits = [], []
 
     def counted(env, tol=None):
@@ -462,12 +499,13 @@ def test_rate_curve_searches_the_threshold_once(monkeypatch):
     monkeypatch.setattr(rate_module, "drift_limits", counted_limits)
     cur = rate_curve(B2_NO_MINUS2, [-0.5, 0.25, 1.0, -0.25], rc_tol=1e-7)
     assert calls == [B2_NO_MINUS2]
-    bar = reflect(B2_NO_MINUS2)
-    assert limits == [bar, B2_NO_MINUS2]
-    rc_bar = estimate_rc(bar, tol=1e-7)
-    assert cur.rc == estimate_rc(B2_NO_MINUS2, tol=1e-7)
-    assert cur.rc_reflected == rc_bar
-    assert cur.xi_critical_reflected == xi_critical(bar, rc_est=rc_bar)
+    assert limits == [B2_NO_MINUS2]
+    rc = estimate_rc(B2_NO_MINUS2, tol=1e-7)
+    assert cur.rc == rc and rc.bracket_reflected == rc.bracket
+    xc = xi_critical(B2_NO_MINUS2, rc_est=rc)
+    assert cur.xi_critical == xc
+    (da, db) = xc.bracket
+    assert cur.xi_critical_reflected == XiCritical(value=-xc.value, bracket=(-db, -da))
 
 
 def _result_bits(res) -> tuple:
@@ -496,22 +534,20 @@ class TestLockstepGrid:
             assert _result_bits(rate(env, res.xi)) == by_xi[res.xi]
 
     def test_grid_matches_lone_points_on_a_missing_jump_law(self):
-        results = rate_module.rate_grid(B2_NO_MINUS2, self.GRID)
+        results = rate_grid(B2_NO_MINUS2, self.GRID)
         for xi, res in zip(self.GRID, results):
             assert _result_bits(res) == _result_bits(rate(B2_NO_MINUS2, xi))
         assert {res.branch for res in results} == {"outside", "edge", "interior"}
 
     def test_first_failing_point_in_grid_order_raises_its_own_error(self):
         # make the eigen-solve fail at the last tilt Brent visits for two
-        # grid points, one of them leftward (solved on the reflection)
+        # grid points, one of them leftward (a negative tilt)
         grid = [0.3, 0.9, -0.7, 1.2, -1.1]
-        bar = reflect(B2_NO_MINUS2)
-        failing = {1: B2_NO_MINUS2, 4: bar}
+        env = B2_NO_MINUS2
         bad = []
-        for i, on in failing.items():
-            s = abs(rate(B2_NO_MINUS2, grid[i]).slope)
-            probs = on.probs
-            bad.append(class_cycle(on, probs * np.exp(s * offsets(2) - 2 * abs(s))))
+        for i in (1, 4):
+            s = rate(env, grid[i]).slope
+            bad.append(class_cycle(env, env.probs * np.exp(s * offsets(2) - 2 * abs(s))))
 
         def first_error(xis):
             with pytest.raises(SlowConvergenceError) as exc:
@@ -523,10 +559,10 @@ class TestLockstepGrid:
             serial = first_error(grid)
             later = first_error(grid[2:])
             with pytest.raises(SlowConvergenceError) as exc:
-                rate_module.rate_grid(B2_NO_MINUS2, grid)
+                rate_grid(B2_NO_MINUS2, grid)
             with pytest.raises(SlowConvergenceError) as exc_later:
                 rate_curve(B2_NO_MINUS2, grid[2:])
-        assert serial.diagnostics["xi"] == 0.9 and later.diagnostics["xi"] == 1.1
+        assert serial.diagnostics["xi"] == 0.9 and later.diagnostics["xi"] == -1.1
         for got, want in ((exc.value, serial), (exc_later.value, later)):
             assert str(got) == str(want)
             assert got.diagnostics == want.diagnostics
