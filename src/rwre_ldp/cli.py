@@ -305,14 +305,13 @@ def _task_lambda_curve(cfg: RunConfig, w: _Writer):
         "bound_ok": curve.bound_ok,
         "points": len(rows),
     }
-    if curve.rc is not None:
-        summary["rc"] = {
-            "bracket": list(curve.rc.bracket),
-            "bracket_reflected": list(curve.rc.bracket_reflected),
-            "value": curve.rc.value,
-            "reflect_gap": curve.rc.reflect_gap,
-            "predicate": curve.rc.predicate,
-        }
+    rc = curve.rc
+    if rc is not None:
+        summary["rc"] = {"bracket": list(rc.bracket), "value": rc.value, "predicate": rc.predicate}
+        if rc.bracket_reflected is not None:  # a sampled window's reflection, searched apart
+            lo, hi = rc.bracket_reflected
+            summary["rc"].update(bracket_reflected=[lo, hi],
+                                 reflect_gap=abs(rc.value - 0.5 * (lo + hi)))
     w.json("lambda_curve.json", summary)
     hard = [
         f"lambda-curve invariant {name} violated"
@@ -344,9 +343,7 @@ def _task_rate_curve(cfg: RunConfig, w: _Writer):
             "min_value": curve.min_value,
             "argmin": curve.argmin,
             "rc": {"bracket": list(rc.bracket), "value": rc.value},
-            "rc_reflected": {"bracket": list(rc.bracket_reflected), "value": rc.value},
             "xi_critical": curve.xi_critical.value,
-            "xi_critical_reflected": curve.xi_critical_reflected.value,
         },
     )
     if not curve.convex_ok:
@@ -477,14 +474,17 @@ def _task_counterexample(cfg: RunConfig, w: _Writer):
         lines.append(f"{r:>10.4f} {lam:>22.15f} {lam_bar:>22.15f} {gap:>22.15f}")
     lines.append("")
     lines.append(f"gap variation over the grid: {demo.variation:.15f}")
+    undefined = "direction gap is finite at fewer than two tilts; its variation needs two"
     verdict = demo.variation > cfg.threshold
     lines.append(
-        "verdict: the direction gap DEPENDS on the tilt"
-        if verdict
+        f"verdict: undefined: {undefined}" if math.isnan(demo.variation)
+        else "verdict: the direction gap DEPENDS on the tilt" if verdict
         else "verdict: no tilt dependence detected at this resolution"
     )
     hard = []
-    if not verdict:
+    if math.isnan(demo.variation):
+        hard.append(undefined)
+    elif not verdict:
         hard.append(
             f"direction-gap variation {demo.variation:g} below threshold {cfg.threshold:g}"
         )
@@ -497,7 +497,9 @@ def _task_counterexample(cfg: RunConfig, w: _Writer):
             lines.append(f"{r:>10.4f} {lam:>22.15f} {lam_bar:>22.15f} {gap:>22.15f}")
         lines.append(f"control gap variation: {control.variation:.15g}")
         summary["control_variation"] = control.variation
-        if control.variation > 1e-8:
+        if math.isnan(control.variation):
+            hard.append("control direction gap is finite at fewer than two tilts")
+        elif control.variation > 1e-8:
             hard.append(
                 f"control direction gap varies by {control.variation:g}; expected constant"
             )

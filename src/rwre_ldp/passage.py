@@ -21,19 +21,19 @@ evaluations of the core. One of them, Brent's method on the drift equation
 Lambda'(s) = xi (`_slope_root_steps`), serves both the rate function,
 which runs it to its root, and r_c = -min Lambda = I(0), which runs it at
 xi = 0 until its bracket on min Lambda is narrow enough. The reflected
-environment has Lambda(-s) for its Lambda, so neither search runs on it: a
-leftward speed is a root at a negative tilt, and the reflection's r_c is
-the same. `_periodic_limits` gives the harmonic ratios at
-a grid of tilts in closed form, by one of two routes: the zeta recursion
-for B = 1, tilt by tilt, and the Perron vector at the root of
-log rho(K_s) = -r for B >= 2, the roots of all the tilts running as the
-jobs of one lockstep. Both routes share one check against the
-row-stochasticity of the tilted kernel (a miss above 1e-10 raises) and one
-ellipticity check. A periodic `u_limit` is its one-point case, and
-`lyapunov_grid` (`lyapunov` at one tilt) reads lambda off it, each sample
-the same to the last bit as at one tilt. The module keeps no memo.
-Sampled windows use the fixed-point solve, on log h to avoid underflow
-across long windows.
+environment has Lambda(-s) for its Lambda, so no search runs on it: a
+leftward speed is a root at a negative tilt, the reflection's r_c is the
+same, and lambda_bar(r) = s_- and lambda(r) = -s_+ for the roots
+s_- < s_+ of Lambda(s) = -r. `_periodic_limits` gives the harmonic ratios
+of either direction at a grid of tilts in closed form, by one of two
+routes: the zeta recursion for B = 1, tilt by tilt, and the Perron vector
+at a root of log rho(K_s) = -r for B >= 2, the roots of all the tilts
+running as the jobs of one lockstep. Both routes share one check against
+the row-stochasticity of the tilted kernel (a miss above 1e-10 raises) and
+one ellipticity check. A periodic `u_limit` is its one-point case, and
+`_lyapunov_samples` reads the growth rates off it, each sample the same to
+the last bit as at one tilt. The module keeps no memo. Sampled windows use
+the fixed-point solve, on log h to avoid underflow across long windows.
 """
 
 from __future__ import annotations
@@ -584,15 +584,16 @@ def lockstep(jobs) -> list:
     return out
 
 
-def _class_mean_starts(env: Environment, rs: list[float]) -> list[float]:
-    """Starting tilts for _perron_root, one per r of rs: the larger root of
-    mean_i log g_i(s) = -r, with g_i(s) = sum_z p_i(z) e^{s z} the row sums
-    of K_s, by a few Newton steps from _perron_root's safe tilt, all the
-    tilts in one pass per step; a tilt whose slope turns nonpositive, or
-    whose step is not finite (e^{s z} overflows far right of a tilt beyond
-    the threshold), keeps its safe tilt. The class-averaged cumulant is
-    convex and close to Lambda, and costs no eigen-solve."""
-    offs = offsets(env.b).astype(float)
+def _class_mean_starts(env: Environment, rs: list[float], direction: int = 1) -> list[float]:
+    """Starting tilts t = direction * s for _perron_root, one per r of rs:
+    the larger root of mean_i log g_i(t) = -r, with g_i(t) the row sums
+    sum_z p_i(z) e^{t direction z} of K_{direction t}, by a few Newton steps
+    from _perron_root's safe tilt, all the tilts in one pass per step; a
+    tilt whose slope turns nonpositive, or whose step is not finite (e^{t z}
+    overflows far right of a tilt beyond the threshold), keeps its safe
+    tilt. The class-averaged cumulant is convex and close to Lambda, and
+    costs no eigen-solve."""
+    offs = direction * offsets(env.b).astype(float)
     L = len(env.probs)
     safe = [1.0 - math.log(env.delta) - r for r in rs]
     s = list(safe)
@@ -616,42 +617,45 @@ def _class_mean_starts(env: Environment, rs: list[float]) -> list[float]:
     return s
 
 
-def _perron_root(env: Environment, r: float, s: float):
-    """`lockstep` search for the point at the larger root of Lambda(s) = -r,
-    from the start s of `_class_mean_starts`.
+def _perron_root(env: Environment, r: float, t: float, direction: int = 1):
+    """`lockstep` search for the point at the larger (direction 1) or the
+    smaller (-1) root of Lambda(s) = -r, from the start t of
+    `_class_mean_starts`: Newton on t = direction * s, at the tilts
+    direction * t, with the slope direction * Lambda'.
 
-    From any start where Lambda' > 0 the first Newton step lands right of
-    the root, and on a convex function Newton's iterates then decrease
-    monotonically onto it; a nonpositive slope on the way means
+    From any start where that slope is positive the first Newton step lands
+    right of the root, and on a convex function Newton's iterates then
+    decrease monotonically onto it; a nonpositive slope on the way means
     min Lambda > -r, that is r > r_c. A start left of the minimiser falls
-    back to s = 1 - log(delta) - r, which lies right of both the root and
-    the minimiser because Lambda(s) >= log(delta) + |s|.
+    back to t = 1 - log(delta) - r, right of both the root and the minimiser
+    because Lambda(s) >= log(delta) + |s|.
     """
     safe = 1.0 - math.log(env.delta) - r
-    pt = yield s
-    if pt.slope <= 0.0 and s < safe:
-        s = safe
-        pt = yield s
+    pt = yield direction * t
+    if direction * pt.slope <= 0.0 and t < safe:
+        t = safe
+        pt = yield direction * t
     right_of_root = False
     for _ in range(200):  # linear near r_c, where it takes about 25 steps
         f = pt.value + r
+        slope = direction * pt.slope
         if f <= 0.0 and right_of_root:
             return pt  # reached, or overshot by rounding
-        if pt.slope <= 0.0:
+        if slope <= 0.0:
             raise SupercriticalError(
                 "no root of log rho(K_s) = -r: the tilt exceeds the threshold",
                 r=r,
-                diagnostics={"s": s, "min_log_rho_upper": pt.value},
+                diagnostics={"s": direction * t, "min_log_rho_upper": pt.value},
             )
-        step = f / pt.slope
-        if 0.0 <= step <= 4e-16 * max(1.0, abs(s)):
+        step = f / slope
+        if 0.0 <= step <= 4e-16 * max(1.0, abs(t)):
             return pt
         right_of_root = True
-        s -= step
-        pt = yield s
+        t -= step
+        pt = yield direction * t
     raise SlowConvergenceError(
         f"Newton on log rho(K_s) = -r did not settle at r={r}",
-        diagnostics={"s": s, "residual": f},
+        diagnostics={"s": direction * t, "residual": f},
     )
 
 
@@ -894,6 +898,7 @@ class ULimit:
     m_used: int
     cauchy_gap: float  # 0.0 for periodic rows
     residual: float
+    direction: int = 1  # of the passage whose MGF these are ratios of: +1 right, -1 left
 
     @property
     def b(self) -> int:
@@ -915,35 +920,41 @@ class ULimit:
 
     @property
     def log_a(self) -> np.ndarray:
-        """log u(., +1) per row."""
-        return self.log_u[:, offset_index(self.b, 1)]
+        """log u(., direction) per row."""
+        return self.log_u[:, offset_index(self.b, self.direction)]
 
 
-def _periodic_limits(env: Environment, rs) -> list:
-    """`u_limit` of a periodic environment at every tilt of rs: entry m is
-    the ULimit at rs[m], or the RwreError that tilt raised.
+def _periodic_limits(env: Environment, rs, directions=(1,)) -> list:
+    """`u_limit` of a periodic environment at every tilt of rs in every
+    direction of directions, r by r: entry k is the ULimit at rs[k // n] in
+    directions[k % n], for n directions, or the RwreError it raised.
 
     log u(i, z) = log h(x+z) - log h(x) at a site x of class i: from
-    theta_i = -log zeta_i of the zeta recursion for B = 1, tilt by tilt;
-    s z + log phi_{i+z} - log phi_i at the root s of Lambda(s) = -r for
-    B >= 2, the roots of all the tilts one `lockstep`. Both are certified
+    theta_i = -log zeta_i of the zeta recursion for B = 1, tilt by tilt,
+    whose left ratios are the right ratios of the reflected environment;
+    s z + log phi_{i+z} - log phi_i for B >= 2, at the larger root s of
+    Lambda(s) = -r for the right and at the smaller for the left, the roots
+    of all the tilts and directions one `lockstep`. Both are certified
     alike: the tilted rows sum_z p_i(z) e^{r + log u(i, z)} sum to 1 within
-    _RATIO_RESIDUAL_TOL (the largest miss is `residual`), and log u(., +1)
-    keeps within the ellipticity bound -(log delta + r); a miss of either
-    is a SlowConvergenceError.
+    _RATIO_RESIDUAL_TOL (the largest miss is `residual`), and the ratios
+    log u(., direction) keep within the ellipticity bound -(log delta + r);
+    a miss of either is a SlowConvergenceError.
     """
     rs = list(rs)
+    jobs = [(r, d) for r in rs for d in directions]
+    sides = {d: (env, d) if env.b > 1 or d > 0 else (reflect(env), 1) for d in directions}
     if env.b == 1:
-        found = [_caught(zeta_nn, env, r) for r in rs]
+        found = [_caught(zeta_nn, sides[d][0], r) for r, d in jobs]
     else:
-        found = lockstep([(env, _perron_root(env, r, s))
-                          for r, s in zip(rs, _class_mean_starts(env, rs))])
-    up = offset_index(env.b, 1)
+        starts = [_class_mean_starts(env, rs, d) for d in directions]
+        found = lockstep([(env, _perron_root(env, r, t[k], d))
+                          for k, r in enumerate(rs) for d, t in zip(directions, starts)])
     out: list = []
-    for r, sol in zip(rs, found):
+    for (r, d), sol in zip(jobs, found):
         if isinstance(sol, RwreError):
             out.append(sol)
             continue
+        side, way = sides[d]
         if env.b == 1:
             theta = -np.log(sol.zeta)
             log_u = np.stack([-np.roll(theta, 1), theta], axis=1)
@@ -952,8 +963,8 @@ def _periodic_limits(env: Environment, rs) -> list:
             log_phi = np.log(sol.right)
             log_u = sol.s * offsets(env.b) + log_phi[env.targets] - log_phi[:, None]
             cycles, diagnostics = 0, {"r": r, "s": sol.s}
-        res = float(np.max(np.abs((env.probs * np.exp(r + log_u)).sum(axis=1) - 1.0)))
-        worst = float(np.max(np.abs(log_u[:, up])))
+        res = float(np.max(np.abs((side.probs * np.exp(r + log_u)).sum(axis=1) - 1.0)))
+        worst = float(np.max(np.abs(log_u[:, offset_index(env.b, way)])))
         bound = -(math.log(env.delta) + r)
         if not res <= _RATIO_RESIDUAL_TOL:
             out.append(SlowConvergenceError(
@@ -968,8 +979,9 @@ def _periodic_limits(env: Environment, rs) -> list:
         else:
             log_u.flags.writeable = False
             out.append(ULimit(
-                env=env, r=r, mode="periodic-exact", sites=tuple(range(env.period)),
+                env=side, r=r, mode="periodic-exact", sites=tuple(range(env.period)),
                 log_u=log_u, n_used=cycles, m_used=0, cauchy_gap=0.0, residual=res,
+                direction=way,
             ))
     return out
 
@@ -1069,15 +1081,19 @@ def lyapunov_grid(env: Environment, rs, tol: float = 1e-10) -> list[LambdaSample
     return _raise_first(_lyapunov_samples(env, rs, tol))
 
 
-def _lyapunov_samples(env: Environment, rs, tol: float = 1e-10) -> list:
-    """`lyapunov_grid`, with the RwreError of a failing tilt in its entry."""
+def _lyapunov_samples(env: Environment, rs, tol: float = 1e-10, directions=(1,)) -> list:
+    """`lyapunov_grid` in every direction of directions (1: lambda, -1:
+    lambda_bar), r by r as `_periodic_limits` orders them, with the
+    RwreError of a failing (tilt, direction) in its entry. A sampled
+    window's left rate is the right rate of its reflection."""
     rs = list(rs)
     if env.kind in ("homogeneous", "periodic"):
-        limits = _periodic_limits(env, rs)
+        limits = _periodic_limits(env, rs, directions)
     else:
-        limits = [_caught(u_limit, env, r, tol=tol) for r in rs]
+        sides = {d: env if d > 0 else reflect(env) for d in directions}
+        limits = [_caught(u_limit, sides[d], r, tol=tol) for r in rs for d in directions]
     out: list = []
-    for r, ul in zip(rs, limits):
+    for r, ul in zip([r for r in rs for _ in directions], limits):
         if isinstance(ul, SupercriticalError):
             out.append(LambdaSample(
                 r=r, value=math.inf, converged=False, n_used=0, m_used=0, se=math.nan,
@@ -1100,16 +1116,11 @@ def _lyapunov_samples(env: Environment, rs, tol: float = 1e-10) -> list:
     return out
 
 
-def _lyapunov_bar_samples(env: Environment, rs, tol: float = 1e-10) -> list:
-    """`_lyapunov_samples` of the left-passage growth rate: the right-passage
-    samples of the reflected environment."""
-    return _lyapunov_samples(reflect(env), rs, tol)
-
-
 def lyapunov_bar(env: Environment, r: float, tol: float = 1e-10) -> LambdaSample:
-    """Left-passage growth rate: the right-passage rate of the reflected
-    environment."""
-    return lyapunov(reflect(env), r, tol=tol)
+    """Left-passage growth rate: `_lyapunov_samples` at one tilt, to the
+    left; for B >= 2 periodic laws, s_- for the smaller root of
+    Lambda(s) = -r."""
+    return _raise_first(_lyapunov_samples(env, (r,), tol, (-1,)))[0]
 
 
 @dataclass(frozen=True)
@@ -1160,18 +1171,19 @@ def lyapunov_prime(env: Environment, r: float, speed: float) -> LambdaPrime:
 
 @dataclass(frozen=True)
 class RcEstimate:
-    """Two-sided bracket for the largest tilt with finite MGF growth, with
-    the bracket of the reflected environment. A periodic law's reflection
-    has Lambda(-s) for its Lambda, so the same threshold and bracket; a
-    sampled window's reflection is a box of its own, searched apart."""
+    """Two-sided bracket for the largest tilt with finite MGF growth. A
+    periodic law's reflection has Lambda(-s) for its Lambda, so the same
+    threshold serves both passage directions; a sampled window's reflection
+    is a box of its own, searched apart, whose bracket is
+    `bracket_reflected`."""
 
     bracket: tuple[float, float]
-    bracket_reflected: tuple[float, float]
     tol: float
     predicate: str  # "perron" | "window-box"
     evaluations: int
     argmin: tuple[float, float] | None = None  # perron: bracket of argmin Lambda
     argmin_slopes: tuple[float, float] | None = None  # perron: Lambda' at its ends
+    bracket_reflected: tuple[float, float] | None = None  # window-box only
 
     @property
     def value(self) -> float:
@@ -1180,11 +1192,6 @@ class RcEstimate:
     @property
     def width(self) -> float:
         return self.bracket[1] - self.bracket[0]
-
-    @property
-    def reflect_gap(self) -> float:
-        mid_bar = 0.5 * (self.bracket_reflected[0] + self.bracket_reflected[1])
-        return abs(self.value - mid_bar)
 
 
 def _subcritical_predicate(env: Environment):
@@ -1226,7 +1233,7 @@ def estimate_rc(env: Environment, tol: float | None = None) -> RcEstimate:
     xi = 0 (`_slope_root_steps`), stopped once its bracket on min Lambda is
     at most tol wide; r_c = I(0) is then bracketed by (-least, -crossing),
     and 0.0 - x keeps a zero threshold from printing as -0. The reflection
-    has the same Lambda, mirrored, so this is its bracket too. Sampled
+    has the same Lambda, mirrored, so this is its threshold too. Sampled
     windows bisect between 0 and -log(delta) on box divergence, whose
     bracket carries a small upward bias from the finite box (widen the
     window to shrink it); the same bisection runs on the reflected window,
@@ -1236,10 +1243,8 @@ def estimate_rc(env: Environment, tol: float | None = None) -> RcEstimate:
         if tol is None:
             tol = 1e-6
         (found,) = _raise_first(lockstep([(env, _slope_root_steps(0.0, tol))]))
-        bracket = (0.0 - found.least, 0.0 - found.crossing)
         return RcEstimate(
-            bracket=bracket,
-            bracket_reflected=bracket,
+            bracket=(0.0 - found.least, 0.0 - found.crossing),
             tol=tol,
             predicate="perron",
             evaluations=found.evaluations,
@@ -1252,10 +1257,10 @@ def estimate_rc(env: Environment, tol: float | None = None) -> RcEstimate:
     bracket_bar, e2 = _bisect_rc(reflect(env), tol)
     return RcEstimate(
         bracket=bracket,
-        bracket_reflected=bracket_bar,
         tol=tol,
         predicate="window-box",
         evaluations=e1 + e2,
+        bracket_reflected=bracket_bar,
     )
 
 
@@ -1295,10 +1300,10 @@ def _poly_eval(coeff: np.ndarray, x: float) -> float:
 def char_poly_roots(env: Environment, r: float) -> CharPolyResult:
     """Bracketed root scan of the homogeneous transfer polynomial, r < 0.
 
-    At most two positive roots exist (the coefficient list has exactly two
-    sign changes), one on each side of 1 in the subcritical regime. If a
-    side ever carries several candidates they are disambiguated against the
-    stabilized-ratio growth rate.
+    The coefficient list has exactly two sign changes, and the polynomial is
+    positive near 0 and at infinity and e^r - 1 < 0 at 1, so it has exactly
+    two positive roots, one on each side of 1. The scan uses no growth rate
+    of the package, so it checks both directions independently.
     """
     if env.kind != "homogeneous":
         raise ValueError("characteristic polynomial applies to homogeneous environments")
@@ -1338,25 +1343,13 @@ def char_poly_roots(env: Environment, r: float) -> CharPolyResult:
     roots = sorted(set(roots))
     right = [x for x in roots if x > 1.0 + 1e-12]
     left = [x for x in roots if x < 1.0 - 1e-12]
-
-    def pick(cands: list[float], side: str):
-        if not cands:
-            return None
-        if len(cands) == 1:
-            return cands[0]
-        target_lam = lyapunov(env, r).value if side == "right" else -lyapunov_bar(env, r).value
-        want = math.exp(-target_lam) if side == "right" else math.exp(target_lam)
-        return min(cands, key=lambda x: abs(x - want))
-
-    x_right = pick(right, "right")
-    x_left = pick(left, "left")
     res = tuple(abs(_poly_eval(coeff, x)) for x in roots)
     return CharPolyResult(
         r=r,
         coefficients=coeff,
         positive_roots=tuple(roots),
-        x_right=x_right,
-        x_left=x_left,
+        x_right=right[0] if right else None,
+        x_left=left[-1] if left else None,
         residuals=res,
     )
 
@@ -1403,12 +1396,13 @@ def lambda_curve(
 ) -> LambdaCurve:
     """Sample both Lyapunov exponents on a grid and attach diagnostics.
 
-    Checks along the way: lambda is nondecreasing and convex on the finite
-    part of the grid, and never exceeds -log(delta e^r).
+    Both directions come from one `_lyapunov_samples` call. Checks along
+    the way: lambda is nondecreasing and convex on the finite part of the
+    grid, and never exceeds -log(delta e^r).
     """
     rs = [float(r) for r in r_grid]
-    samples = tuple(lyapunov_grid(env, rs, tol=tol))
-    samples_bar = tuple(lyapunov_grid(reflect(env), rs, tol=tol))
+    both = _raise_first(_lyapunov_samples(env, rs, tol, (1, -1)))
+    samples, samples_bar = tuple(both[::2]), tuple(both[1::2])
     vals = [s.value for s in samples]
     fin = [(r, v) for r, v in zip(rs, vals) if math.isfinite(v)]
     monotone = all(v2 >= v1 - 1e-9 for (_, v1), (_, v2) in zip(fin, fin[1:]))

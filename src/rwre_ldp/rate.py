@@ -13,7 +13,9 @@ criticality threshold r_c = -min Lambda. The two ends of the range take the
 limit of s xi - Lambda(s) as s runs off to +inf or -inf, and speeds outside
 it are impossible. Speeds of either sign are solved on the environment's own
 Lambda, so I(xi) and I(-xi) come from one core, as the skew identity of
-`symmetry_gaps` reads them. The drift equation is solved by
+`symmetry_gaps` reads them; so do the two passage growth rates whose gap
+`asymmetry_demo` follows, lambda(r) = -s_+ and lambda_bar(r) = s_- for the
+roots s_- < s_+ of Lambda(s) = -r. The drift equation is solved by
 `passage._slope_root_steps`, a port of Brent's bracketed root finder (Brent
 1973, as in scipy's brentq), so the analytic tasks never load
 scipy.optimize; the same search, stopped at a tolerance, brackets r_c in
@@ -37,7 +39,6 @@ from .passage import (
     PerronPoint,
     RcEstimate,
     _caught,
-    _lyapunov_bar_samples,
     _lyapunov_samples,
     _raise_first,
     _slope_root_steps,
@@ -158,7 +159,6 @@ class RateCurve:
     argmin: float
     rc: RcEstimate
     xi_critical: XiCritical
-    xi_critical_reflected: XiCritical
 
     def rows(self):
         """(xi, value, r_star, branch, slope) per grid point."""
@@ -170,9 +170,9 @@ class RateCurve:
 
 def rate_curve(env: Environment, xi_grid, rc_tol: float = 1e-8) -> RateCurve:
     """Evaluate the rate on a velocity grid, attach the threshold bracket and
-    critical drift of both directions, and check convexity along the finite
-    part. The reflected environment has Lambda(-s) for its Lambda: the same
-    threshold, and the critical drift mirrored."""
+    critical drift, and check convexity along the finite part. The reflected
+    environment has Lambda(-s) for its Lambda: the same threshold, and the
+    critical drift mirrored, so neither is written twice."""
     # the grid before the r_c search, which runs the same drift-root search:
     # a fault both meet is reported at the grid point that met it
     results = rate_grid(env, xi_grid)
@@ -196,9 +196,6 @@ def rate_curve(env: Environment, xi_grid, rc_tol: float = 1e-8) -> RateCurve:
         argmin=fin[k][0] if fin else math.nan,
         rc=rc,
         xi_critical=xc,
-        xi_critical_reflected=XiCritical(
-            value=0.0 - xc.value, bracket=(0.0 - xc.bracket[1], 0.0 - xc.bracket[0])
-        ),
     )
 
 
@@ -270,24 +267,26 @@ class AsymmetryDemo:
     lambdas: tuple[float, ...]  # right-passage growth rate lambda(r)
     lambdas_bar: tuple[float, ...]  # left-passage growth rate lambda_bar(r)
     gaps: tuple[float, ...]  # lambda_bar(r) - lambda(r)
-    variation: float
+    variation: float  # spread of the finite gaps; nan with fewer than two
 
 
 def asymmetry_demo(env: Environment, rs) -> AsymmetryDemo:
-    """lambda and lambda_bar at each tilt of rs; lambda_bar is lambda of the
-    reflected environment, built once. Each direction's grid is solved as
-    `passage.lyapunov_grid` solves it, and an error is raised at the first
+    """lambda and lambda_bar at each tilt of rs, both from one
+    `passage._lyapunov_samples` call, so an error is raised at the first
     (tilt, direction) in the order lambda(r), lambda_bar(r), r by r, as a
-    loop over the tilts would raise it."""
+    loop over the tilts would raise it. For B >= 2 the gap s_+ + s_- is
+    twice the midpoint of the chord of Lambda at height -r."""
     require_periodic(env, "rate evaluation")
     rs = tuple(float(r) for r in rs)
-    pairs = list(zip(_lyapunov_samples(env, rs), _lyapunov_bar_samples(env, rs)))
-    _raise_first([x for pair in pairs for x in pair])
-    gaps = tuple(lam_bar.value - lam.value for lam, lam_bar in pairs)
+    both = _raise_first(_lyapunov_samples(env, rs, directions=(1, -1)))
+    lambdas = tuple(lam.value for lam in both[::2])
+    lambdas_bar = tuple(lam_bar.value for lam_bar in both[1::2])
+    gaps = tuple(b - a for a, b in zip(lambdas, lambdas_bar))
+    finite = [g for g in gaps if math.isfinite(g)]
     return AsymmetryDemo(
         rs=rs,
-        lambdas=tuple(lam.value for lam, _ in pairs),
-        lambdas_bar=tuple(lam_bar.value for _, lam_bar in pairs),
+        lambdas=lambdas,
+        lambdas_bar=lambdas_bar,
         gaps=gaps,
-        variation=max(gaps) - min(gaps),
+        variation=max(finite) - min(finite) if len(finite) > 1 else math.nan,
     )

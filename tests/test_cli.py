@@ -192,6 +192,12 @@ class TestConfigErrors:
         code, out = run_cfg(tmp_path, cfg)
         assert code == 0
         assert (out / "lambda_curve.csv").exists()
+        # a window's reflection is a box of its own, bisected apart, so its
+        # bracket is written beside the window's
+        rc = json.loads((out / "lambda_curve.json").read_text())["rc"]
+        assert rc["predicate"] == "window-box"
+        lo, hi = rc["bracket_reflected"]
+        assert rc["reflect_gap"] == abs(rc["value"] - 0.5 * (lo + hi))
 
     def test_parse_config_requires_object(self):
         from rwre_ldp.errors import ConfigError
@@ -263,9 +269,11 @@ class TestRateCurve:
         _, out = rate_run
         rep = json.loads((out / "rate_curve.json").read_text())
         assert rep["convex_ok"]
-        # symmetric law: both orientations share the threshold and it sits
-        # at zero speed
-        assert rep["rc"]["value"] == pytest.approx(rep["rc_reflected"]["value"], abs=1e-6)
+        # the reflection's Lambda is Lambda(-s): one threshold and one
+        # critical drift serve both orientations, and for a symmetric law
+        # the critical drift sits at zero speed
+        assert sorted(rep) == ["_meta", "argmin", "convex_ok", "min_value", "rc", "xi_critical"]
+        assert rep["rc"]["value"] == pytest.approx(0.0, abs=1e-6)
         assert rep["xi_critical"] == pytest.approx(0.0, abs=1e-3)
 
     def test_drift_root_failure_exits_3_with_diagnostics(self, tmp_path, monkeypatch):
@@ -418,6 +426,19 @@ class TestTiltReport:
         assert diag["error"] == "SlowConvergenceError"
         assert diag["diagnostics"]["r"] == -0.55
         assert diag["diagnostics"]["residual"] > 1e-10
+
+    def test_slope_mismatch_exits_3_with_diagnostics(self, tmp_path, monkeypatch):
+        # a chain speed 1e-3 off the Lyapunov curve's slope
+        from rwre_ldp import cli
+
+        real = cli.stationary_speed
+        monkeypatch.setattr(cli, "stationary_speed", lambda chain: real(chain) * (1 + 1e-3))
+        code, out = run_cfg(tmp_path, {"task": "tilt-report", "environment": PER2, "r": -0.3})
+        assert code == 3
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "DriftMismatchError"
+        assert diag["task"] == "tilt-report"
+        assert diag["reciprocal_slope"] == pytest.approx(diag["drift"] / (1 + 1e-3), rel=1e-4)
 
     def test_supercritical_tilt_exits_3_with_diagnostics(self, tmp_path, capsys):
         code, out = run_cfg(tmp_path, {"task": "tilt-report", "environment": PER2,
@@ -595,6 +616,34 @@ class TestCounterexample:
         assert code == 4
         assert "invariant violation" in capsys.readouterr().err
 
+    def test_verdict_does_not_depend_on_the_order_of_the_tilts(self, tmp_path):
+        # r = 0.5 is beyond r_c: both rates are +inf and its gap is nan,
+        # which the variation leaves out wherever the tilt comes in the grid
+        reports = []
+        for k, rs in enumerate(([-1.0, -0.5, 0.5], [0.5, -1.0, -0.5])):
+            cfg = {"task": "counterexample", "environment": B2_DRIFTED,
+                   "control_environment": PER2, "r_values": rs}
+            code, out = run_cfg(tmp_path, cfg, name=f"order{k}.json")
+            rep = json.loads((out / "counterexample.json").read_text())
+            del rep["_meta"]
+            reports.append((code, rep))
+        assert reports[0] == reports[1]
+        code, rep = reports[0]
+        assert code == 0
+        assert rep["variation"] == pytest.approx(0.0169, abs=1e-4) and rep["varies"]
+
+    def test_one_finite_tilt_is_a_hard_failure(self, tmp_path, capsys):
+        cfg = {"task": "counterexample", "environment": B2_DRIFTED,
+               "control_environment": PER2, "r_values": [0.5, -1.0]}
+        code, out = run_cfg(tmp_path, cfg)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "direction gap is finite at fewer than two tilts; its variation needs two" in err
+        assert "control direction gap is finite at fewer than two tilts" in err
+        assert json.loads((out / "counterexample.json").read_text())["variation"] == "nan"
+        assert "verdict: undefined: direction gap is finite at fewer than two tilts" in (
+            out / "counterexample.txt").read_text()
+
 
 class TestSymmetryCheck:
     def test_unit_jump_skew_identity(self, tmp_path):
@@ -642,20 +691,23 @@ class TestSymmetryCheck:
 # and `lyapunov_grid` reached the ratios by two separate paths;
 # lambda_curve.json (its r_c block) and rate_curve.csv (the branch of its
 # zero-speed row) were re-pinned when r_c came from the drift-root search
-# (test_rc_pins)
+# (test_rc_pins); lambda_curve.json and rate_curve.json again when they
+# stopped writing the reflected r_c fields, and counterexample.csv and
+# counterexample.txt when lambda_bar became the smaller root of
+# Lambda(s) = -r on the environment itself (test_left_root_pins)
 COMMITTED_DIGESTS = {
     "lambda_curve_per2.json": {
         "lambda_curve.csv": "c09548118ff8731d4f9f5ceb908e60c4ce808b61f7c87f9bac756c436cbf2a0e",
-        "lambda_curve.json": "1e27706f2feca65abac58dceaeda5fb96893cf27a1a4389cca5ea43034d88676",
+        "lambda_curve.json": "00047705f83057a75184070a69c2ae9fa0cb937730433355b8d8187adad85559",
     },
     "counterexample_sevenths.json": {
-        "counterexample.csv": "8296e4e02992ad537a6b5f70c7cb1cc042ec46e9cda5c405e4b23df88b134242",
+        "counterexample.csv": "cbc3015768a4738ede175ea0a57d8f9b027f542218403d7ee705386a63970ca0",
         "counterexample.json": "44695c912e4330decf5deae87863b7e6058a9f5c67f0893f690ee9365474aeb9",
-        "counterexample.txt": "bfc263654a09a75c78c3d9a471666128f46e8e9eeb7bc145cc7c79a10e6abb06",
+        "counterexample.txt": "9b0a94c00981e2c4d8c4cfbeb30c3aefad210b29b53d2558012dd7cbb17623a5",
     },
     "rate_curve_sym.json": {
         "rate_curve.csv": "6e875b32d419da99168f22778f5f39aabd4ee107bb6f88ee672d11435295e109",
-        "rate_curve.json": "1983be5e3057df54f99705f84a4f921dd49693141fa321048fdfa90ede4ec6a8",
+        "rate_curve.json": "904e75104c8db7cf1faadfc156150a6e172ce2e1225fc017aa99ab5efc39ae20",
     },
 }
 

@@ -11,8 +11,8 @@ and 23). Each config is run again, and
 - every gap and gap variation lies within 1e-12 of the stored one;
 - the reflected r_c fields of a Perron estimate (`rc_reflected`,
   `xi_critical_reflected`, and the `bracket_reflected` and `reflect_gap` of
-  an r_c block), which the fixture shows repeating a forward value, hold
-  that value while they are written;
+  an r_c block) are no longer written: the fixture shows each repeating a
+  forward value;
 - every other value is the same to the byte.
 """
 
@@ -22,34 +22,13 @@ from pathlib import Path
 import pytest
 
 from .test_cli import run_cfg
-from .test_rc_pins import near
+from .test_rc_pins import DROPPED, forward_only, near
 
 ROOT = Path(__file__).resolve().parents[1]
 CASES = json.loads((Path(__file__).parent / "fixtures" / "left_root.parent.json").read_text())["cases"]
-DROPPED = ("rc_reflected", "xi_critical_reflected", "bracket_reflected", "reflect_gap")
 VARIATIONS = ("variation", "control_variation")
 # the lines of counterexample.txt that print a gap variation
 VARIATION_LINES = ("gap variation over the grid", "control gap variation")
-
-
-def forward_only(art: dict) -> dict:
-    """A JSON artifact without `_meta` and the reflected r_c fields."""
-    return {
-        k: forward_only(v) if isinstance(v, dict) else v
-        for k, v in art.items()
-        if k not in DROPPED and k != "_meta"
-    }
-
-
-def check_reflected_fields(got: dict, want: dict) -> None:
-    """Each reflected r_c field still written repeats its forward value."""
-    if "rc_reflected" in got:
-        assert got["rc_reflected"] == got["rc"] == want["rc_reflected"]
-    if "xi_critical_reflected" in got:
-        assert got["xi_critical_reflected"] == -got["xi_critical"]
-    rc = got.get("rc", {})
-    if "bracket_reflected" in rc:
-        assert rc["bracket_reflected"] == rc["bracket"] and rc["reflect_gap"] == 0.0
 
 
 def check_gap_row(new: list[str], old: list[str]) -> None:
@@ -86,8 +65,7 @@ def check_text(got: list[str], want: list[str]) -> None:
 
 def check_json(name: str, got: dict, want: dict) -> None:
     if name != "counterexample.json":
-        check_reflected_fields(got, want)
-        assert forward_only(got) == forward_only(want)
+        assert got == {**forward_only(want), "_meta": got["_meta"]}
         return
     assert sorted(got) == sorted(want)
     for key in VARIATIONS:

@@ -23,8 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwre_ldp import passage
-from rwre_ldp.environment import JumpLaw, offsets, periodic, reflect
+from rwre_ldp import environment, passage
+from rwre_ldp.environment import JumpLaw, homogeneous, offsets, periodic, reflect
 from rwre_ldp.errors import RwreError, SlowConvergenceError, SupercriticalError
 from rwre_ldp.passage import (
     LambdaSample,
@@ -32,9 +32,11 @@ from rwre_ldp.passage import (
     _lyapunov_samples,
     _slope_root_steps,
     estimate_rc,
+    lambda_curve,
     lockstep,
     log_perron,
     lyapunov,
+    lyapunov_bar,
     lyapunov_grid,
     u_limit,
 )
@@ -244,7 +246,7 @@ def test_driven_searches_match_the_serial_oracles(env, r, tol):
         return
     rc = estimate_rc(env, tol=tol)
     assert key(rc.bracket) == key((0.0 - fwd.least, 0.0 - fwd.crossing))
-    assert key(rc.bracket_reflected) == key(rc.bracket)
+    assert rc.bracket_reflected is None
     assert key(rc.argmin) == key((fwd.below.s, fwd.above.s))
     assert key(rc.argmin_slopes) == key((fwd.below.slope, fwd.above.slope))
     assert rc.evaluations == fwd.evaluations
@@ -259,12 +261,13 @@ def test_rc_search_against_the_bisection(env, tol):
     # of the zero-speed rate below
     slack = 1e-14
     rc = estimate_rc(env, tol=tol)
-    for (lo, hi), e in zip((rc.bracket, rc.bracket_reflected), (env, reflect(env))):
+    lo, hi = rc.bracket
+    assert hi - lo <= tol
+    # the bracket on env is the reflection's too
+    for e in (env, reflect(env)):
         bracket, _, _ = serial_perron_min(e, tol)
-        assert hi - lo <= tol
         assert lo <= bracket[1] + slack and bracket[0] <= hi + slack
     # I(0) is r_c: the zero-speed rate lies in the bracket, up to rounding
-    lo, hi = rc.bracket
     assert lo - slack <= rate(env, 0.0).value <= hi + slack
 
 
@@ -425,10 +428,12 @@ def test_unit_jump_grid_is_the_loop():
         assert got[-1].status == "supercritical"
 
 
-def _refused_newton_tilt(env, r):
-    """The third tilt the Newton root of Lambda(s) = -r asks for on env, and
-    a predicate refusing the eigen-solve of its K_s."""
-    bad_s = driven(env, perron_root(env, r))[1][2]
+def _refused_newton_tilt(env, r, direction=1):
+    """The third tilt the Newton search for the larger (direction +1) or the
+    smaller (-1) root of Lambda(s) = -r asks for on env, and a predicate
+    refusing the eigen-solve of its K_s."""
+    start = passage._class_mean_starts(env, [r], direction)[0]
+    bad_s = driven(env, passage._perron_root(env, r, start, direction))[1][2]
     bad = _cycle(env, bad_s)
     return bad_s, lambda K: np.array_equal(K, bad)
 
@@ -455,15 +460,39 @@ def test_a_refused_tilt_fails_only_its_own_grid_point():
     (-0.4, -0.4, "env"),  # and lambda(r) before lambda_bar(r)
 ])
 def test_asymmetry_demo_raises_as_the_loop_over_tilts_would(r_env, r_bar, first):
-    env, bar, rs = B2_NO_MINUS2, reflect(B2_NO_MINUS2), [-1.0, -0.4, -0.2]
+    # lambda_bar is the smaller root of Lambda(s) = -r on env itself
+    env, rs = B2_NO_MINUS2, [-1.0, -0.4, -0.2]
     env_s, env_refuse = _refused_newton_tilt(env, r_env)
-    bar_s, bar_refuse = _refused_newton_tilt(bar, r_bar)
+    bar_s, bar_refuse = _refused_newton_tilt(env, r_bar, -1)
     assert env_s != bar_s
     with refusing(eig=lambda K: env_refuse(K) or bar_refuse(K)):
         with pytest.raises(SlowConvergenceError) as exc:
             asymmetry_demo(env, rs)
     s = env_s if first == "env" else bar_s
     assert str(exc.value) == f"eigen-solve of K_s failed at s={s}"
+
+
+SEVENTHS = homogeneous(JumpLaw(b=2, probs=((-2, 1 / 7), (-1, 3 / 7), (1, 1 / 7), (2, 2 / 7))))
+
+
+@pytest.mark.parametrize("env", [B2_NO_MINUS2, SEVENTHS], ids=["periodic", "homogeneous"])
+def test_both_directions_run_without_the_reflection(monkeypatch, env):
+    def refused(_):
+        raise AssertionError("reflect called on a B >= 2 law")
+
+    monkeypatch.setattr(environment, "reflect", refused)
+    monkeypatch.setattr(passage, "reflect", refused)
+    calls = []
+    real = passage.lockstep
+    monkeypatch.setattr(passage, "lockstep", lambda jobs: calls.append(len(jobs)) or real(jobs))
+    rs = [-1.0, -0.4, -0.2]
+    demo = asymmetry_demo(env, rs)
+    assert calls == [2 * len(rs)]  # both roots of every tilt, one lockstep
+    # one point per (tilt, direction), whatever else its lockstep holds
+    curve = lambda_curve(env, rs, with_rc=False)
+    assert [s.value for s in curve.samples] == list(demo.lambdas)
+    assert [s.value for s in curve.samples_bar] == list(demo.lambdas_bar)
+    assert [lyapunov_bar(env, r).value for r in rs] == list(demo.lambdas_bar)
 
 
 def test_a_refused_tilt_fails_only_its_own_job():

@@ -27,7 +27,6 @@ from rwre_ldp.environment import (
 from rwre_ldp.errors import SlowConvergenceError
 from rwre_ldp.passage import _brent_steps, drift_limits, estimate_rc, log_perron
 from rwre_ldp.rate import (
-    XiCritical,
     asymmetry_demo,
     cramer_oracle,
     rate,
@@ -483,8 +482,7 @@ def test_xi_critical_evaluates_only_the_interpolated_tilt():
 
 
 def test_rate_curve_searches_the_threshold_once(monkeypatch):
-    # the reflected estimate and critical drift are the forward ones read
-    # the other way round; the drift range is found once, not once per speed
+    # the drift range is found once, not once per speed
     calls, limits = [], []
 
     def counted(env, tol=None):
@@ -501,11 +499,8 @@ def test_rate_curve_searches_the_threshold_once(monkeypatch):
     assert calls == [B2_NO_MINUS2]
     assert limits == [B2_NO_MINUS2]
     rc = estimate_rc(B2_NO_MINUS2, tol=1e-7)
-    assert cur.rc == rc and rc.bracket_reflected == rc.bracket
-    xc = xi_critical(B2_NO_MINUS2, rc_est=rc)
-    assert cur.xi_critical == xc
-    da, db = xc.bracket
-    assert cur.xi_critical_reflected == XiCritical(value=-xc.value, bracket=(-db, -da))
+    assert cur.rc == rc and rc.bracket_reflected is None
+    assert cur.xi_critical == xi_critical(B2_NO_MINUS2, rc_est=rc)
 
 
 def _result_bits(res) -> tuple:

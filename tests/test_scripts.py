@@ -21,11 +21,6 @@ def test_rate_profile_on_committed_config(monkeypatch, capsys):
     assert "interior" in out and "worst dual gap" in out
 
 
-def test_run_counterexample(monkeypatch, capsys):
-    assert run_script("run_counterexample.py", monkeypatch=monkeypatch) == 0
-    assert "gap moves with the tilt" in capsys.readouterr().out
-
-
 def test_calibrate_mc_pilot(monkeypatch, capsys):
     assert run_script("calibrate_mc.py", "--pilot", "40", monkeypatch=monkeypatch) == 0
     out = capsys.readouterr().out

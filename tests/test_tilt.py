@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rwre_ldp import tilt
 from rwre_ldp.environment import JumpLaw, class_cycle, homogeneous, offsets, periodic
-from rwre_ldp.errors import SlowConvergenceError
+from rwre_ldp.errors import DriftMismatchError, SlowConvergenceError
 from rwre_ldp.passage import log_perron, lyapunov, lyapunov_prime
 from rwre_ldp.tilt import (
     ansatz_measure,
@@ -202,6 +202,16 @@ class TestSlope:
         a = slope(WIDE, -2.0).value
         b = slope(WIDE, -0.3).value
         assert b > a
+
+    @pytest.mark.parametrize("env,r", CASES)
+    def test_speed_off_the_curve_raises(self, env, r):
+        # a speed 1e-3 off the chain's misses the stencil by ten times the
+        # 1e-4 gate
+        speed = stationary_speed(tilted_chain(env, r)) * (1 + 1e-3)
+        with pytest.raises(DriftMismatchError) as exc:
+            lyapunov_prime(env, r, speed)
+        assert exc.value.drift == speed
+        assert exc.value.reciprocal_slope == pytest.approx(speed / (1 + 1e-3), rel=1e-4)
 
 
 class TestInvariantDensity:
