@@ -112,6 +112,9 @@ def _parse_grid(d, where: str) -> tuple[float, ...]:
         lo, hi, n = float(d["min"]), float(d["max"]), int(d["points"])
     except (KeyError, ValueError, TypeError, OverflowError):
         raise ConfigError(where, "grid needs numeric min, max and integer points") from None
+    for key, v in (("min", lo), ("max", hi)):
+        if not math.isfinite(v):
+            raise ConfigError(f"{where}.{key}", "must be a finite number")
     if n < 1:
         raise ConfigError(f"{where}.points", f"need at least 1 point, got {n}")
     if lo > hi:

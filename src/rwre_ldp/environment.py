@@ -407,12 +407,15 @@ def _parse_laws(raw_laws: Iterable[Mapping], b: int, where: str) -> tuple[JumpLa
 
 
 def parse_number(value, where: str, kind=float):
-    """value as a float (or an int, with kind=int); a ConfigError naming
-    where if it is not one."""
+    """value as a finite float (or an int, with kind=int); a ConfigError
+    naming where if it is not one."""
     try:
-        return kind(value)
+        number = kind(value)
     except (ValueError, TypeError, OverflowError):
         raise ConfigError(where, "must be an integer" if kind is int else "must be a number") from None
+    if not math.isfinite(number):
+        raise ConfigError(where, "must be a finite number")
+    return number
 
 
 def env_from_json(d: Mapping, where: str = "environment") -> Environment:

@@ -316,39 +316,35 @@ def zeta_nn(env: Environment, r: float) -> ZetaSolve:
     require_periodic(env, "the zeta recursion")
     e = math.exp(r)
     L = env.period
-    q, p = env.probs.T
-    zeta = np.zeros(L)
-    upper = 1.0 if r <= 0 else 1.0 / (env.delta * e)
-    cycles = 0
-    prev = zeta.copy()
-    while cycles < _ZETA_MAX_CYCLES:
+    q, p = env.probs.T.tolist()
+    zeta = [0.0] * L
+    bound = 1.01 * (1.0 if r <= 0 else 1.0 / (env.delta * e))
+    cycles, settled = 0, False
+    while cycles < _ZETA_MAX_CYCLES and not settled:
         cycles += 1
+        settled, over, last = True, False, zeta[-1]
         for i in range(L):
-            den = 1.0 - q[i] * e * zeta[(i - 1) % L]
+            den = 1.0 - q[i] * e * last
             if den <= 0.0:
                 raise SupercriticalError(
                     f"zeta recursion denominator {den} <= 0 at class {i}",
                     r=r,
                     diagnostics={"cycles": cycles, "class": i},
                 )
-            zeta[i] = p[i] * e / den
-        if np.any(zeta > 1.01 * upper):
+            last = p[i] * e / den
+            settled &= abs(last - zeta[i]) <= _ZETA_TOL  # a NaN change never settles
+            over |= last > bound
+            zeta[i] = last
+        if over:
             raise SupercriticalError(
                 "zeta recursion exceeded its subcritical bound",
                 r=r,
-                diagnostics={"cycles": cycles, "max_zeta": float(zeta.max())},
+                diagnostics={"cycles": cycles, "max_zeta": float(np.max(zeta))},
             )
-        change = float(np.max(np.abs(zeta - prev)))
-        if change <= _ZETA_TOL:
-            break
-        prev = zeta.copy()
-    resid = 0.0
-    for i in range(L):
-        resid = max(
-            resid,
-            abs(p[i] * e / zeta[i] + q[i] * e * zeta[(i - 1) % L] - 1.0),
-        )
-    return ZetaSolve(r=r, zeta=zeta, cycles=cycles, residual=resid, converged=change <= _ZETA_TOL)
+    zeta = np.array(zeta)
+    resid = np.abs(env.probs[:, 1] * e / zeta + env.probs[:, 0] * e * np.roll(zeta, 1) - 1.0)
+    return ZetaSolve(r=r, zeta=zeta, cycles=cycles, residual=max(0.0, *resid.tolist()),
+                     converged=settled)
 
 
 # ---------------------------------------------------------------------------
@@ -823,14 +819,12 @@ def _max_cycle_mean(env: Environment, sign: float) -> tuple[float, np.ndarray]:
     is <= 0 on every edge and 0 on the edges of maximal-mean cycles."""
     L = env.period
     offs = offsets(env.b)
-    idx = np.arange(L)
+    src = (np.arange(L)[:, None] - offs) % L  # the class an edge z into class j leaves
+    weight = np.where(env.probs[src, np.arange(len(offs))] > 0, sign * offs, NEG_INF)  # -inf off support
     D = np.full((L + 1, L), NEG_INF)  # D[k, j]: heaviest k-step walk 0 -> j
     D[0, 0] = 0.0
     for k in range(1, L + 1):
-        for j, z in enumerate(offs):
-            src = (idx - int(z)) % L
-            cand = np.where(env.probs[src, j] > 0, D[k - 1, src] + sign * z, NEG_INF)
-            np.maximum(D[k], cand, out=D[k])
+        np.max(D[k - 1][src] + weight, axis=1, out=D[k])
     ends = np.isfinite(D[L])
     ratios = (D[L, ends] - D[:L, ends]) / (L - np.arange(L))[:, None]
     mean = float(np.max(np.min(ratios, axis=0)))
@@ -841,8 +835,8 @@ def _max_cycle_mean(env: Environment, sign: float) -> tuple[float, np.ndarray]:
 def drift_limits(env: Environment) -> tuple[float, float]:
     """Attainable drift range (lim Lambda'(s) as s -> -inf and +inf): the
     minimum and maximum mean jump over cycles of the class graph, by Karp's
-    method in O(L^2 B). Not memoised: a caller needing the range at many
-    speeds computes it once."""
+    method in O(L^2 B), for `level2`. Not memoised; `rate.rate_grid` reads
+    the range off the two `_max_cycle_mean` solves its edge rates share."""
     return -_max_cycle_mean(env, -1.0)[0], _max_cycle_mean(env, 1.0)[0]
 
 
@@ -851,10 +845,13 @@ def edge_rate(env: Environment, sign: float) -> float:
     the monotone limit of s xi - Lambda(s) as s -> sign*inf, which is
     -log rho of the jump matrix restricted to edges on maximal-mean cycles.
     With every class holding the jump sign*B this is -log rho(P_{sign B})."""
-    mean, u = _max_cycle_mean(env, sign)
-    offs = offsets(env.b)
+    return _edge_rate(env, sign, *_max_cycle_mean(env, sign))
+
+
+def _edge_rate(env: Environment, sign: float, mean: float, u: np.ndarray) -> float:
+    """`edge_rate` from the (mean, u) that `_max_cycle_mean(env, sign)` gave."""
     probs = env.probs
-    tight = (probs > 0) & (sign * offs - mean + u[:, None] - u[env.targets] > -1e-9)
+    tight = (probs > 0) & (sign * offsets(env.b) - mean + u[:, None] - u[env.targets] > -1e-9)
     try:
         rho = float(np.max(np.abs(np.linalg.eigvals(class_cycle(env, np.where(tight, probs, 0.0))))))
     except np.linalg.LinAlgError as e:
@@ -935,10 +932,11 @@ def _periodic_limits(env: Environment, rs, directions=(1,)) -> list:
     s z + log phi_{i+z} - log phi_i for B >= 2, at the larger root s of
     Lambda(s) = -r for the right and at the smaller for the left, the roots
     of all the tilts and directions one `lockstep`. Both are certified
-    alike: the tilted rows sum_z p_i(z) e^{r + log u(i, z)} sum to 1 within
-    _RATIO_RESIDUAL_TOL (the largest miss is `residual`), and the ratios
-    log u(., direction) keep within the ellipticity bound -(log delta + r);
-    a miss of either is a SlowConvergenceError.
+    alike, a direction's tilts as one read-only (n, L, 2B) stack reduced
+    along its last axis, so each row keeps its lone bits: the tilted rows
+    sum_z p_i(z) e^{r + log u(i, z)} sum to 1 within _RATIO_RESIDUAL_TOL
+    (the largest miss is `residual`), and log u(., direction) keeps within
+    the ellipticity bound -(log delta + r); a miss is a SlowConvergenceError.
     """
     rs = list(rs)
     jobs = [(r, d) for r in rs for d in directions]
@@ -949,40 +947,42 @@ def _periodic_limits(env: Environment, rs, directions=(1,)) -> list:
         starts = [_class_mean_starts(env, rs, d) for d in directions]
         found = lockstep([(env, _perron_root(env, r, t[k], d))
                           for k, r in enumerate(rs) for d, t in zip(directions, starts)])
-    out: list = []
-    for (r, d), sol in zip(jobs, found):
-        if isinstance(sol, RwreError):
-            out.append(sol)
+    out: list = list(found)
+    for d in directions:
+        ks = [k for k, (_, dk) in enumerate(jobs) if dk == d and not isinstance(found[k], RwreError)]
+        if not ks:
             continue
         side, way = sides[d]
         if env.b == 1:
-            theta = -np.log(sol.zeta)
-            log_u = np.stack([-np.roll(theta, 1), theta], axis=1)
-            cycles, diagnostics = sol.cycles, {"r": r}
+            theta = -np.log([found[k].zeta for k in ks])
+            log_u = np.stack([-np.roll(theta, 1, axis=1), theta], axis=2)
         else:
-            log_phi = np.log(sol.right)
-            log_u = sol.s * offsets(env.b) + log_phi[env.targets] - log_phi[:, None]
-            cycles, diagnostics = 0, {"r": r, "s": sol.s}
-        res = float(np.max(np.abs((side.probs * np.exp(r + log_u)).sum(axis=1) - 1.0)))
-        worst = float(np.max(np.abs(log_u[:, offset_index(env.b, way)])))
-        bound = -(math.log(env.delta) + r)
-        if not res <= _RATIO_RESIDUAL_TOL:
-            out.append(SlowConvergenceError(
-                f"harmonic ratios miss row-stochasticity by {res:g} at r={r}",
-                diagnostics={**diagnostics, "residual": res},
-            ))
-        elif worst > bound + 1e-8:
-            out.append(SlowConvergenceError(
-                "stabilized ratios violate their ellipticity bounds",
-                diagnostics={"max_log_ratio": worst, "bound": bound},
-            ))
-        else:
-            log_u.flags.writeable = False
-            out.append(ULimit(
-                env=side, r=r, mode="periodic-exact", sites=tuple(range(env.period)),
-                log_u=log_u, n_used=cycles, m_used=0, cauchy_gap=0.0, residual=res,
-                direction=way,
-            ))
+            log_phi = np.log([found[k].right for k in ks])
+            s = np.array([found[k].s for k in ks])[:, None, None]
+            log_u = s * offsets(env.b) + log_phi[:, env.targets] - log_phi[:, :, None]
+        log_u.flags.writeable = False
+        tilts = np.array([jobs[k][0] for k in ks])[:, None, None]
+        resids = np.abs((side.probs * np.exp(tilts + log_u)).sum(axis=2) - 1.0).max(axis=1)
+        worsts = np.abs(log_u[:, :, offset_index(env.b, way)]).max(axis=1)
+        for k, lu, res, worst in zip(ks, log_u, resids.tolist(), worsts.tolist()):
+            r, sol = jobs[k][0], found[k]
+            bound = -(math.log(env.delta) + r)
+            if not res <= _RATIO_RESIDUAL_TOL:
+                out[k] = SlowConvergenceError(
+                    f"harmonic ratios miss row-stochasticity by {res:g} at r={r}",
+                    diagnostics={"r": r, **({"s": sol.s} if env.b > 1 else {}), "residual": res},
+                )
+            elif worst > bound + 1e-8:
+                out[k] = SlowConvergenceError(
+                    "stabilized ratios violate their ellipticity bounds",
+                    diagnostics={"max_log_ratio": worst, "bound": bound},
+                )
+            else:
+                out[k] = ULimit(
+                    env=side, r=r, mode="periodic-exact", sites=tuple(range(env.period)),
+                    log_u=lu, n_used=sol.cycles if env.b == 1 else 0, m_used=0,
+                    cauchy_gap=0.0, residual=res, direction=way,
+                )
     return out
 
 

@@ -39,11 +39,11 @@ from .passage import (
     PerronPoint,
     RcEstimate,
     _caught,
+    _edge_rate,
     _lyapunov_samples,
+    _max_cycle_mean,
     _raise_first,
     _slope_root_steps,
-    drift_limits,
-    edge_rate,
     estimate_rc,
     lockstep,
     log_perron,
@@ -68,9 +68,10 @@ class RateResult:
     xi_residual: float  # |Lambda'(s*) - xi|
 
 
-def _limit_rate(env: Environment, xi: float, lo: float, hi: float) -> RateResult | None:
-    """The rate at a speed that needs no drift root: outside the drift range
-    [lo, hi], or at one of its ends. None for interior speeds."""
+def _limit_rate(env: Environment, xi: float, cycles: dict) -> RateResult | None:
+    """The rate at a speed outside the drift range or at an end of it, from
+    each sign's `_max_cycle_mean` in cycles; None for interior speeds."""
+    lo, hi = -cycles[-1.0][0], cycles[1.0][0]
     if xi > hi + _EDGE_TOL or xi < lo - _EDGE_TOL:
         return RateResult(
             xi=xi, value=math.inf, branch="outside", r_star=math.nan, slope=math.nan,
@@ -80,8 +81,8 @@ def _limit_rate(env: Environment, xi: float, lo: float, hi: float) -> RateResult
         if sign * xi >= sign * end - _EDGE_TOL:
             # the supremum is the limit s -> sign*inf, where r* -> -inf
             return RateResult(
-                xi=xi, value=edge_rate(env, sign), branch="edge", r_star=-math.inf,
-                slope=sign * math.inf, xi_residual=0.0,
+                xi=xi, value=_edge_rate(env, sign, *cycles[sign]), branch="edge",
+                r_star=-math.inf, slope=sign * math.inf, xi_residual=0.0,
             )
     return None
 
@@ -104,15 +105,15 @@ def rate_grid(env: Environment, xi_grid) -> list[RateResult]:
     Each interior speed walks out its own bracket and runs its own Brent
     iteration on Lambda'(s) = xi (`_slope_root_steps`) as a job of
     `passage.lockstep`, on the environment itself whatever the speed's
-    sign. A point never sees the rest of the grid: its result is a
-    function of (env, xi) alone, the same to the last bit as a lone
-    `rate(env, xi)`. If points fail, the error of the first failing point
-    in grid order is raised, as a loop over the grid would.
+    sign; one cycle-mean solve per sign gives the range and the edge rates.
+    A point's result is a function of (env, xi) alone, the same to the last
+    bit as a lone `rate(env, xi)`. If points fail, the error of the first
+    failing point in grid order is raised, as a loop over the grid would.
     """
     require_periodic(env, "rate evaluation")
     xis = [float(xi) + 0.0 for xi in xi_grid]  # -0.0 is speed 0
-    lo, hi = drift_limits(env)
-    results = [_caught(_limit_rate, env, xi, lo, hi) for xi in xis]
+    cycles = {sign: _max_cycle_mean(env, sign) for sign in (-1.0, 1.0)}
+    results = [_caught(_limit_rate, env, xi, cycles) for xi in xis]
     interior = [i for i, res in enumerate(results) if res is None]
     roots = lockstep([(env, _slope_root_steps(xis[i])) for i in interior])
     for i, found in zip(interior, roots):

@@ -160,6 +160,19 @@ class TestConfigErrors:
         ({"threshold": [1]}, "threshold"),
         ({"r_values": [1, "q"]}, "r_values[1]"),
         ({"grid": [0.1, "a"]}, "grid[1]"),
+        ({"r": math.nan}, "r"),
+        ({"r": "nan"}, "r"),
+        ({"xi": math.inf}, "xi"),
+        ({"xi": "-Infinity"}, "xi"),
+        ({"grid": [0.1, math.nan, 0.5]}, "grid[1]"),
+        ({"grid": {"min": -math.inf, "max": 0.5, "points": 3}}, "grid.min"),
+        ({"grid": {"min": -0.5, "max": "inf", "points": 3}}, "grid.max"),
+        ({"r_values": [-0.5, "nan"]}, "r_values[1]"),
+        ({"tolerance": math.inf}, "tolerance"),
+        ({"rc_tol": math.nan}, "rc_tol"),
+        ({"threshold": "inf"}, "threshold"),
+        ({"mc": {"r": math.nan}}, "mc.r"),
+        ({"mc": {"gate": math.inf}}, "mc.gate"),
         ({"mc": {"checks": 5}}, "mc.checks"),
         ({"environment": dict(SYM, delta="x")}, "environment.delta"),
         ({"environment": dict(SYM, laws=5)}, "environment.laws"),

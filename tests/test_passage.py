@@ -248,6 +248,101 @@ class TestULimit:
             ul.log_u_at(45, 1)
 
 
+PER2_NN_STEEP = periodic(
+    [
+        JumpLaw(b=1, probs=((-1, 0.1), (1, 0.9))),
+        JumpLaw(b=1, probs=((-1, 0.3), (1, 0.7))),
+    ]
+)
+
+
+def numpy_zeta_nn(env: Environment, r: float) -> passage.ZetaSolve:
+    """The zeta recursion as it ran on numpy scalars before its sweep moved
+    to Python floats: an oracle for that sweep, bit for bit."""
+    e = math.exp(r)
+    L = env.period
+    q, p = env.probs.T
+    zeta = np.zeros(L)
+    upper = 1.0 if r <= 0 else 1.0 / (env.delta * e)
+    cycles = 0
+    prev = zeta.copy()
+    while cycles < passage._ZETA_MAX_CYCLES:
+        cycles += 1
+        for i in range(L):
+            den = 1.0 - q[i] * e * zeta[(i - 1) % L]
+            if den <= 0.0:
+                raise SupercriticalError(
+                    f"zeta recursion denominator {den} <= 0 at class {i}",
+                    r=r,
+                    diagnostics={"cycles": cycles, "class": i},
+                )
+            zeta[i] = p[i] * e / den
+        if np.any(zeta > 1.01 * upper):
+            raise SupercriticalError(
+                "zeta recursion exceeded its subcritical bound",
+                r=r,
+                diagnostics={"cycles": cycles, "max_zeta": float(zeta.max())},
+            )
+        change = float(np.max(np.abs(zeta - prev)))
+        if change <= passage._ZETA_TOL:
+            break
+        prev = zeta.copy()
+    resid = 0.0
+    for i in range(L):
+        resid = max(
+            resid,
+            abs(p[i] * e / zeta[i] + q[i] * e * zeta[(i - 1) % L] - 1.0),
+        )
+    return passage.ZetaSolve(r=r, zeta=zeta, cycles=cycles, residual=resid,
+                             converged=change <= passage._ZETA_TOL)
+
+
+def zeta_outcome(solve, env: Environment, r: float) -> tuple:
+    """Everything a zeta solve returns or raises, floats by their bits."""
+    try:
+        zs = solve(env, r)
+    except SupercriticalError as e:
+        return type(e), str(e), e.r, repr(e.diagnostics)
+    assert isinstance(zs.zeta, np.ndarray)
+    return zs.zeta.tobytes(), zs.cycles, float(zs.residual).hex(), zs.converged
+
+
+class TestZetaFloatSweep:
+    """The float sweep of `zeta_nn` against the numpy-scalar one it
+    replaced: the same zeta bytes, cycles, residual and verdict, or the same
+    error, below and above the threshold."""
+
+    @settings(max_examples=examples(40), deadline=None)
+    @given(st.integers(1, 64).flatmap(lambda n: st.lists(jump_laws(b=1), min_size=n, max_size=n)),
+           st.floats(0.01, 3.0), st.floats(0.0, 0.9), st.floats(0.01, 1.0))
+    def test_matches_the_numpy_sweep(self, laws, below, frac, above):
+        env = periodic(laws)
+        rc = estimate_rc(env).value
+        # positive tilts below r_c only where they stay clear of it: the
+        # sweep slows like (r_c - r)^(-1/2) there
+        for r in [-below, *([frac * rc] if rc > 0.01 else []), rc + above]:
+            assert zeta_outcome(zeta_nn, env, r) == zeta_outcome(numpy_zeta_nn, env, r)
+
+    @pytest.mark.parametrize("env", [BIASED_NN, PER2_NN, SYM_NN, PER2_NN_STEEP],
+                             ids=["biased", "per2", "sym", "per2-steep"])
+    def test_matches_the_numpy_sweep_across_the_threshold(self, env):
+        # both supercritical verdicts (a nonpositive denominator, zeta past
+        # its bound) and positive subcritical tilts, clear of r_c
+        rc = estimate_rc(env).value
+        rs = [float(r) for r in np.linspace(-0.2, 3.0 * rc + 0.5, 25) if abs(r - rc) > 0.01]
+        outcomes = [zeta_outcome(zeta_nn, env, r) for r in rs]
+        assert outcomes == [zeta_outcome(numpy_zeta_nn, env, r) for r in rs]
+
+    def test_matches_the_numpy_sweep_on_a_long_period(self):
+        # mixed drifts: r_c is about 3.7e-4 (estimate_rc, too slow to run here)
+        ps = np.random.default_rng(5).uniform(0.3, 0.8, 1024)
+        env = periodic([JumpLaw(b=1, probs=((-1, 1.0 - p), (1, p))) for p in ps.tolist()])
+        rs = (-0.5, 2e-4, 6e-4, 0.5)
+        outcomes = [zeta_outcome(zeta_nn, env, r) for r in rs]
+        assert [o[0] is SupercriticalError for o in outcomes] == [False, False, True, True]
+        assert outcomes == [zeta_outcome(numpy_zeta_nn, env, r) for r in rs]
+
+
 class TestHarmonicRatios:
     """Closed-form periodic ratios: the zeta route for B=1, the Perron
     vector for B>=2, both certified by their row-stochasticity residual."""
@@ -328,6 +423,34 @@ class TestHarmonicRatios:
         with pytest.raises(SlowConvergenceError) as grid_exc:
             lyapunov_grid(env, [-0.1, -1.0, -0.5])
         assert grid_exc.value.diagnostics == diag
+
+
+def limit_outcome(entry) -> tuple:
+    """A `_periodic_limits` entry, floats and arrays by their bits."""
+    if isinstance(entry, Exception):
+        return type(entry), str(entry), repr(entry.diagnostics)
+    return (entry.log_u.tobytes(), entry.log_u.shape, entry.residual.hex(), entry.n_used,
+            entry.direction, entry.r)
+
+
+@settings(max_examples=examples(40), deadline=None)
+@given(environments(max_b=3, max_period=12), st.randoms(use_true_random=False))
+def test_stacked_certificates_match_tilt_by_tilt(env, rnd):
+    # each direction's ratio rows are certified as one stack; every entry is
+    # the one a call at its tilt alone gives, errors included
+    rc = estimate_rc(env).value
+    # a positive tilt below r_c only where the zeta sweep stays quick
+    rs = [-1.5, -0.4, -0.05, *([0.5 * rc] if rc > 0.01 else []), rc + 0.02, rc + 0.7]
+    rnd.shuffle(rs)
+    stacked = passage._periodic_limits(env, rs, (1, -1))
+    assert len(stacked) == 2 * len(rs)
+    alone = [passage._periodic_limits(env, (r,), (d,))[0] for r in rs for d in (1, -1)]
+    assert [limit_outcome(e) for e in stacked] == [limit_outcome(e) for e in alone]
+    assert any(isinstance(e, SupercriticalError) for e in stacked)
+    for d in (1, -1):
+        rows = [e for e in stacked[(1 - d) // 2::2] if not isinstance(e, Exception)]
+        assert all(not e.log_u.flags.writeable for e in rows)
+        assert len({id(e.log_u.base) for e in rows}) == 1
 
 
 class TestHitMgf:

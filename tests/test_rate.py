@@ -482,25 +482,33 @@ def test_xi_critical_evaluates_only_the_interpolated_tilt():
 
 
 def test_rate_curve_searches_the_threshold_once(monkeypatch):
-    # the drift range is found once, not once per speed
-    calls, limits = [], []
+    # the drift range is solved once per sign, not once per speed: the two
+    # cycle-mean solves of rate_grid also serve the rates at both ends
+    calls, solves = [], []
+    real = passage._max_cycle_mean
 
     def counted(env, tol=None):
         calls.append(env)
         return estimate_rc(env, tol=tol)
 
-    def counted_limits(env):
-        limits.append(env)
-        return drift_limits(env)
+    def counted_solve(env, sign):
+        solves.append((env, sign))
+        return real(env, sign)
 
     monkeypatch.setattr(rate_module, "_rc_cached", counted)
-    monkeypatch.setattr(rate_module, "drift_limits", counted_limits)
-    cur = rate_curve(B2_NO_MINUS2, [-0.5, 0.25, 1.0, -0.25], rc_tol=1e-7)
+    monkeypatch.setattr(rate_module, "_max_cycle_mean", counted_solve)
+    monkeypatch.setattr(passage, "_max_cycle_mean", counted_solve)
+    cur = rate_curve(B2_NO_MINUS2, [-1.5, -0.5, 0.25, 1.0, -0.25, 2.0], rc_tol=1e-7)
     assert calls == [B2_NO_MINUS2]
-    assert limits == [B2_NO_MINUS2]
+    assert sorted(sign for _, sign in solves) == [-1.0, 1.0]
+    assert all(env is B2_NO_MINUS2 for env, _ in solves)
+    assert [res.branch for res in cur.results] == ["edge"] + ["interior"] * 4 + ["edge"]
     rc = estimate_rc(B2_NO_MINUS2, tol=1e-7)
     assert cur.rc == rc and rc.bracket_reflected is None
     assert cur.xi_critical == xi_critical(B2_NO_MINUS2, rc_est=rc)
+    for sign, res in ((-1.0, cur.results[0]), (1.0, cur.results[-1])):
+        handed = passage._edge_rate(B2_NO_MINUS2, sign, *real(B2_NO_MINUS2, sign))
+        assert handed.hex() == passage.edge_rate(B2_NO_MINUS2, sign).hex() == res.value.hex()
 
 
 def _result_bits(res) -> tuple:
