@@ -142,7 +142,7 @@ def main() -> int:
     args = ap.parse_args()
     commits = {side: _git("rev-parse", rev).decode().strip()
                for side, rev in (("base", args.base), ("head", args.head))}
-    doc = {"commits": commits, "workdir": str(args.workdir), "seconds": args.seconds,
+    doc = {"commits": commits, "seconds": args.seconds,
            "runs": [], "traced": {}}
 
     def save() -> None:

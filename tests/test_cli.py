@@ -160,6 +160,12 @@ class TestConfigErrors:
         ({"threshold": [1]}, "threshold"),
         ({"r_values": [1, "q"]}, "r_values[1]"),
         ({"grid": [0.1, "a"]}, "grid[1]"),
+        ({"mc": {"checks": 5}}, "mc.checks"),
+        ({"environment": dict(SYM, delta="x")}, "environment.delta"),
+        ({"environment": dict(SYM, laws=5)}, "environment.laws"),
+        ({"environment": dict(SYM, seed=[1])}, "environment.seed"),
+        ({"environment": "periodic"}, "environment"),
+        # a non-finite number is malformed too
         ({"r": math.nan}, "r"),
         ({"r": "nan"}, "r"),
         ({"xi": math.inf}, "xi"),
@@ -173,11 +179,6 @@ class TestConfigErrors:
         ({"threshold": "inf"}, "threshold"),
         ({"mc": {"r": math.nan}}, "mc.r"),
         ({"mc": {"gate": math.inf}}, "mc.gate"),
-        ({"mc": {"checks": 5}}, "mc.checks"),
-        ({"environment": dict(SYM, delta="x")}, "environment.delta"),
-        ({"environment": dict(SYM, laws=5)}, "environment.laws"),
-        ({"environment": dict(SYM, seed=[1])}, "environment.seed"),
-        ({"environment": "periodic"}, "environment"),
     ], ids=lambda x: x if isinstance(x, str) else None)
     def test_malformed_value_names_its_key(self, tmp_path, capsys, patch, key):
         cfg = {"task": "lambda-curve", "environment": SYM, "grid": [-0.5], **patch}
