@@ -500,7 +500,9 @@ def _perron_chunk(env: Environment, ss: list[float]) -> list:
                 value=value,
                 slope=num / (r * den),
                 right=right,
-                bracket=(value + math.log(q_lo / r), value + math.log(q_hi / r)),
+                # a class whose row of the scaled K_s underflowed has quotient 0
+                bracket=(value + math.log(q_lo / r) if q_lo / r > 0.0 else -math.inf,
+                         value + math.log(q_hi / r)),
             )
     return out
 

@@ -719,6 +719,33 @@ class TestLinalgFailures:
         assert exc.value.diagnostics["linalg"] == "Singular matrix"
 
 
+# class 5 lacks the +2 jump, so at a large tilt its row of the scaled K_s
+# underflows to zero while the +2 cycles keep rho positive
+B2_HOLE_AT_5 = periodic([JumpLaw(b=2, probs=p) for p in (
+    ((-2, 5 / 36), (-1, 19 / 36), (1, 11 / 36), (2, 1 / 36)),
+    ((-2, 8 / 19), (-1, 3 / 19), (1, 7 / 38), (2, 9 / 38)),
+    ((-2, 17 / 46), (-1, 11 / 46), (1, 2 / 23), (2, 7 / 23)),
+    ((-2, 11 / 60), (-1, 1 / 4), (1, 19 / 60), (2, 1 / 4)),
+    ((-2, 1 / 32), (-1, 5 / 16), (1, 19 / 32), (2, 1 / 16)),
+    ((-2, 4 / 37), (-1, 14 / 37), (1, 19 / 37)),
+    ((-2, 2 / 11), (-1, 15 / 44), (1, 1 / 22), (2, 19 / 44)),
+    ((-2, 5 / 36), (-1, 19 / 36), (1, 11 / 36), (2, 1 / 36)),
+    ((-2, 0.08), (-1, 0.36), (1, 0.16), (2, 0.4)),
+    ((-2, 1 / 7), (-1, 4 / 7), (1, 4 / 21), (2, 2 / 21)),
+)])
+
+
+def test_zero_quotient_widens_the_bracket_instead_of_raising():
+    # a left-root Newton step past the threshold lands near s = 5491, where
+    # the lower Collatz-Wielandt quotient is 0: the bracket's lower end is
+    # -inf, and the tilt is reported supercritical, not a math domain error
+    pt = log_perron(B2_HOLE_AT_5, 5491.22109262365)
+    assert pt.bracket[0] == -math.inf and pt.bracket[1] >= pt.value
+    r = estimate_rc(B2_HOLE_AT_5).value + 0.02
+    assert lyapunov_bar(B2_HOLE_AT_5, r).status == "supercritical"
+    assert lyapunov(B2_HOLE_AT_5, r).status == "supercritical"
+
+
 class TestLongPeriodRatios:
     """B=2 with 4*B*L > 256: the ratio solve used to recurse without bound."""
 
