@@ -342,7 +342,7 @@ def zeta_nn(env: Environment, r: float) -> ZetaSolve:
                 diagnostics={"cycles": cycles, "max_zeta": float(np.max(zeta))},
             )
     zeta = np.array(zeta)
-    resid = np.abs(env.probs[:, 1] * e / zeta + env.probs[:, 0] * e * np.roll(zeta, 1) - 1.0)
+    resid = np.abs(env.probs[:, 1] * e / zeta + env.probs[:, 0] * e * zeta[env.targets[:, 0]] - 1.0)
     return ZetaSolve(r=r, zeta=zeta, cycles=cycles, residual=max(0.0, *resid.tolist()),
                      converged=settled)
 
@@ -957,7 +957,7 @@ def _periodic_limits(env: Environment, rs, directions=(1,)) -> list:
         side, way = sides[d]
         if env.b == 1:
             theta = -np.log([found[k].zeta for k in ks])
-            log_u = np.stack([-np.roll(theta, 1, axis=1), theta], axis=2)
+            log_u = np.stack([-theta[:, env.targets[:, 0]], theta], axis=2)  # class i - 1, i
         else:
             log_phi = np.log([found[k].right for k in ks])
             s = np.array([found[k].s for k in ks])[:, None, None]
