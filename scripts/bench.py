@@ -10,8 +10,9 @@ then the Tier-1 suite runs once on the head commit.
 
 The output holds, per workload and seed, each end-to-end metric's median
 and quartiles on both sides, the pairs the head won, fail_frac and per-task
-medians, with nproc, the CPU model, the Python, numpy and scipy versions and
-both commits. It is written after every run, so an interrupted comparison
+medians, with nproc, the CPU model, the Python, numpy and scipy versions,
+whether the passes compiled the package from source (PYTHONDONTWRITEBYTECODE)
+and both commits. It is written after every run, so an interrupted comparison
 keeps what it measured.
 
 Usage: python scripts/bench.py --base REV --head REV --out BENCH_N.json
@@ -67,6 +68,9 @@ def run_bench(path: Path, workload: str, seed: int, seconds: int, trace: bool) -
                   if line.startswith("run_record: "))
     out["tasks"] = {t["name"]: t["wall_s"] for t in record["tasks"]}
     out["machine"] = {k: record[k] for k in ("nproc", "cpu_model", "versions")}
+    # with PYTHONDONTWRITEBYTECODE set, every pass compiles rwre_ldp from
+    # source inside setup_s, where cached bytecode would be read instead
+    out["machine"]["compiles_from_source"] = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
     return out
 
 

@@ -10,25 +10,21 @@ __version__ = "0.1.0"
 
 from .environment import (
     Environment,
-    EnvDiagnostics,
     JumpLaw,
     env_from_json,
     env_to_json,
     law_at,
     reflect,
     sample_iid,
-    validate,
 )
 
 __all__ = [
     "__version__",
     "Environment",
-    "EnvDiagnostics",
     "JumpLaw",
     "env_from_json",
     "env_to_json",
     "law_at",
     "reflect",
     "sample_iid",
-    "validate",
 ]

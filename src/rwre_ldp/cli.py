@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, level2, mc
-from .environment import Environment, env_from_json, offsets, parse_number, validate
+from .environment import Environment, env_from_json, offsets, parse_number
 from .errors import (
     ConfigError,
     DriftMismatchError,
@@ -157,9 +157,6 @@ def parse_config(raw: dict, config_sha: str) -> RunConfig:
     if "environment" not in raw:
         raise ConfigError("environment", "missing")
     env = env_from_json(raw["environment"], where="environment")
-    diag = validate(env)
-    if not diag.ok:
-        raise ConfigError("environment", "; ".join(diag.violations))
 
     grid = _parse_grid(raw["grid"], "grid") if "grid" in raw else None
     r = parse_number(raw["r"], "r") if "r" in raw else None
@@ -309,12 +306,11 @@ def _task_lambda_curve(cfg: RunConfig, w: _Writer):
         "points": len(rows),
     }
     rc = curve.rc
-    if rc is not None:
-        summary["rc"] = {"bracket": list(rc.bracket), "value": rc.value, "predicate": rc.predicate}
-        if rc.bracket_reflected is not None:  # a sampled window's reflection, searched apart
-            lo, hi = rc.bracket_reflected
-            summary["rc"].update(bracket_reflected=[lo, hi],
-                                 reflect_gap=abs(rc.value - 0.5 * (lo + hi)))
+    summary["rc"] = {"bracket": list(rc.bracket), "value": rc.value, "predicate": rc.predicate}
+    if rc.bracket_reflected is not None:  # a sampled window's reflection, searched apart
+        lo, hi = rc.bracket_reflected
+        summary["rc"].update(bracket_reflected=[lo, hi],
+                             reflect_gap=abs(rc.value - 0.5 * (lo + hi)))
     w.json("lambda_curve.json", summary)
     hard = [
         f"lambda-curve invariant {name} violated"
@@ -440,12 +436,8 @@ def _task_mc_verify(cfg: RunConfig, w: _Writer, threads: int):
         threads=threads,
     )
     w.jsonl("mc_report.jsonl", [c.row() for c in rep.checks])
-    # wall time goes to stderr, not the artifact: outputs must be
-    # byte-identical across reruns and machines
-    summary = {k: v for k, v in rep.to_json().items()
-               if k not in ("checks", "wall_time_s")}
+    summary = {k: v for k, v in rep.to_json().items() if k != "checks"}
     w.json("mc_summary.json", summary)
-    print(f"mc-verify wall time: {rep.wall_time:.1f}s", file=sys.stderr)
     warnings, hard = [], []
     for c in rep.checks:
         if c.passed:

@@ -6,10 +6,10 @@ supported: a single law everywhere ("homogeneous"), a finite cycle of
 laws repeated with period L ("periodic"), and an explicit window of
 laws drawn independently per site from a finite mixture ("iid").
 
-Uniform ellipticity is declared, not inferred: an environment carries a
-constant delta > 0 and is expected to satisfy prob(+-1) >= delta at every
-site. `validate` reports violations instead of aborting so that broken
-inputs can be diagnosed.
+Uniform ellipticity is a floor the environment owns: it carries a
+constant delta in (0, 0.5], by default the least unit-jump mass of its
+laws, and construction raises, naming every law and sign, where
+prob(+-1) falls below it.
 
 Every computation reads one (class, jump) table off the environment it is
 given: `Environment.probs`, and for a class cycle its layout, `targets`
@@ -149,8 +149,8 @@ class Environment:
 
     kind: str
     b: int
-    delta: float
     laws: tuple[JumpLaw, ...]
+    delta: float | None = None  # None: the least p(+-1) over the laws
     window: tuple[int, int] | None = None
     seed: int | None = None
 
@@ -159,7 +159,7 @@ class Environment:
             raise ValueError(f"unknown environment kind {self.kind!r}")
         if not self.laws:
             raise ValueError("environment needs at least one law")
-        if not (0.0 < self.delta <= 0.5):
+        if self.delta is not None and not (0.0 < self.delta <= 0.5):
             raise ValueError(f"ellipticity constant must lie in (0, 0.5], got {self.delta}")
         for law in self.laws:
             if law.b != self.b:
@@ -178,6 +178,17 @@ class Environment:
                 )
         elif self.window is not None:
             raise ValueError("only iid environments carry a window")
+        unit = self.probs[:, [offset_index(self.b, 1), offset_index(self.b, -1)]]
+        if self.delta is None:
+            object.__setattr__(self, "delta", float(unit.min()))
+        violations = [
+            f"law {i}: prob({sign})={float(p)} below delta={self.delta}"
+            for i, row in enumerate(unit)
+            for sign, p in zip(("+1", "-1"), row)
+            if p < self.delta
+        ]
+        if violations:
+            raise ValueError("; ".join(violations))
 
     def __getstate__(self) -> dict:
         # only the fields travel: an array comes back from a pickle
@@ -240,8 +251,6 @@ def homogeneous(law: JumpLaw | Mapping, delta: float | None = None) -> Environme
     """Environment with the same law at every site."""
     if not isinstance(law, JumpLaw):
         law = JumpLaw.from_dict(law)
-    if delta is None:
-        delta = min(law.prob(1), law.prob(-1))
     return Environment(kind="homogeneous", b=law.b, delta=delta, laws=(law,))
 
 
@@ -252,8 +261,6 @@ def periodic(laws: Sequence[JumpLaw | Mapping], delta: float | None = None) -> E
     parsed = tuple(
         l if l.b == b else JumpLaw(b=b, probs=l.probs) for l in parsed
     )
-    if delta is None:
-        delta = min(min(l.prob(1), l.prob(-1)) for l in parsed)
     return Environment(kind="periodic", b=b, delta=delta, laws=parsed)
 
 
@@ -283,61 +290,6 @@ def reflect(env: Environment) -> Environment:
     laws = tuple(env.laws[hi - lo - i].reflected() for i in range(hi - lo + 1))
     return Environment(
         kind="iid", b=env.b, delta=env.delta, laws=laws, window=(-hi, -lo), seed=env.seed
-    )
-
-
-@dataclass(frozen=True)
-class EnvDiagnostics:
-    """Structured report from `validate`."""
-
-    b: int
-    delta: float
-    min_prob_plus: float
-    min_prob_minus: float
-    max_abs_log_prob: float
-    normalization_error: float
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(env: Environment) -> EnvDiagnostics:
-    """Check normalization, support bounds, and the ellipticity floor.
-
-    Returns a violation list rather than raising, so callers can report
-    all problems at once.
-    """
-    violations: list[str] = []
-    min_plus = math.inf
-    min_minus = math.inf
-    max_abs_log = 0.0
-    norm_err = 0.0
-    for i, law in enumerate(env.laws):
-        total = sum(p for _, p in law.probs)
-        norm_err = max(norm_err, abs(total - 1.0))
-        if abs(total - 1.0) > _NORM_TOL:
-            violations.append(f"law {i}: probabilities sum to {total!r}")
-        p_plus, p_minus = law.prob(1), law.prob(-1)
-        min_plus = min(min_plus, p_plus)
-        min_minus = min(min_minus, p_minus)
-        if p_plus < env.delta:
-            violations.append(f"law {i}: prob(+1)={p_plus} below delta={env.delta}")
-        if p_minus < env.delta:
-            violations.append(f"law {i}: prob(-1)={p_minus} below delta={env.delta}")
-        for z, p in law.probs:
-            if abs(z) > env.b:
-                violations.append(f"law {i}: offset {z} beyond bound {env.b}")
-            max_abs_log = max(max_abs_log, abs(math.log(p)))
-    return EnvDiagnostics(
-        b=env.b,
-        delta=env.delta,
-        min_prob_plus=min_plus,
-        min_prob_minus=min_minus,
-        max_abs_log_prob=max_abs_log,
-        normalization_error=norm_err,
-        violations=tuple(violations),
     )
 
 
@@ -467,8 +419,6 @@ def env_from_json(d: Mapping, where: str = "environment") -> Environment:
     if "laws" not in d:
         raise ConfigError(f"{where}.laws", "missing")
     laws = _parse_laws(d["laws"], b, where)
-    if delta is None:
-        delta = min(min(l.prob(1), l.prob(-1)) for l in laws)
     try:
         return Environment(kind=kind, b=b, delta=delta, laws=laws, window=window, seed=seed)
     except ValueError as e:

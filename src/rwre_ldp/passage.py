@@ -1367,7 +1367,7 @@ class LambdaCurve:
     env: Environment
     samples: tuple[LambdaSample, ...]
     samples_bar: tuple[LambdaSample, ...]
-    rc: RcEstimate | None
+    rc: RcEstimate
     monotone_ok: bool
     convex_ok: bool
     bound_ok: bool
@@ -1393,7 +1393,6 @@ def lambda_curve(
     env: Environment,
     r_grid,
     tol: float = 1e-10,
-    with_rc: bool = True,
     rc_tol: float | None = None,
 ) -> LambdaCurve:
     """Sample both Lyapunov exponents on a grid and attach diagnostics.
@@ -1418,7 +1417,7 @@ def lambda_curve(
     bound = all(
         v <= -(math.log(env.delta) + r) + 1e-9 for (r, v) in fin
     )
-    rc = estimate_rc(env, tol=rc_tol) if with_rc else None
+    rc = estimate_rc(env, tol=rc_tol)
     return LambdaCurve(
         env=env,
         samples=samples,

@@ -42,7 +42,7 @@ def environments(draw, max_b: int = 2, max_period: int = 4) -> Environment:
     L = draw(st.integers(1, max_period))
     laws = [draw(jump_laws(b=b)) for _ in range(L)]
     if L == 1 and draw(st.booleans()):
-        return Environment(kind="homogeneous", b=b, delta=_max_delta(laws), laws=tuple(laws))
+        return Environment(kind="homogeneous", b=b, laws=tuple(laws))
     return periodic(laws)
 
 
@@ -54,7 +54,3 @@ def windows(draw, max_b: int = 2, max_atoms: int = 3) -> Environment:
              for _ in range(draw(st.integers(1, max_atoms)))]
     lo, hi = draw(st.integers(-20, -1)), draw(st.integers(1, 20))
     return sample_iid(atoms, lo, hi, seed=draw(st.integers(0, 2**32 - 1)))
-
-
-def _max_delta(laws) -> float:
-    return min(min(l.prob(1), l.prob(-1)) for l in laws)

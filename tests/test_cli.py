@@ -136,6 +136,15 @@ class TestConfigErrors:
         assert code == 2
         assert "prob(-1)" in capsys.readouterr().err
 
+    def test_control_ellipticity_violation_is_a_config_error(self, tmp_path, capsys):
+        control = dict(PER2, delta=0.45)  # prob(-1) = 0.2 in law 0, prob(+1) = 0.4 in law 1
+        code, _ = run_cfg(tmp_path, {"task": "counterexample", "environment": WIDE,
+                                     "control_environment": control})
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: config key 'control_environment': law 0: prob(-1)=0.2 below "
+            "delta=0.45; law 1: prob(+1)=0.4 below delta=0.45\n")
+
     def test_unknown_mc_check_name(self, tmp_path, capsys):
         cfg = {"task": "mc-verify", "environment": SYM, "seed": 1,
                "mc": {"checks": ["empirical-velocity", "coin-flip"]}}
@@ -600,6 +609,16 @@ class TestMcVerify:
         code, _ = run_cfg(tmp_path, cfg)
         assert code == 0
         assert "statistical gate failed" in capsys.readouterr().err
+
+    def test_stderr_holds_only_the_warnings(self, tmp_path, capsys):
+        # nothing that changes from run to run, such as a wall time
+        cfg = {"task": "mc-verify", "environment": PER2, "seed": 42,
+               "mc": dict(MC_TINY, gate=0.5)}
+        code, _ = run_cfg(tmp_path, cfg)
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines and all(line.startswith("warning: statistical gate failed: ")
+                             for line in lines)
 
     def test_strict_promotes_warnings(self, tmp_path):
         cfg = {"task": "mc-verify", "environment": PER2, "seed": 42,

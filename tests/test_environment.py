@@ -1,9 +1,8 @@
-import math
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from rwre_ldp.environment import (
@@ -20,7 +19,6 @@ from rwre_ldp.environment import (
     reflect,
     require_periodic,
     sample_iid,
-    validate,
 )
 from rwre_ldp.errors import ConfigError, WindowExhaustedError
 
@@ -265,24 +263,73 @@ class TestHash:
             assert not getattr(back, name).flags.writeable
 
 
-class TestValidate:
-    def test_ellipticity_violation_flagged(self):
-        law = JumpLaw.from_dict({-1: 0.99, 1: 0.01})
-        env = Environment(kind="homogeneous", b=1, delta=0.05, laws=(law,))
-        diag = validate(env)
-        assert not diag.ok
-        assert any("prob(+1)=0.01" in v for v in diag.violations)
+class TestEllipticityFloor:
+    # a floor above some unit-jump mass: law 0 misses it on -1, law 1 on +1,
+    # law 2 on both signs
+    LAWS = (
+        JumpLaw.from_dict({-1: 0.2, 1: 0.8}),
+        JumpLaw.from_dict({-1: 0.6, 1: 0.4}),
+        JumpLaw.from_dict({-2: 0.35, -1: 0.15, 1: 0.15, 2: 0.35}),
+    )
+    FLOOR = ("law 0: prob(-1)=0.2 below delta=0.45; law 1: prob(+1)=0.4 below delta=0.45; "
+             "law 2: prob(+1)=0.15 below delta=0.45; law 2: prob(-1)=0.15 below delta=0.45")
 
-    def test_clean_environment_passes(self):
-        env = periodic(
-            [{-1: 0.3, 1: 0.7}, {-1: 0.45, 1: 0.55}],
-        )
-        diag = validate(env)
-        assert diag.ok
-        assert diag.min_prob_plus == 0.55
-        assert diag.min_prob_minus == 0.3
-        assert diag.normalization_error <= 1e-12
-        assert diag.max_abs_log_prob == pytest.approx(abs(math.log(0.3)))
+    def test_ellipticity_violation_raises(self):
+        law = JumpLaw.from_dict({-1: 0.99, 1: 0.01})
+        with pytest.raises(ValueError) as exc:
+            Environment(kind="homogeneous", b=1, delta=0.05, laws=(law,))
+        assert str(exc.value) == "law 0: prob(+1)=0.01 below delta=0.05"
+        with pytest.raises(ValueError, match=r"^law 0: prob\(-1\)=0.3 below delta=0.4$"):
+            homogeneous({-1: 0.3, 1: 0.7}, delta=0.4)
+
+    def test_clean_environment_takes_the_least_unit_jump_mass(self):
+        env = periodic([{-1: 0.3, 1: 0.7}, {-1: 0.45, 1: 0.55}])
+        assert env.delta == 0.3 and type(env.delta) is float
+        assert periodic(env.laws, delta=0.3) == env
+        assert periodic(env.laws, delta=0.25).delta == 0.25
+
+    def test_periodic_lists_every_law_and_sign_in_order(self):
+        with pytest.raises(ValueError) as exc:
+            periodic(self.LAWS, delta=0.45)
+        assert str(exc.value) == self.FLOOR
+
+    def test_iid_lists_every_law_and_sign_in_order(self):
+        laws = tuple(JumpLaw(b=2, probs=law.probs) for law in self.LAWS)
+        with pytest.raises(ValueError) as exc:
+            Environment(kind="iid", b=2, delta=0.45, laws=laws, window=(-1, 1), seed=3)
+        assert str(exc.value) == self.FLOOR
+        raw = {"type": "iid", "B": 2, "window": [-1, 1], "delta": 0.45,
+               "laws": [law.to_dict() for law in laws]}
+        with pytest.raises(ConfigError) as exc:
+            env_from_json(raw)
+        assert str(exc.value) == f"config key 'environment': {self.FLOOR}"
+
+    def test_iid_atoms_are_held_to_the_floor_of_the_drawn_laws(self):
+        atoms = [(1.0, JumpLaw.from_dict({-1: 0.3, 1: 0.7})),
+                 (1.0, JumpLaw.from_dict({-1: 0.4, 1: 0.6}))]
+        drawn = sample_iid(atoms, -3, 3, seed=5)
+        assert drawn.delta == 0.3  # the least over the pool, not over the draws
+        want = "; ".join(f"law {i}: prob(-1)={law.prob(-1)} below delta=0.45"
+                         for i, law in enumerate(drawn.laws))
+        with pytest.raises(ValueError) as exc:
+            sample_iid(atoms, -3, 3, seed=5, delta=0.45)
+        assert str(exc.value) == want
+        raw = {"type": "iid", "B": 1, "window": [-3, 3], "seed": 5, "delta": 0.45,
+               "atoms": [{"weight": w, "law": law.to_dict()} for w, law in atoms]}
+        with pytest.raises(ConfigError) as exc:
+            env_from_json(raw, where="control_environment")
+        assert str(exc.value) == f"config key 'control_environment': {want}"
+
+    @settings(max_examples=examples(100))
+    @given(environments(max_b=3))
+    def test_every_strategy_draw_constructs_at_its_floor(self, env):
+        unit = env.probs[:, [offset_index(env.b, 1), offset_index(env.b, -1)]]
+        assert env.delta == unit.min() > 0.0
+
+    def test_strategy_draws_with_zero_mass_offsets_construct(self):
+        env = find(environments(max_b=3), lambda e: (e.probs == 0.0).any(),
+                   settings=settings(database=None))
+        assert env.b >= 2 and env.delta == min(min(l.prob(1), l.prob(-1)) for l in env.laws)
 
 
 class TestSampleIid:

@@ -489,7 +489,7 @@ def test_both_directions_run_without_the_reflection(monkeypatch, env):
     demo = asymmetry_demo(env, rs)
     assert calls == [2 * len(rs)]  # both roots of every tilt, one lockstep
     # one point per (tilt, direction), whatever else its lockstep holds
-    curve = lambda_curve(env, rs, with_rc=False)
+    curve = lambda_curve(env, rs)
     assert [s.value for s in curve.samples] == list(demo.lambdas)
     assert [s.value for s in curve.samples_bar] == list(demo.lambdas_bar)
     assert [lyapunov_bar(env, r).value for r in rs] == list(demo.lambdas_bar)

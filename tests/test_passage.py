@@ -413,7 +413,8 @@ class TestHarmonicRatios:
         # a declared ellipticity floor above the smallest unit-jump mass: the
         # ratios certify but leave the bound -(log delta + r); for b = 2 the
         # same laws, without +-2 jumps, take the Perron route
-        env = periodic([JumpLaw(b=b, probs=law.probs) for law in self.NN.laws], delta=0.5)
+        env = periodic([JumpLaw(b=b, probs=law.probs) for law in self.NN.laws])
+        object.__setattr__(env, "delta", 0.5)  # past the check at construction
         with pytest.raises(SlowConvergenceError) as exc:
             u_limit(env, -1.0)
         assert str(exc.value) == "stabilized ratios violate their ellipticity bounds"
@@ -766,7 +767,7 @@ class TestLongPeriodRatios:
 class TestLambdaCurve:
     def test_shape_flags(self):
         grid = np.linspace(-1.5, 0.12, 12)
-        curve = lambda_curve(BIASED_NN, grid, with_rc=True, rc_tol=1e-6)
+        curve = lambda_curve(BIASED_NN, grid, rc_tol=1e-6)
         assert curve.monotone_ok and curve.convex_ok and curve.bound_ok
         assert curve.rc is not None
         rows = curve.rows()
@@ -774,7 +775,7 @@ class TestLambdaCurve:
         assert all(math.isfinite(row[1]) for row in rows)
 
     def test_supercritical_grid_point(self):
-        curve = lambda_curve(BIASED_NN, [-0.5, 0.1, 0.3], with_rc=False)
+        curve = lambda_curve(BIASED_NN, [-0.5, 0.1, 0.3])
         assert curve.samples[-1].value == math.inf
         assert curve.monotone_ok  # finite part still ordered
 
