@@ -466,6 +466,50 @@ def _refine(K: np.ndarray, root: np.ndarray, start: np.ndarray, k: np.ndarray) -
     return fine / np.add.reduce(fine, axis=2)[..., None]
 
 
+def _correct(env, K, rows, rho, vecs, terms, q_lo, q_hi, rough) -> None:
+    """Correct the points rough of a stack in place: their roots rho, the
+    (2, n, L) vectors, the terms of K_s phi and the quotients' ends.
+
+    A point takes a Newton step from its pair when both vectors are
+    positive, and is solved over from e_k at eigvals' root when they are
+    not or the step fails. A new pair replaces the old where both its
+    vectors are positive and its quotients spread less: a positive
+    vector's span holds rho, so the narrower is the better certificate and
+    its vectors give the better slope, taken at its root. A point whose
+    left solve was refused keeps its refusal.
+    """
+    L = K.shape[1]
+    # the quotients' spread, inf for a vector that is not positive
+    width = np.where(np.minimum.reduce(vecs[0], axis=1) <= 0.0, np.inf, q_hi - q_lo)
+    rough = rough[~np.isnan(vecs[1, rough]).any(axis=1)]
+    sound = (np.minimum.reduce(vecs[:, rough], axis=2) > 0.0).all(axis=0)
+    for newton in (True, False):
+        pick = rough[sound] if newton else rough
+        if not pick.size:
+            continue
+        Kp = K[pick]
+        if newton:  # held at the class of largest stationary weight
+            start = vecs[:, pick]
+            k = (start[0] * start[1]).argmax(axis=1)
+            kphi = np.add.reduce(terms[pick], axis=2)
+            root = rho[pick] + (np.vecdot(start[1], kphi - rho[pick, None] * start[0])
+                                / np.vecdot(start[1], start[0]))
+        else:  # weights from K's row and column sums
+            k = (np.add.reduce(Kp, axis=2) * np.add.reduce(Kp, axis=1)).argmax(axis=1)
+            start = np.broadcast_to(np.equal.outer(k, np.arange(L)), (2,) + k.shape + (L,))
+            root = rho[pick]
+        fine = _refine(Kp, root, start.astype(float), k)
+        f_terms = rows[pick] * fine[0][:, env.targets]
+        f_quot = np.add.reduce(f_terms, axis=2) / fine[0]
+        f_lo, f_hi = np.minimum.reduce(f_quot, axis=1), np.maximum.reduce(f_quot, axis=1)
+        better = (np.minimum.reduce(fine, axis=2) > 0.0).all(axis=0) & (f_hi - f_lo < width[pick])
+        take = pick[better]
+        vecs[:, take], terms[take] = fine[:, better], f_terms[better]
+        q_lo[take], q_hi[take] = f_lo[better], f_hi[better]
+        rho[take] = root[better]
+        rough = np.setdiff1d(rough, take)
+
+
 def _perron_chunk(env: Environment, ss: list[float]) -> list:
     """`perron_stack` on one stack: one eigvals call, one or two stacked
     bordered solves, and one or two more for the points that `_refine`
@@ -515,54 +559,24 @@ def _perron_chunk(env: Environment, ss: list[float]) -> list:
                 return out
             K, rows = K[live], rows[live]
         roots = [tops[m].real for m in live]
-        rho = np.array(roots)  # the root each slope is taken at
-        vecs = _perron_vectors(K, rho)
-        phi, left = vecs  # phi sums to 1 up to rounding
+        rho = np.array(roots)
+        phi, left = vecs = _perron_vectors(K, rho)  # phi sums to 1 up to rounding
         terms = rows * phi[:, env.targets]  # K_s phi and K'_s phi, term by term
         quot = np.add.reduce(terms, axis=2) / phi  # Collatz-Wielandt quotients
         q_lo, q_hi = np.minimum.reduce(quot, axis=1), np.maximum.reduce(quot, axis=1)
-        # their spread: inf for a vector that is not positive, NaN for a
-        # refused solve, which is left to its refusal
-        width = np.where(np.minimum.reduce(phi, axis=1) <= 0.0, np.inf, q_hi - q_lo)
-        rough = np.flatnonzero((width > _ROUGH * rho) & ~np.isnan(left).any(axis=1))
-        # a rough point takes a Newton step from its pair when both vectors
-        # are positive, and is solved over from e_k at eigvals' root when
-        # they are not or the step fails; a new pair replaces the old where
-        # both its vectors are positive and its quotients spread less (a
-        # positive vector's span holds rho: the narrower is the better
-        # certificate and its vectors the better slope, taken at its root)
-        if rough.size:
-            sound = (np.minimum.reduce(vecs[:, rough], axis=2) > 0.0).all(axis=0)
-            for newton in (True, False):
-                pick = rough[sound] if newton else rough
-                if not pick.size:
-                    continue
-                Kp = K[pick]
-                if newton:  # held at the class of largest stationary weight
-                    start = vecs[:, pick]
-                    k = (start[0] * start[1]).argmax(axis=1)
-                    kphi = np.add.reduce(terms[pick], axis=2)
-                    root = rho[pick] + (np.vecdot(start[1], kphi - rho[pick, None] * start[0])
-                                        / np.vecdot(start[1], start[0]))
-                else:  # weights from K's row and column sums
-                    k = (np.add.reduce(Kp, axis=2) * np.add.reduce(Kp, axis=1)).argmax(axis=1)
-                    start = np.broadcast_to(np.equal.outer(k, np.arange(L)), (2,) + k.shape + (L,))
-                    root = rho[pick]
-                fine = _refine(Kp, root, start.astype(float), k)
-                f_terms = rows[pick] * fine[0][:, env.targets]
-                f_quot = np.add.reduce(f_terms, axis=2) / fine[0]
-                f_lo, f_hi = np.minimum.reduce(f_quot, axis=1), np.maximum.reduce(f_quot, axis=1)
-                better = (np.minimum.reduce(fine, axis=2) > 0.0).all(axis=0) & (
-                    f_hi - f_lo < width[pick])
-                take = pick[better]
-                vecs[:, take], terms[take] = fine[:, better], f_terms[better]
-                q_lo[take], q_hi[take] = f_lo[better], f_hi[better]
-                rho[take] = root[better]
-                rough = np.setdiff1d(rough, take)
+        ends = (q_lo.tolist(), q_hi.tolist(), np.minimum.reduce(phi, axis=1).tolist())
+        at = roots  # the root each slope is taken at
+        # a refused solve's NaN is neither rough nor not positive
+        rough = [j for j, (lo, hi, low, r) in enumerate(zip(*ends, roots))
+                 if hi - lo > _ROUGH * r or low <= 0.0]
+        if rough:  # corrected in place
+            _correct(env, K, rows, rho, vecs, terms, q_lo, q_hi, np.array(rough))
+            ends = (q_lo.tolist(), q_hi.tolist(), np.minimum.reduce(phi, axis=1).tolist())
+            at = rho.tolist()
         per_point = zip(
-            live, roots, rho.tolist(), np.minimum.reduce(phi, axis=1).tolist(),
+            live, roots, at, ends[2],
             np.vecdot(left, terms @ offs).tolist(), np.vecdot(left, phi).tolist(),
-            q_lo.tolist(), q_hi.tolist(), phi, left,
+            ends[0], ends[1], phi, left,
         )
     for m, r, rho_m, low, num, den, q_lo, q_hi, right, lvec in per_point:
         if math.isnan(low) or (math.isnan(den) and np.isnan(lvec).any()):
