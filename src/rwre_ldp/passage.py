@@ -559,24 +559,21 @@ def _perron_chunk(env: Environment, ss: list[float]) -> list:
                 return out
             K, rows = K[live], rows[live]
         roots = [tops[m].real for m in live]
-        rho = np.array(roots)
+        rho = np.array(roots)  # the root each slope is taken at
         phi, left = vecs = _perron_vectors(K, rho)  # phi sums to 1 up to rounding
         terms = rows * phi[:, env.targets]  # K_s phi and K'_s phi, term by term
         quot = np.add.reduce(terms, axis=2) / phi  # Collatz-Wielandt quotients
         q_lo, q_hi = np.minimum.reduce(quot, axis=1), np.maximum.reduce(quot, axis=1)
-        ends = (q_lo.tolist(), q_hi.tolist(), np.minimum.reduce(phi, axis=1).tolist())
-        at = roots  # the root each slope is taken at
+        lows, los, his = np.minimum.reduce(phi, axis=1).tolist(), q_lo.tolist(), q_hi.tolist()
         # a refused solve's NaN is neither rough nor not positive
-        rough = [j for j, (lo, hi, low, r) in enumerate(zip(*ends, roots))
-                 if hi - lo > _ROUGH * r or low <= 0.0]
+        rough = [j for j, r in enumerate(roots) if his[j] - los[j] > _ROUGH * r or lows[j] <= 0.0]
         if rough:  # corrected in place
             _correct(env, K, rows, rho, vecs, terms, q_lo, q_hi, np.array(rough))
-            ends = (q_lo.tolist(), q_hi.tolist(), np.minimum.reduce(phi, axis=1).tolist())
-            at = rho.tolist()
+            lows, los, his = np.minimum.reduce(phi, axis=1).tolist(), q_lo.tolist(), q_hi.tolist()
         per_point = zip(
-            live, roots, at, ends[2],
+            live, roots, rho.tolist() if rough else roots, lows,
             np.vecdot(left, terms @ offs).tolist(), np.vecdot(left, phi).tolist(),
-            ends[0], ends[1], phi, left,
+            los, his, phi, left,
         )
     for m, r, rho_m, low, num, den, q_lo, q_hi, right, lvec in per_point:
         if math.isnan(low) or (math.isnan(den) and np.isnan(lvec).any()):
@@ -588,7 +585,7 @@ def _perron_chunk(env: Environment, ss: list[float]) -> list:
             )
         else:
             value = math.log(r) + shifts[m]
-            q_lo, q_hi = min(q_lo, r), max(q_hi, r)  # the span widened to hold r
+            q_lo, q_hi = (r if q_lo > r else q_lo), (r if q_hi < r else q_hi)  # widened to hold r
             out[m] = PerronPoint(
                 s=ss[m],
                 value=value,
