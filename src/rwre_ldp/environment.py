@@ -14,7 +14,8 @@ prob(+-1) falls below it.
 Every computation reads one (class, jump) table off the environment it is
 given: `Environment.probs`, and for a class cycle its layout, `targets`
 and the scatter index of `class_cycle`. Each object builds its own table
-once, on first use; the module keeps no memo of environments.
+once: `probs` at construction, where the floor check reads it, the cycle
+layout on first use; the module keeps no memo of environments.
 """
 
 from __future__ import annotations
@@ -195,7 +196,8 @@ class Environment:
         # writeable, so the tables below are rebuilt, read-only, on first use
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    # The (class, jump) table and the cycle layout, built once per object:
+    # The (class, jump) table (built at construction, where the floor check
+    # reads it) and the cycle layout (built on first use), once per object:
     # cached_property writes to the instance __dict__, past the frozen
     # __setattr__, and equality and hash still see the fields only.
     @cached_property

@@ -367,9 +367,7 @@ class PerronPoint:
     value: float
     slope: float  # <l, K'_s phi> / (rho <l, phi>), the tilted drift at s
     right: np.ndarray  # phi: positive, sums to 1
-    # log min/max (K_s phi)_i / phi_i, widened to hold value: it holds both
-    # log rho(K_s) and value, so its width bounds value's error
-    bracket: tuple[float, float]
+    bracket: tuple[float, float]  # log min/max (K_s phi)_i / phi_i; holds log rho(K_s)
 
 
 # A bordered solve leaves one equation to the rounding of rho: accept the
@@ -377,11 +375,6 @@ class PerronPoint:
 # stationary weight (its Collatz-Wielandt width is then at most this many
 # times the best border's).
 _BORDER_SLACK = 8.0
-
-# Collatz-Wielandt quotients that spread wider than this share of rho mark a
-# vector that the bordered solve resolved only to its condition number; such
-# a point has its vectors corrected by `_refine`
-_ROUGH = 2.0**-40
 
 # K_s entries per stacked LAPACK call: a stack holds budget // L^2 tilts (at
 # least one), which keeps its matrices at a few hundred kB
@@ -392,29 +385,20 @@ def _refused(s: float, what: str, linalg: str) -> SlowConvergenceError:
     return SlowConvergenceError(f"{what} at s={s}", diagnostics={"s": s, "linalg": linalg})
 
 
-def _bordered_solve(
-    K: np.ndarray, rho: np.ndarray, border: np.ndarray, rhs: np.ndarray | None = None
-) -> np.ndarray:
+def _bordered_solve(K: np.ndarray, rho: np.ndarray, border: np.ndarray) -> np.ndarray:
     """(rho I - K) phi = 0 and (rho I - K)^T l = 0 with equation k of each
     replaced by sum = 1, for a stack of n matrices K, their n roots rho and
     their border classes k, marked True in the (n, L) rows of border, as 2n
     systems in one LU call; returns the (2, n, L) rows phi and l, NaN where
-    LAPACK refused a system. Given rhs, a (2, n, L) array, equation k is
-    x_k = rhs_k instead, and the systems are solved against rhs: the
-    corrections of `_refine`, which hold their border entry."""
+    LAPACK refused a system."""
     n, L, _ = K.shape
     M = np.empty((2, n, L, L))
     np.negative(K, out=M[0])
     M[0].reshape(n, L * L)[:, :: L + 1] += rho[:, None]
     M[1] = M[0].transpose(0, 2, 1)
-    row = border[:, :, None]  # row k of both systems, and e_k
-    if rhs is None:
-        np.copyto(M, 1.0, where=row)
-        b = row.astype(float)
-    else:
-        np.copyto(M, np.eye(L), where=row)
-        b = rhs[..., None]
-    return _umath_linalg.solve(M, b, signature="dd->d")[..., 0]
+    border = border[:, :, None]  # row k of both systems, and e_k
+    np.copyto(M, 1.0, where=border)
+    return _umath_linalg.solve(M, border.astype(float), signature="dd->d")[..., 0]
 
 
 def _perron_vectors(K: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -444,76 +428,9 @@ def _perron_vectors(K: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _refine(K: np.ndarray, root: np.ndarray, start: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Right and left Perron vectors of a stack of K by one correction of
-    the (2, n, L) pairs start: each vector takes the solve of its residual
-    at root that holds its entry k, and is rescaled to sum 1.
-
-    A residual (K x - root x)_i is good to the rounding of x_i itself,
-    where a fresh LU solve is good only to the rounding of the largest
-    entry over the condition number, so the corrected vectors hold their
-    small entries too: on a near-balanced cycle of 61 classes this takes
-    the quotients' spread from 1e-10 to 1e-15 of rho. Holding x_k, where
-    `_bordered_solve` asks sum = 1, keeps a row of ones out of the LU
-    pivots, which resolves K_s that span tens of decades.
-    """
-    border = np.equal.outer(k, np.arange(K.shape[1]))
-    res = np.stack([np.add.reduce(K * start[0][:, None, :], axis=2),  # K phi
-                    np.add.reduce(K * start[1][:, :, None], axis=1)])  # K^T l
-    res -= root[:, None] * start
-    res[:, border] = 0.0
-    fine = start + _bordered_solve(K, root, border, res)
-    return fine / np.add.reduce(fine, axis=2)[..., None]
-
-
-def _correct(env, K, rows, rho, vecs, terms, q_lo, q_hi, rough) -> None:
-    """Correct the points rough of a stack in place: their roots rho, the
-    (2, n, L) vectors, the terms of K_s phi and the quotients' ends.
-
-    A point takes a Newton step from its pair when both vectors are
-    positive, and is solved over from e_k at eigvals' root when they are
-    not or the step fails. A new pair replaces the old where both its
-    vectors are positive and its quotients spread less: a positive
-    vector's span holds rho, so the narrower is the better certificate and
-    its vectors give the better slope, taken at its root. A point whose
-    left solve was refused keeps its refusal.
-    """
-    L = K.shape[1]
-    # the quotients' spread, inf for a vector that is not positive
-    width = np.where(np.minimum.reduce(vecs[0], axis=1) <= 0.0, np.inf, q_hi - q_lo)
-    rough = rough[~np.isnan(vecs[1, rough]).any(axis=1)]
-    sound = (np.minimum.reduce(vecs[:, rough], axis=2) > 0.0).all(axis=0)
-    for newton in (True, False):
-        pick = rough[sound] if newton else rough
-        if not pick.size:
-            continue
-        Kp = K[pick]
-        if newton:  # held at the class of largest stationary weight
-            start = vecs[:, pick]
-            k = (start[0] * start[1]).argmax(axis=1)
-            kphi = np.add.reduce(terms[pick], axis=2)
-            root = rho[pick] + (np.vecdot(start[1], kphi - rho[pick, None] * start[0])
-                                / np.vecdot(start[1], start[0]))
-        else:  # weights from K's row and column sums
-            k = (np.add.reduce(Kp, axis=2) * np.add.reduce(Kp, axis=1)).argmax(axis=1)
-            start = np.broadcast_to(np.equal.outer(k, np.arange(L)), (2,) + k.shape + (L,))
-            root = rho[pick]
-        fine = _refine(Kp, root, start.astype(float), k)
-        f_terms = rows[pick] * fine[0][:, env.targets]
-        f_quot = np.add.reduce(f_terms, axis=2) / fine[0]
-        f_lo, f_hi = np.minimum.reduce(f_quot, axis=1), np.maximum.reduce(f_quot, axis=1)
-        better = (np.minimum.reduce(fine, axis=2) > 0.0).all(axis=0) & (f_hi - f_lo < width[pick])
-        take = pick[better]
-        vecs[:, take], terms[take] = fine[:, better], f_terms[better]
-        q_lo[take], q_hi[take] = f_lo[better], f_hi[better]
-        rho[take] = root[better]
-        rough = np.setdiff1d(rough, take)
-
-
 def _perron_chunk(env: Environment, ss: list[float]) -> list:
-    """`perron_stack` on one stack: one eigvals call, one or two stacked
-    bordered solves, and one or two more for the points that `_refine`
-    corrects.
+    """`perron_stack` on one stack: one eigvals call and one or two stacked
+    bordered solves.
 
     The LAPACK calls go to the gufuncs under `np.linalg.eigvals` and
     `np.linalg.solve`: on matrices this small the wrappers' checks cost
@@ -559,23 +476,16 @@ def _perron_chunk(env: Environment, ss: list[float]) -> list:
                 return out
             K, rows = K[live], rows[live]
         roots = [tops[m].real for m in live]
-        rho = np.array(roots)  # the root each slope is taken at
-        phi, left = vecs = _perron_vectors(K, rho)  # phi sums to 1 up to rounding
+        phi, left = _perron_vectors(K, np.array(roots))  # phi sums to 1 up to rounding
         terms = rows * phi[:, env.targets]  # K_s phi and K'_s phi, term by term
         quot = np.add.reduce(terms, axis=2) / phi  # Collatz-Wielandt quotients
-        q_lo, q_hi = np.minimum.reduce(quot, axis=1), np.maximum.reduce(quot, axis=1)
-        lows, los, his = np.minimum.reduce(phi, axis=1).tolist(), q_lo.tolist(), q_hi.tolist()
-        # a refused solve's NaN is neither rough nor not positive
-        rough = [j for j, r in enumerate(roots) if his[j] - los[j] > _ROUGH * r or lows[j] <= 0.0]
-        if rough:  # corrected in place
-            _correct(env, K, rows, rho, vecs, terms, q_lo, q_hi, np.array(rough))
-            lows, los, his = np.minimum.reduce(phi, axis=1).tolist(), q_lo.tolist(), q_hi.tolist()
         per_point = zip(
-            live, roots, rho.tolist() if rough else roots, lows,
+            live, roots, np.minimum.reduce(phi, axis=1).tolist(),
             np.vecdot(left, terms @ offs).tolist(), np.vecdot(left, phi).tolist(),
-            los, his, phi, left,
+            np.minimum.reduce(quot, axis=1).tolist(), np.maximum.reduce(quot, axis=1).tolist(),
+            phi, left,
         )
-    for m, r, rho_m, low, num, den, q_lo, q_hi, right, lvec in per_point:
+    for m, r, low, num, den, q_lo, q_hi, right, lvec in per_point:
         if math.isnan(low) or (math.isnan(den) and np.isnan(lvec).any()):
             out[m] = _refused(ss[m], "bordered Perron-vector solve failed", "Singular matrix")
         elif not low > 0.0:
@@ -585,11 +495,10 @@ def _perron_chunk(env: Environment, ss: list[float]) -> list:
             )
         else:
             value = math.log(r) + shifts[m]
-            q_lo, q_hi = (r if q_lo > r else q_lo), (r if q_hi < r else q_hi)  # widened to hold r
             out[m] = PerronPoint(
                 s=ss[m],
                 value=value,
-                slope=num / (rho_m * den),
+                slope=num / (r * den),
                 right=right,
                 # a class whose row of the scaled K_s underflowed has quotient 0
                 bracket=(value + math.log(q_lo / r) if q_lo / r > 0.0 else -math.inf,
@@ -606,11 +515,7 @@ def perron_stack(env: Environment, ss) -> list:
     and l from stacked bordered solves of (rho I - K_s) (`_perron_vectors`;
     l_i phi_i is the stationary law of the tilted chain), then per tilt the
     slope <l, K'_s phi> / (rho <l, phi>) and the Collatz-Wielandt quotients
-    (K_s phi)_i / phi_i from the (L, 2B) rows, in O(L B). A point whose
-    quotients spread wider than _ROUGH of rho, or whose vector is not
-    positive, has its vectors corrected (`_refine`) and its slope taken at
-    the corrected root; its value stays eigvals' root, which its bracket
-    then holds.
+    (K_s phi)_i / phi_i from the (L, 2B) rows, in O(L B).
 
     K_s is scaled by e^{-|s| B}, which leaves the vectors and the slope
     unchanged and keeps the entries finite for large |s|. Entry m is the
@@ -721,13 +626,9 @@ def _perron_root(env: Environment, r: float, t: float, direction: int = 1):
     decrease monotonically onto it; a nonpositive slope on the way means
     min Lambda > -r, that is r > r_c. A start left of the minimiser falls
     back to t = 1 - log(delta) - r, right of both the root and the minimiser
-    because Lambda(s) >= log(delta) + |s|. The same bound puts every root
-    in |s| <= -r - log(delta), so a step that lands left of
-    r + log(delta) - 1 has passed them all: r > r_c, read without a
-    Perron solve at a tilt whose vectors may underflow.
+    because Lambda(s) >= log(delta) + |s|.
     """
     safe = 1.0 - math.log(env.delta) - r
-    floor = r + math.log(env.delta) - 1.0
     pt = yield direction * t
     if direction * pt.slope <= 0.0 and t < safe:
         t = safe
@@ -738,13 +639,13 @@ def _perron_root(env: Environment, r: float, t: float, direction: int = 1):
         slope = direction * pt.slope
         if f <= 0.0 and right_of_root:
             return pt  # reached, or overshot by rounding
-        step = f / slope if slope > 0.0 else math.nan
-        if not t - step >= floor:  # a nonpositive slope, or a step past every root
+        if slope <= 0.0:
             raise SupercriticalError(
                 "no root of log rho(K_s) = -r: the tilt exceeds the threshold",
                 r=r,
                 diagnostics={"s": direction * t, "min_log_rho_upper": pt.value},
             )
+        step = f / slope
         if 0.0 <= step <= 4e-16 * max(1.0, abs(t)):
             return pt
         right_of_root = True

@@ -31,12 +31,10 @@ class RefusingLapack:
         return w
 
     def solve(self, a, b, signature):
-        # a: (2, n, L, L), the right systems then the left ones, each with a
-        # border row k, the one row without a negative entry (ones, or e_k
-        # in a refinement); b: e_k, or the residuals of a refinement
+        # a: (2, n, L, L), the right systems then the left ones; b: (n, L, 1), e_k
         x = _umath_linalg.solve(a, b, signature=signature)
         for j in range(a.shape[1]):
-            if self.refuse_solve(a[0, j], int((a[0, j] >= 0.0).all(axis=1).argmax())):
+            if self.refuse_solve(a[0, j], int(b[j, :, 0].argmax())):
                 x[self.side, j] = np.nan
         return x
 

@@ -78,7 +78,6 @@ def perron_root(env, r: float):
 
 def serial_perron_root(env, r: float) -> PerronPoint:
     safe = 1.0 - math.log(env.delta) - r
-    floor = r + math.log(env.delta) - 1.0  # left of every root
     s = class_mean_start(env, r, safe)
     pt = log_perron(env, s)
     if pt.slope <= 0.0 and s < safe:
@@ -89,13 +88,13 @@ def serial_perron_root(env, r: float) -> PerronPoint:
         f = pt.value + r
         if f <= 0.0 and right_of_root:
             return pt  # reached, or overshot by rounding
-        step = f / pt.slope if pt.slope > 0.0 else math.nan
-        if not s - step >= floor:
+        if pt.slope <= 0.0:
             raise SupercriticalError(
                 "no root of log rho(K_s) = -r: the tilt exceeds the threshold",
                 r=r,
                 diagnostics={"s": s, "min_log_rho_upper": pt.value},
             )
+        step = f / pt.slope
         if 0.0 <= step <= 4e-16 * max(1.0, abs(s)):
             return pt
         right_of_root = True

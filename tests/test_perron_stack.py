@@ -1,8 +1,7 @@
 """The stacked Perron core against the single-tilt evaluator it replaced.
 
-`single_tilt_log_perron` below is that evaluator, kept as the oracle: one
-dense K_s, one eigvals call and one bordered solve per tilt, with the
-core's Newton refinement of a rough point written out for one tilt.
+`single_tilt_log_perron` below is that evaluator, kept verbatim as the
+oracle: one dense K_s, one eigvals call and one bordered solve per tilt.
 Every point of `passage.perron_stack` must equal it to the last bit, in
 value, slope, bracket and Perron vector, whatever else its stack holds and
 however the stack is cut, and must fail where it fails, with the same
@@ -63,20 +62,17 @@ def _single_class_cycle(env, rows):
     return np.bincount(flat, weights=rows.T.ravel(), minlength=L * L).reshape(L, L)
 
 
-def _single_bordered_solve(K, rho, k, s, rhs=None):
+def _single_bordered_solve(K, rho, k, s):
     L = len(K)
     M = np.empty((2, L, L))
     np.negative(K, out=M[0])
     M[0].reshape(-1)[:: L + 1] += rho
     M[1] = M[0].T
-    if rhs is None:  # equation k of each is sum = 1
-        M[:, k] = 1.0
-        rhs = np.zeros((2, L))
-        rhs[:, k] = 1.0
-    else:  # a correction that holds entry k
-        M[:, k] = np.eye(L)[k]
+    M[:, k] = 1.0
+    rhs = np.zeros((2, L, 1))
+    rhs[:, k] = 1.0
     try:
-        return np.linalg.solve(M, rhs[..., None])[..., 0]
+        return np.linalg.solve(M, rhs)[..., 0]
     except np.linalg.LinAlgError as e:
         raise SlowConvergenceError(
             f"bordered Perron-vector solve failed at s={s}",
@@ -93,51 +89,6 @@ def _single_perron_vectors(K, rho, s):
     if weight[k] > _BORDER_SLACK * weight[0]:
         phi, left = _single_bordered_solve(K, rho, k, s)
     return phi, left
-
-
-# the refinement the stacked core added: a point whose quotients spread
-# wider than _ROUGH of rho, or whose vector is not positive, takes a Newton
-# step from a positive pair, then a solve from e_k at eigvals' root; a new
-# pair is kept where both vectors are positive and its quotients spread
-# less. The value stays eigvals' root
-_ROUGH = 2.0**-40
-
-
-def _single_refine(K, root, phi, left, k, s):
-    """phi and l each plus the solve of its residual at root that holds
-    entry k, rescaled to sum 1; None where LAPACK refuses it."""
-    res = np.stack([np.add.reduce(K * phi[None, :], axis=1) - root * phi,
-                    np.add.reduce(K * left[:, None], axis=0) - root * left])
-    res[:, k] = 0.0
-    try:
-        step = _single_bordered_solve(K, root, k, s, res)
-    except SlowConvergenceError:
-        return None
-    phi, left = phi + step[0], left + step[1]
-    return phi / phi.sum(), left / left.sum()
-
-
-def _single_better_pair(K, rows, env, rho, phi, left, width, s):
-    """(root, phi, l, terms, quot) of the first attempt that `_ROUGH`'s
-    rules keep, or None."""
-    L = len(K)
-    attempts = []
-    if phi.min() > 0.0 and left.min() > 0.0:
-        terms = rows * phi[env.targets]
-        root = rho + float(left @ (terms.sum(axis=1) - rho * phi)) / float(left @ phi)
-        attempts.append((root, phi, left, int((phi * left).argmax())))
-    k = int((np.add.reduce(K, axis=1) * np.add.reduce(K, axis=0)).argmax())
-    attempts.append((rho, np.eye(L)[k], np.eye(L)[k], k))
-    for root, start_phi, start_left, k in attempts:
-        fine = _single_refine(K, root, start_phi, start_left, k, s)
-        if fine is None:
-            continue
-        f_phi, f_left = fine
-        f_terms = rows * f_phi[env.targets]
-        f_quot = f_terms.sum(axis=1) / f_phi
-        if f_phi.min() > 0.0 and f_left.min() > 0.0 and f_quot.max() - f_quot.min() < width:
-            return root, f_phi, f_left, f_terms, f_quot
-    return None
 
 
 def single_tilt_log_perron(env, s):
@@ -164,27 +115,20 @@ def single_tilt_log_perron(env, s):
             diagnostics={"s": s, "eigenvalue": [rho, float(top.imag)]},
         )
     phi, left = _single_perron_vectors(K, rho, s)
-    terms = rows * phi[env.targets]
-    quot = terms.sum(axis=1) / phi
-    root = rho
-    width = math.inf if phi.min() <= 0.0 else quot.max() - quot.min()
-    if width > _ROUGH * rho and not np.isnan(left).any():
-        better = _single_better_pair(K, rows, env, rho, phi, left, width, s)
-        if better is not None:
-            root, phi, left, terms, quot = better
     if not phi.min() > 0.0:
         raise SlowConvergenceError(
             f"Perron vector of K_s not positive at s={s}",
             diagnostics={"s": s, "min": float(phi.min())},
         )
+    terms = rows * phi[env.targets]
+    quot = terms.sum(axis=1) / phi
     value = math.log(rho) + shift
-    q_lo, q_hi = min(quot.min(), rho), max(quot.max(), rho)
     return PerronPoint(
         s=s,
         value=value,
-        slope=float(left @ (terms @ offs)) / (root * float(left @ phi)),
+        slope=float(left @ (terms @ offs)) / (rho * float(left @ phi)),
         right=phi,
-        bracket=(value + math.log(q_lo / rho), value + math.log(q_hi / rho)),
+        bracket=(value + math.log(quot.min() / rho), value + math.log(quot.max() / rho)),
     )
 
 
@@ -369,9 +313,8 @@ def _periodized_window(width: int):
 def test_long_period_points_are_certified_or_refused():
     # at L = 601 the Perron vector spans about 13 decades near the
     # minimiser, past what the dense bordered solve resolves: with
-    # reference LAPACK its vector at s = -0.14 is not positive and at
-    # s = -0.16 has a Collatz-Wielandt width of 1e-4, which the refinement
-    # takes to 4e-3 and 4e-14. Whatever the LAPACK, no point may come
+    # reference LAPACK s = -0.14 is refused and s = -0.16 comes back with a
+    # Collatz-Wielandt width of 1e-4. Whatever the LAPACK, no point may come
     # back with a vector that is not positive or a bracket missing its value
     ss = [-0.16, -0.14]
     for s, pt in zip(ss, perron_stack(_periodized_window(601), ss)):
