@@ -4,13 +4,17 @@
 Both commits are extracted in turn into one fixed directory, because the
 peak RSS of a pass moves with the path it runs from. For every workload and
 seed, N pairs of `perfbench/run.py --trace 0` runs alternate the two sides
-(base first in even pairs, head first in odd ones); then each side gets one
-`--trace 1` run per workload at the first seed, for the per-layer metrics;
-then the Tier-1 suite runs once on the head commit.
+(base first in even pairs, head first in odd ones); then N pairs, alternating
+alike, time every `configs/*.json` of each side as one cold
+`python -B -m rwre_ldp.cli run CONFIG --out DIR` process (a fresh interpreter
+that compiles the package from source, on both sides alike); then each side
+gets one `--trace 1` run per workload at the first seed, for the per-layer
+metrics; then the Tier-1 suite runs once on the head commit.
 
 The output holds, per workload and seed, each end-to-end metric's median
 and quartiles on both sides, the pairs the head won, fail_frac and per-task
-medians, with nproc, the CPU model, the Python, numpy and scipy versions,
+medians; per config, the same comparison of its cold wall time
+(`configs_cold_s`); with nproc, the CPU model, the Python, numpy and scipy versions,
 whether the passes compiled the package from source (PYTHONDONTWRITEBYTECODE)
 and both commits. It is written after every run, so an interrupted comparison
 keeps what it measured.
@@ -81,6 +85,19 @@ def _quartiles(xs: list[float]) -> dict:
     return {"q1": q1, "median": med, "q3": q3}
 
 
+def _compare(samples: dict, pairs: list[dict]) -> dict:
+    """Both sides' quartiles of one lower-is-better metric, the pairs whose
+    head value is lower, and the change of the medians against the base's
+    IQR; samples and each pair map "base" and "head" to values."""
+    base, head = _quartiles(samples["base"]), _quartiles(samples["head"])
+    return {
+        "base": base, "head": head, "samples": samples,
+        "head_wins": sum(p["head"] < p["base"] for p in pairs),
+        "median_change": head["median"] / base["median"] - 1.0,
+        "gap_exceeds_base_iqr": abs(head["median"] - base["median"]) > base["q3"] - base["q1"],
+    }
+
+
 def summarize(runs: list[dict]) -> dict:
     """Per workload and seed: each end-to-end metric's quartiles on both
     sides, the pairs whose head value is lower, the change of the medians
@@ -104,15 +121,8 @@ def summarize(runs: list[dict]) -> dict:
             vals = {s: [res["metrics"][name]["value"] for res in rs] for s, rs in sides.items()}
             if not (vals["base"] and vals["head"]):
                 continue
-            base, head = _quartiles(vals["base"]), _quartiles(vals["head"])
-            entry["metrics"][name] = {
-                "base": base, "head": head, "samples": vals,
-                "head_wins": sum(p["head"]["metrics"][name]["value"]
-                                 < p["base"]["metrics"][name]["value"] for p in pairs),
-                "median_change": head["median"] / base["median"] - 1.0,
-                "gap_exceeds_base_iqr": abs(head["median"] - base["median"])
-                > base["q3"] - base["q1"],
-            }
+            entry["metrics"][name] = _compare(
+                vals, [{s: res["metrics"][name]["value"] for s, res in p.items()} for p in pairs])
         entry["fail_frac"] = {
             s: [f"{res['failed']} of {res['attempted']}" for res in rs] for s, rs in sides.items()
         }
@@ -121,6 +131,39 @@ def summarize(runs: list[dict]) -> dict:
             for s, rs in sides.items() if rs
         }
         out[f"{key[0]}/seed{key[1]}"] = entry
+    return out
+
+
+def time_config(path: Path, config: Path) -> dict:
+    """Wall time of one cold CLI run of config from the checkout at path."""
+    args = [sys.executable, "-B", "-m", "rwre_ldp.cli", "run", str(config),
+            "--out", str(path / "cold_out" / config.stem)]
+    env = dict(os.environ, PYTHONPATH="src")
+    t0 = time.perf_counter()
+    proc = subprocess.run(args, cwd=path, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    if proc.returncode != 0:
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+    return {"wall_s": wall}
+
+
+def summarize_configs(runs: list[dict]) -> dict:
+    """Per config: `_compare` of its cold wall time, and the runs that
+    failed. A run is {"config", "pair", "side", "result"}, result being
+    `time_config`'s output; a config one side lacks is not compared."""
+    out: dict = {}
+    for name in sorted({r["config"] for r in runs}):
+        group = [r for r in runs if r["config"] == name]
+        ok = [r for r in group if "error" not in r["result"]]
+        samples = {s: [r["result"]["wall_s"] for r in ok if r["side"] == s]
+                   for s in ("base", "head")}
+        by_pair: dict = {}
+        for r in ok:
+            by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]["wall_s"]
+        entry = {"errors": len(group) - len(ok)}
+        if samples["base"] and samples["head"]:
+            entry.update(_compare(samples, [p for p in by_pair.values() if len(p) == 2]))
+        out[name] = entry
     return out
 
 
@@ -147,10 +190,11 @@ def main() -> int:
     commits = {side: _git("rev-parse", rev).decode().strip()
                for side, rev in (("base", args.base), ("head", args.head))}
     doc = {"commits": commits, "seconds": args.seconds,
-           "runs": [], "traced": {}}
+           "runs": [], "config_runs": [], "traced": {}}
 
     def save() -> None:
         doc["summary"] = summarize(doc["runs"])
+        doc["configs_cold_s"] = summarize_configs(doc["config_runs"])
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
     for workload in WORKLOADS:
@@ -167,6 +211,16 @@ def main() -> int:
                     print(f"{workload} seed {seed} pair {pair} {side}: "
                           f"{res.get('error') or res['metrics']['wall_s']['value']}", flush=True)
                     save()
+    for pair in range(args.pairs):
+        for side in ("base", "head") if pair % 2 == 0 else ("head", "base"):
+            checkout(commits[side], args.workdir)
+            for config in sorted((args.workdir / "configs").glob("*.json")):
+                res = time_config(args.workdir, config)
+                doc["config_runs"].append({"config": config.name, "pair": pair, "side": side,
+                                           "result": res})
+                print(f"{config.name} pair {pair} {side}: {res.get('error') or res['wall_s']}",
+                      flush=True)
+            save()
     for workload in WORKLOADS:
         for side in ("base", "head"):
             checkout(commits[side], args.workdir)

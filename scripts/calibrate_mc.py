@@ -28,7 +28,7 @@ PER2 = periodic(
     ]
 )
 
-Z_GATE = 3.0
+Z_GATE = mc.GATE_SIGMAS
 Z_POWER = 1.645  # one-sided 95%
 
 
@@ -45,11 +45,8 @@ def main() -> int:
     report = mc.run_standard_checks(
         PER2,
         args.seed,
-        r=-0.3,
-        n_steps=4000,
-        n_walkers=args.pilot,
-        mgf_walkers=4 * args.pilot,
-        level=8,
+        mc.McParams(r=-0.3, n_steps=4000, n_walkers=args.pilot, mgf_walkers=4 * args.pilot,
+                    level=8),
     )
 
     # replica counts actually used per check in this pilot

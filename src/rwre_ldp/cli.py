@@ -4,8 +4,9 @@ Usage: ``rwre-ldp run config.json [--strict] [--out DIR] [--threads N]``.
 
 Exit codes: 0 success (statistical warnings print but do not fail unless
 --strict, which turns them into exit 1), 2 malformed config with a pointer
-to the offending key, 3 numeric divergence with a diagnostics file, 4 hard
-invariant violation.
+to the offending key, 3 numeric divergence (any `RwreError` but a config
+error) with a `diagnostics.json` holding the error's class, message and task
+and every attribute the error carries, 4 hard invariant violation.
 
 Every artifact embeds the sha256 of the config bytes and the tool version,
 and identical (config, seed) pairs produce identical bytes: floats print
@@ -29,15 +30,7 @@ import numpy as np
 
 from . import __version__, level2, mc
 from .environment import Environment, env_from_json, offsets, parse_number
-from .errors import (
-    ConfigError,
-    DriftMismatchError,
-    InfeasibleDriftError,
-    RwreError,
-    SlowConvergenceError,
-    SupercriticalError,
-    WindowExhaustedError,
-)
+from .errors import ConfigError, RwreError, SlowConvergenceError
 from .passage import lambda_curve, lyapunov_prime
 from .rate import asymmetry_demo, rate_curve, symmetry_gaps
 from .tilt import ansatz_measure, corrector, invariant_density, stationary_speed, tilted_chain
@@ -52,28 +45,9 @@ TASKS = (
     "symmetry-check",
 )
 
-_NUMERIC_ERRORS = (
-    SupercriticalError,
-    SlowConvergenceError,
-    DriftMismatchError,
-    WindowExhaustedError,
-    InfeasibleDriftError,
-)
-
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-@dataclass(frozen=True)
-class McParams:
-    n_steps: int = 10_000
-    n_walkers: int = 200
-    mgf_walkers: int = 50_000
-    level: int = 8
-    gate: float = 3.0
-    r: float = -0.3
-    checks: tuple[str, ...] = mc.STANDARD_CHECKS
 
 
 @dataclass(frozen=True)
@@ -89,7 +63,7 @@ class RunConfig:
     r_values: tuple[float, ...]
     threshold: float
     control_env: Environment | None
-    mc_params: McParams
+    mc_params: mc.McParams
     out_dir: str
     config_sha: str
 
@@ -122,9 +96,9 @@ def _parse_grid(d, where: str) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(lo, hi, n))
 
 
-def _parse_mc(d, where: str) -> McParams:
+def _parse_mc(d, where: str) -> mc.McParams:
     if d is None:
-        return McParams()
+        return mc.McParams()
     if not isinstance(d, dict):
         raise ConfigError(where, "mc block must be an object")
     kw = {}
@@ -144,7 +118,7 @@ def _parse_mc(d, where: str) -> McParams:
         if bad:
             raise ConfigError(f"{where}.checks", f"unknown checks {bad}")
         kw["checks"] = checks
-    return McParams(**kw)
+    return mc.McParams(**kw)
 
 
 def parse_config(raw: dict, config_sha: str) -> RunConfig:
@@ -249,43 +223,30 @@ class _Writer:
         self.sha = cfg.config_sha
         self.comment = f"# config_sha256={cfg.config_sha} version={__version__}"
         self.out = out_dir
-        self.files: list[str] = []
 
     def _meta(self) -> dict:
         return {"config_sha256": self.sha, "version": __version__}
 
-    def csv(self, name: str, header: list[str], rows: list[list]) -> Path:
-        path = self.out / name
+    def csv(self, name: str, header: list[str], rows: list) -> None:
         lines = [self.comment, ",".join(header)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n")
-        self.files.append(name)
-        return path
+        (self.out / name).write_text("\n".join(lines) + "\n")
 
-    def json(self, name: str, obj: dict) -> Path:
-        path = self.out / name
+    def json(self, name: str, obj: dict) -> None:
         body = {"_meta": self._meta()}
         body.update(obj)
-        path.write_text(json.dumps(_jsonable(body), sort_keys=True, indent=2) + "\n")
-        self.files.append(name)
-        return path
+        (self.out / name).write_text(json.dumps(_jsonable(body), sort_keys=True, indent=2) + "\n")
 
-    def jsonl(self, name: str, records: list[dict]) -> Path:
-        path = self.out / name
+    def jsonl(self, name: str, records: list[dict]) -> None:
         lines = [json.dumps({"_meta": self._meta()}, sort_keys=True, separators=(",", ":"))]
         lines.extend(
             json.dumps(_jsonable(rec), sort_keys=True, separators=(",", ":"))
             for rec in records
         )
-        path.write_text("\n".join(lines) + "\n")
-        self.files.append(name)
-        return path
+        (self.out / name).write_text("\n".join(lines) + "\n")
 
-    def text(self, name: str, body: str) -> Path:
-        path = self.out / name
-        path.write_text(self.comment + "\n" + body)
-        self.files.append(name)
-        return path
+    def text(self, name: str, body: str) -> None:
+        (self.out / name).write_text(self.comment + "\n" + body)
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +255,7 @@ class _Writer:
 
 def _task_lambda_curve(cfg: RunConfig, w: _Writer):
     curve = lambda_curve(cfg.env, cfg.grid, tol=cfg.tolerance, rc_tol=cfg.rc_tol)
-    rows = [
-        [r, lam, lam_bar, conv, n, m]
-        for (r, lam, lam_bar, conv, n, m) in curve.rows()
-    ]
+    rows = curve.rows()
     w.csv("lambda_curve.csv", ["r", "lambda", "lambda_bar", "converged", "n_used", "M_used"], rows)
     summary = {
         "monotone_ok": curve.monotone_ok,
@@ -422,19 +380,7 @@ def _task_level2_min(cfg: RunConfig, w: _Writer):
 
 
 def _task_mc_verify(cfg: RunConfig, w: _Writer, threads: int):
-    p = cfg.mc_params
-    rep = mc.run_standard_checks(
-        cfg.env,
-        cfg.seed,
-        r=p.r,
-        include=p.checks,
-        n_steps=p.n_steps,
-        n_walkers=p.n_walkers,
-        mgf_walkers=p.mgf_walkers,
-        level=p.level,
-        gate=p.gate,
-        threads=threads,
-    )
+    rep = mc.run_standard_checks(cfg.env, cfg.seed, cfg.mc_params, threads)
     w.jsonl("mc_report.jsonl", [c.row() for c in rep.checks])
     summary = {k: v for k, v in rep.to_json().items() if k != "checks"}
     w.json("mc_summary.json", summary)
@@ -598,16 +544,10 @@ def run(
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as e:
-        diag = {
-            "error": type(e).__name__,
-            "message": str(e),
-            "task": cfg.task,
-        }
-        for attr in ("r", "diagnostics", "xi_min", "xi_max", "drift", "reciprocal_slope"):
-            if hasattr(e, attr):
-                diag[attr] = getattr(e, attr)
-        w.json("diagnostics.json", diag)
+    except RwreError as e:
+        # the attributes an error class sets in its constructor are its diagnostics
+        w.json("diagnostics.json",
+               {"error": type(e).__name__, "message": str(e), "task": cfg.task, **vars(e)})
         print(f"numeric divergence: {e}", file=sys.stderr)
         return 3
 

@@ -138,8 +138,8 @@ def drift_range(env: Environment) -> tuple[float, float]:
     programming over the supported polytope.
 
     An independent oracle for passage.drift_limits (Karp's extreme cycle
-    means), which the minimizer uses; scipy.optimize loads only when this
-    runs.
+    means), which the minimizer uses; scipy.optimize loads only when an
+    oracle runs, this one or `rate.cramer_oracle`.
     """
     from scipy.optimize import linprog
 

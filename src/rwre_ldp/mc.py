@@ -490,26 +490,34 @@ STANDARD_CHECKS = (
 )
 
 
+@dataclass(frozen=True)
+class McParams:
+    """Sizes, tilt, gate and check names of one `run_standard_checks`
+    batch: the one place the mc-verify defaults are written (a config's
+    `mc` block overrides them key by key)."""
+
+    n_steps: int = 10_000
+    n_walkers: int = 200
+    mgf_walkers: int = 50_000
+    level: int = 8
+    gate: float = GATE_SIGMAS
+    r: float = -0.3
+    checks: tuple[str, ...] = STANDARD_CHECKS
+
+
 def run_standard_checks(
-    env: Environment,
-    seed: int,
-    r: float = -0.3,
-    include: tuple[str, ...] = STANDARD_CHECKS,
-    n_steps: int = 10_000,
-    n_walkers: int = 200,
-    mgf_walkers: int = 50_000,
-    level: int = 8,
-    gate: float = GATE_SIGMAS,
-    threads: int = 1,
+    env: Environment, seed: int, params: McParams = McParams(), threads: int = 1
 ) -> McReport:
-    """Run the named checks with distinct sub-seeds per check.
+    """Run the checks of params.checks with distinct sub-seeds per check.
 
     The passage check requires a walk that moves right; ask only for the
     other checks on recurrent or left-transient input.
     """
+    n_steps, n_walkers, mgf_walkers = params.n_steps, params.n_walkers, params.mgf_walkers
+    level, gate, r = params.level, params.gate, params.r
     out: list[CheckResult] = []
     sub = {name: seed + 1000 * k for k, name in enumerate(STANDARD_CHECKS)}
-    for name in include:
+    for name in params.checks:
         if name == "empirical-velocity":
             out.append(empirical_velocity_check(env, sub[name], n_steps, n_walkers, gate, threads))
         elif name == "passage-lln":

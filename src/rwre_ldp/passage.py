@@ -30,10 +30,12 @@ routes: the zeta recursion for B = 1, tilt by tilt, and the Perron vector
 at a root of log rho(K_s) = -r for B >= 2, the roots of all the tilts
 running as the jobs of one lockstep. Both routes share one check against
 the row-stochasticity of the tilted kernel (a miss above 1e-10 raises) and
-one ellipticity check. A periodic `u_limit` is its one-point case, and
-`_lyapunov_samples` reads the growth rates off it, each sample the same to
-the last bit as at one tilt. The module keeps no memo. Sampled windows use
-the fixed-point solve, on log h to avoid underflow across long windows.
+one ellipticity check; an unsettled zeta sweep raises too, since near the
+critical tilt its rows can pass the residual check with a wrong value. A
+periodic `u_limit` is its one-point case, and `_lyapunov_samples` reads the
+growth rates off it, each sample the same to the last bit as at one tilt.
+The module keeps no memo. Sampled windows use the fixed-point solve, on
+log h to avoid underflow across long windows.
 """
 
 from __future__ import annotations
@@ -938,7 +940,8 @@ def _periodic_limits(env: Environment, rs, directions=(1,)) -> list:
     along its last axis, so each row keeps its lone bits: the tilted rows
     sum_z p_i(z) e^{r + log u(i, z)} sum to 1 within _RATIO_RESIDUAL_TOL
     (the largest miss is `residual`), and log u(., direction) keeps within
-    the ellipticity bound -(log delta + r); a miss is a SlowConvergenceError.
+    the ellipticity bound -(log delta + r); a miss is a SlowConvergenceError,
+    as is a zeta sweep that ran out of cycles before it settled.
     """
     rs = list(rs)
     jobs = [(r, d) for r in rs for d in directions]
@@ -969,7 +972,12 @@ def _periodic_limits(env: Environment, rs, directions=(1,)) -> list:
         for k, lu, res, worst in zip(ks, log_u, resids.tolist(), worsts.tolist()):
             r, sol = jobs[k][0], found[k]
             bound = -(math.log(env.delta) + r)
-            if not res <= _RATIO_RESIDUAL_TOL:
+            if env.b == 1 and not sol.converged:
+                out[k] = SlowConvergenceError(
+                    f"zeta recursion did not settle in {sol.cycles} cycles at r={r}",
+                    diagnostics={"r": r, "cycles": sol.cycles},
+                )
+            elif not res <= _RATIO_RESIDUAL_TOL:
                 out[k] = SlowConvergenceError(
                     f"harmonic ratios miss row-stochasticity by {res:g} at r={r}",
                     diagnostics={"r": r, **({"s": sol.s} if env.b > 1 else {}), "residual": res},

@@ -279,8 +279,8 @@ def test_simulation_gates_at_committed_sizes():
     failed = []
     for env, seed, name in ((PER2, 20260815, "per2"), (DRIFT2, 31415926, "drift2")):
         rep = mc.run_standard_checks(
-            env, seed, r=-0.3, n_steps=10_000, n_walkers=200,
-            mgf_walkers=50_000, level=8,
+            env, seed, mc.McParams(r=-0.3, n_steps=10_000, n_walkers=200,
+                                   mgf_walkers=50_000, level=8),
         )
         failed += [f"{name}:{c.name}" for c in rep.checks if not c.passed]
         telescope = next(c for c in rep.checks if c.name == "corrector-path")

@@ -222,6 +222,20 @@ class TestConfigErrors:
         lo, hi = rc["bracket_reflected"]
         assert rc["reflect_gap"] == abs(rc["value"] - 0.5 * (lo + hi))
 
+    def test_window_too_narrow_exits_3_with_bare_diagnostics(self, tmp_path, capsys):
+        env = {**WINDOW, "B": 2, "window": [-2, 2],
+               "atoms": [{"weight": 1.0, "law": {"-2": 0.1, "-1": 0.3, "1": 0.4, "2": 0.2}}]}
+        code, out = run_cfg(tmp_path, {"task": "lambda-curve", "environment": env,
+                                       "grid": [-0.3]})
+        assert code == 3
+        assert "too narrow for any stabilized site" in capsys.readouterr().err
+        diag = json.loads((out / "diagnostics.json").read_text())
+        # the error class sets no attribute of its own
+        assert sorted(diag) == ["_meta", "error", "message", "task"]
+        assert diag["error"] == "WindowExhaustedError"
+        assert diag["message"] == ("window [-2, 2] too narrow for any stabilized site; "
+                                   "widen the window")
+
     def test_parse_config_requires_object(self):
         from rwre_ldp.errors import ConfigError
 
@@ -264,6 +278,17 @@ class TestLambdaCurve:
         assert code == 0
         for name in ("lambda_curve.csv", "lambda_curve.json"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_unsettled_zeta_sweep_exits_3(self, tmp_path):
+        # the critical tilt of a fair walk: the sweep runs out of cycles
+        env = {"type": "periodic", "B": 1, "laws": [{"-1": 0.5, "1": 0.5}] * 3}
+        code, out = run_cfg(tmp_path, {"task": "lambda-curve", "environment": env,
+                                       "grid": [0.0]})
+        assert code == 3
+        assert not (out / "lambda_curve.csv").exists()
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "SlowConvergenceError"
+        assert diag["diagnostics"] == {"r": 0.0, "cycles": passage._ZETA_MAX_CYCLES}
 
 
 @pytest.fixture(scope="module")

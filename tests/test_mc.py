@@ -300,16 +300,18 @@ class TestChecks:
 class TestReport:
     def test_standard_batch_passes(self):
         rep = mc.run_standard_checks(
-            BIASED_NN, seed=21, r=-0.3, n_steps=2000, n_walkers=100,
-            mgf_walkers=20_000, level=6,
+            BIASED_NN, seed=21, params=mc.McParams(
+                r=-0.3, n_steps=2000, n_walkers=100, mgf_walkers=20_000, level=6,
+            ),
         )
         assert rep.all_passed
         assert [c.name for c in rep.checks] == list(mc.STANDARD_CHECKS)
 
     def test_subset_and_json_shape(self):
         rep = mc.run_standard_checks(
-            PER2_NN, seed=5, include=("tilted-drift", "corrector-path"),
-            r=-0.2, n_steps=1000, n_walkers=60,
+            PER2_NN, seed=5, params=mc.McParams(
+                checks=("tilted-drift", "corrector-path"), r=-0.2, n_steps=1000, n_walkers=60,
+            ),
         )
         js = rep.to_json()
         assert js["algorithm"] == "splitmix64"
@@ -321,4 +323,4 @@ class TestReport:
 
     def test_unknown_check_name(self):
         with pytest.raises(ValueError):
-            mc.run_standard_checks(BIASED_NN, seed=1, include=("nope",))
+            mc.run_standard_checks(BIASED_NN, seed=1, params=mc.McParams(checks=("nope",)))

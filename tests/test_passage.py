@@ -139,6 +139,15 @@ class TestZeta:
         with pytest.raises(ValueError):
             zeta_nn(env, -0.3)
 
+    def test_unsettled_sweep_raises(self):
+        # at the critical tilt of a fair walk the sweep creeps towards 1 and
+        # runs out of cycles at lambda = -1.7e-7, not 0, while its rows still
+        # pass the 1e-10 residual check
+        env = periodic([{-1: 0.5, 1: 0.5}] * 3)
+        with pytest.raises(SlowConvergenceError) as exc:
+            lyapunov(env, 0.0)
+        assert exc.value.diagnostics == {"r": 0.0, "cycles": passage._ZETA_MAX_CYCLES}
+
 
 class TestLyapunov:
     def test_symmetric_value(self):
@@ -686,6 +695,38 @@ class TestPerronOracle:
         assert pt.bracket == (pt.value, pt.value)
         mgf = sum(p * math.exp(0.4 * z) for z, p in DRIFT2_LAW.probs)
         assert pt.value == pytest.approx(math.log(mgf), abs=1e-15)
+
+    # Known misses of the dense Perron core, pinned here so that they show in
+    # every checkout, not only where a hypothesis database replays them.
+    # 49 fair classes, then nine with p(-1) falling from 1/4 to 1/20 (L = 58)
+    LONG_FAIR_RUN = periodic([{-1: 0.5, 1: 0.5}] * 49
+                             + [{-1: 1 / k, 1: 1 - 1 / k} for k in range(4, 21, 2)])
+    # two fair classes and one with a +3 loop that holds half its mass
+    LOOP = periodic([{-1: 0.5, 1: 0.5}] * 2 + [{-1: 0.125, 1: 0.125, 2: 0.25, 3: 0.5}])
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 6")
+    def test_long_fair_run_slope_meets_dgeev(self):
+        # 3.7e-11 off
+        _, slope = dgeev_oracle(self.LONG_FAIR_RUN, -0.5)
+        assert abs(log_perron(self.LONG_FAIR_RUN, -0.5).slope - slope) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 6")
+    def test_long_fair_run_bracket_is_narrow(self):
+        # 5.6e-9 wide
+        lo, hi = log_perron(self.LONG_FAIR_RUN, -0.5).bracket
+        assert hi - lo <= 1e-10
+
+    @pytest.mark.xfail(strict=True, raises=SlowConvergenceError, reason="ROADMAP item 6")
+    @pytest.mark.parametrize("reflected, s", [(False, 17.58), (True, -9.87), (True, -14.46)])
+    def test_loop_law_far_tilts(self, reflected, s):
+        # "Perron vector of K_s not positive": entries of phi of 1e-17 and
+        # below are lost; the +3 loop dominates, Lambda(s) = log 0.5 + 3|s|
+        # up to e^{-2|s|}
+        env = reflect(self.LOOP) if reflected else self.LOOP
+        pt = log_perron(env, s)
+        assert np.all(pt.right > 0.0)
+        closed = math.log(0.5) + 3 * abs(s)
+        assert pt.value == pytest.approx(closed, rel=1e-14, abs=math.exp(-2 * abs(s)))
 
 
 class TestLinalgFailures:

@@ -51,3 +51,25 @@ def test_bench_summary_on_a_canned_record():
     assert entry["fail_frac"]["head"] == ["0 of 135"] * 4
     tasks = entry["tasks_median_s"]
     assert tasks["base"] == pytest.approx({"t": 0.045}) and tasks["head"] == pytest.approx({"t": 0.035})
+
+
+def test_bench_config_summary_on_a_canned_record():
+    summarize_configs = runpy.run_path(str(ROOT / "scripts" / "bench.py"))["summarize_configs"]
+    base = [0.60, 0.64, 0.66, 0.70]
+    head = [0.50, 0.65, 0.54, 0.56]
+    runs = [{"config": "a.json", "pair": k, "side": side, "result": {"wall_s": w}}
+            for side, walls in (("base", base), ("head", head)) for k, w in enumerate(walls)]
+    runs.append({"config": "a.json", "pair": 4, "side": "head",
+                 "result": {"error": "exit 2: config error"}})
+    # a config only the head has is timed, not compared
+    runs.append({"config": "new.json", "pair": 0, "side": "head", "result": {"wall_s": 0.3}})
+    summary = summarize_configs(runs)
+    assert sorted(summary) == ["a.json", "new.json"]
+    a = summary["a.json"]
+    assert a["errors"] == 1
+    assert a["base"] == pytest.approx({"q1": 0.63, "median": 0.65, "q3": 0.67})
+    assert a["head"]["median"] == pytest.approx(0.55)
+    assert a["head_wins"] == 3  # pair 1 is the base's
+    assert a["median_change"] == pytest.approx(0.55 / 0.65 - 1.0)
+    assert a["gap_exceeds_base_iqr"]
+    assert summary["new.json"] == {"errors": 0}
