@@ -14,9 +14,9 @@ metrics; then the Tier-1 suite runs once on the head commit.
 The output holds, per workload and seed, each end-to-end metric's median
 and quartiles on both sides, the pairs the head won, fail_frac and per-task
 medians; per config, the same comparison of its cold wall time
-(`configs_cold_s`); with nproc, the CPU model, the Python, numpy and scipy versions,
-whether the passes compiled the package from source (PYTHONDONTWRITEBYTECODE)
-and both commits. It is written after every run, so an interrupted comparison
+(`configs_cold_s`); with nproc, the CPU model, the Python, numpy and scipy
+versions, whether the passes compiled the package from source
+(PYTHONDONTWRITEBYTECODE) and both commits. It is written after every run, so an interrupted comparison
 keeps what it measured.
 
 Usage: python scripts/bench.py --base REV --head REV --out BENCH_N.json

@@ -496,6 +496,7 @@ class TestTiltReport:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "SupercriticalError"
         assert diag["task"] == "tilt-report"
+        assert diag["r"] == 0.5
 
 
 class TestLevel2Min:
