@@ -102,11 +102,12 @@ def _parse_mc(d, where: str) -> mc.McParams:
     if not isinstance(d, dict):
         raise ConfigError(where, "mc block must be an object")
     kw = {}
-    for key in ("n_steps", "n_walkers", "mgf_walkers", "level"):
+    # a standard error across walkers needs two of them
+    for key, least in (("n_steps", 1), ("n_walkers", 2), ("mgf_walkers", 2), ("level", 1)):
         if key in d:
             kw[key] = parse_number(d[key], f"{where}.{key}", int)
-            if kw[key] < 1:
-                raise ConfigError(f"{where}.{key}", "must be positive")
+            if kw[key] < least:
+                raise ConfigError(f"{where}.{key}", f"must be at least {least}")
     for key in ("gate", "r"):
         if key in d:
             kw[key] = parse_number(d[key], f"{where}.{key}")

@@ -85,9 +85,10 @@ class WalkSample:
     corrector_sums: np.ndarray | None  # (n_walkers,) accumulated increments
 
 
-# uniforms drawn per block of steps: a block is budget // live walkers
-# steps (at least one), which keeps its buffers at a few MB
-_DRAW_BUDGET = 1 << 16
+# the one size of the ensemble kernels: a kernel call steps a tile of at
+# most this many walkers, in blocks of _DRAW_BUDGET // live steps, so its
+# temporaries stay under about 1.5 MB whatever the ensemble size
+_DRAW_BUDGET = 1 << 14
 
 
 def _block_codes(smp, cls, u):
@@ -101,17 +102,17 @@ def _block_codes(smp, cls, u):
     return codes, cls
 
 
-def _walk_block(smp, seed, n_steps, j_lo, j_hi, fvals, count_pairs):
-    """Walkers j_lo..j_hi-1; pure function of (seed, walker index), so any
-    split into blocks reproduces the serial run bit for bit. Each block of
-    steps is drawn by one `uniform_at` call."""
-    keys = rng.stream_keys(seed, j_lo, j_hi)
-    n = j_hi - j_lo
-    x = np.zeros(n, dtype=np.int64)
+def _walk_tile(smp, seed, n_steps, j_lo, x, csums, fvals, count_pairs):
+    """Walkers j_lo..j_lo + x.size - 1 of one tile, stepped into x and, if
+    given, csums: views of the ensemble's results. Returns the tile's pair
+    counts. A pure function of (seed, walker index), so any tiling
+    reproduces the serial run bit for bit. Each block of steps is drawn by
+    one `uniform_at` call."""
+    n = x.size
+    keys = rng.stream_keys(seed, j_lo, j_lo + n)
     cls = np.zeros(n, dtype=np.intp)
     counts = np.zeros(smp.jump.size, dtype=np.int64) if count_pairs else None
-    csums = np.zeros(n) if fvals is not None else None
-    span = max(1, _DRAW_BUDGET // n)
+    span = _DRAW_BUDGET // n
     for t in range(0, n_steps, span):
         m = min(span, n_steps - t)
         u = rng.uniform_at(rng.block_keys(keys, t, m), 0).reshape(m, n)
@@ -122,28 +123,36 @@ def _walk_block(smp, seed, n_steps, j_lo, j_hi, fvals, count_pairs):
         if csums is not None:
             # cumsum runs down the step axis one row at a time, so each
             # walker's sum is added in step order, as a step loop would
-            csums = np.cumsum(np.vstack([csums, fvals[codes]]), axis=0)[-1]
-    return x, counts, csums
+            inc = fvals[codes]
+            inc[0] += csums
+            csums[:] = np.cumsum(inc, axis=0, out=inc)[-1]
+    return counts
 
 
-def _map_blocks(block, n_walkers: int, threads: int) -> list:
-    """block(j_lo, j_hi) on up to `threads` contiguous walker blocks of at
-    least _DRAW_BUDGET // 2 walkers each, in block order.
+def _map_tiles(tile, n_walkers: int, threads: int) -> list:
+    """tile(j_lo, j_hi) on consecutive tiles of _DRAW_BUDGET walkers, the
+    last one ragged, and the results in tile order.
 
-    The class recursion of a block steps in Python under the GIL, so a
-    thread pays off only once a block's numpy calls each span tens of
-    thousands of walkers; smaller ensembles run as one block, in this
-    thread.
+    The class recursion of a tile steps in Python under the GIL, so
+    threads overlap only its numpy calls: up to `threads` threads each take
+    a run of at least two consecutive tiles, and an ensemble of fewer than
+    four full tiles runs in this thread.
     """
-    n_blocks = max(1, min(threads, n_walkers // max(1, _DRAW_BUDGET // 2)))
-    if n_blocks == 1:
-        return [block(0, n_walkers)]
-    bounds = [n_walkers * k // n_blocks for k in range(n_blocks + 1)]
-    blocks = list(zip(bounds, bounds[1:]))
+    edges = [*range(0, n_walkers, _DRAW_BUDGET), n_walkers]
+    tiles = list(zip(edges, edges[1:]))
+    n_runs = max(1, min(threads, n_walkers // (2 * _DRAW_BUDGET)))
+
+    def run(part):
+        return [tile(*ab) for ab in part]
+
+    if n_runs == 1:
+        return run(tiles)
+    cuts = [len(tiles) * k // n_runs for k in range(n_runs + 1)]
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-        return list(pool.map(lambda ab: block(*ab), blocks))
+    with ThreadPoolExecutor(max_workers=n_runs) as pool:
+        runs = pool.map(run, [tiles[a:b] for a, b in zip(cuts, cuts[1:])])
+        return [out for part in runs for out in part]
 
 
 def walk_ensemble(
@@ -160,41 +169,48 @@ def walk_ensemble(
 
     With a tilted `chain` of `env` the walkers follow its kernel instead of
     the bare environment, and may sum its corrector. Pair counts pool (site
-    class, jump) transitions over all walkers and steps. `threads` splits
-    the ensemble into walker blocks; the counter-based streams make the
-    result identical for any split.
+    class, jump) transitions over all walkers and steps. The ensemble runs
+    tile by tile, and `threads` spreads runs of tiles over threads; the
+    counter-based streams make the result identical for any split.
     """
     require_periodic(env, "a simulation check")
     smp = _sampler(env, chain)
     fvals = corrector(chain).values.ravel() if track_corrector else None
-    parts = _map_blocks(
-        lambda a, b: _walk_block(smp, seed, n_steps, a, b, fvals, count_pairs),
+    x = np.zeros(n_walkers, dtype=np.int64)
+    csums = np.zeros(n_walkers) if track_corrector else None
+    parts = _map_tiles(
+        lambda a, b: _walk_tile(
+            smp, seed, n_steps, a, x[a:b], None if csums is None else csums[a:b],
+            fvals, count_pairs,
+        ),
         n_walkers, threads,
     )
-    x = np.concatenate([p[0] for p in parts])
-    counts = sum(p[1] for p in parts).reshape(-1, smp.width) if count_pairs else None
-    csums = np.concatenate([p[2] for p in parts]) if track_corrector else None
+    counts = None
+    if count_pairs:
+        counts = sum(parts, np.zeros(smp.jump.size, dtype=np.int64)).reshape(-1, smp.width)
     return WalkSample(
         positions=x, n_steps=n_steps, seed=seed, pair_counts=counts, corrector_sums=csums,
     )
 
 
-def _passage_block(smp, seed, level, max_steps, j_lo, j_hi):
-    """Only walkers still short of `level` draw: `live` holds their block
-    indices, with their keys, positions and classes alongside. A block of
-    steps is at most ceil((level - x) / B) steps for every live walker, so
-    none can arrive before its last step and every draw feeds a step."""
-    n = j_hi - j_lo
-    tau = np.full(n, max_steps, dtype=np.int64)
+def _passage_tile(smp, seed, level, max_steps, j_lo, tau, censored):
+    """Walkers j_lo..j_lo + tau.size - 1 of one tile; their passage times go
+    into tau, preset to max_steps, and their censoring into censored: views
+    of the ensemble's results. Only walkers still short of `level` draw:
+    `live` holds their tile indices, with their keys, positions and classes
+    alongside. A block of steps is at most ceil((level - x) / B) steps for
+    every live walker, so none can arrive before its last step and every
+    draw feeds a step."""
+    n = tau.size
     live = np.arange(n)
-    keys = rng.stream_keys(seed, j_lo, j_hi)
+    keys = rng.stream_keys(seed, j_lo, j_lo + n)
     x = np.zeros(n, dtype=np.int64)
     cls = np.zeros(n, dtype=np.intp)
     reach = smp.width // 2  # B, the longest jump
     t = 0
     while t < max_steps and live.size:
         lead = -(-int(level - x.max()) // reach)  # steps the leader needs
-        m = min(max(1, _DRAW_BUDGET // live.size), max_steps - t, max(1, lead))
+        m = min(_DRAW_BUDGET // live.size, max_steps - t, max(1, lead))
         u = rng.uniform_at(rng.block_keys(keys, t, m), 0).reshape(m, live.size)
         codes, cls = _block_codes(smp, cls, u)
         x += smp.jump[codes].sum(axis=0)
@@ -204,9 +220,7 @@ def _passage_block(smp, seed, level, max_steps, j_lo, j_hi):
             tau[live[arrived]] = t
             running = ~arrived
             live, keys, x, cls = live[running], keys[running], x[running], cls[running]
-    censored = np.zeros(n, dtype=bool)
     censored[live] = True
-    return tau, censored
 
 
 def passage_ensemble(
@@ -220,18 +234,19 @@ def passage_ensemble(
     """First times the walkers reach `level`, with a censoring mask.
 
     Step t of walker j uses draw t of stream (seed, j), so the ensemble is
-    reproducible and independent of how it is split into blocks. A walker
+    reproducible and independent of how it is split into tiles. A walker
     that has arrived draws nothing more; the draws it skips would feed no
     step, so the cost scales with the steps walked, not with n_walkers
     times the longest passage. Censored walkers report max_steps.
     """
     require_periodic(env, "a simulation check")
     smp = _sampler(env, None)
-    parts = _map_blocks(
-        lambda a, b: _passage_block(smp, seed, level, max_steps, a, b), n_walkers, threads
+    tau = np.full(n_walkers, max_steps, dtype=np.int64)
+    censored = np.zeros(n_walkers, dtype=bool)
+    _map_tiles(
+        lambda a, b: _passage_tile(smp, seed, level, max_steps, a, tau[a:b], censored[a:b]),
+        n_walkers, threads,
     )
-    tau = np.concatenate([p[0] for p in parts])
-    censored = np.concatenate([p[1] for p in parts])
     return tau, censored
 
 
@@ -267,6 +282,21 @@ class CheckResult:
         return out
 
 
+def _mean_se(vals: np.ndarray) -> tuple[float, float]:
+    """Mean of the per-walker values and its standard error across
+    walkers: the bits of np.mean(vals) and np.std(vals, ddof=1) / sqrt(n),
+    by the same operations in the same order, formed in vals' own buffer,
+    which this overwrites."""
+    n = vals.size
+    if n < 2:
+        raise ValueError(f"a standard error across walkers needs at least 2 walkers; got {n}")
+    mean = np.mean(vals)
+    np.subtract(vals, mean, out=vals)
+    np.square(vals, out=vals)
+    se = math.sqrt(vals.sum() / (n - 1)) / math.sqrt(n)
+    return float(mean), se
+
+
 def _z_result(name, observed, expected, se, gate, **extra) -> CheckResult:
     z = (observed - expected) / se if se > 0 else math.inf * np.sign(observed - expected + 0.0)
     if observed == expected:
@@ -300,10 +330,9 @@ def empirical_velocity_check(
     either direction."""
     v = velocity(env)
     sample = walk_ensemble(env, seed, n_steps, n_walkers, threads=threads)
-    per_walker = sample.positions / n_steps
-    se = float(np.std(per_walker, ddof=1) / math.sqrt(n_walkers))
+    mean, se = _mean_se(sample.positions / n_steps)
     return _z_result(
-        "empirical-velocity", float(np.mean(per_walker)), v, se, gate,
+        "empirical-velocity", mean, v, se, gate,
         n_steps=n_steps, n_walkers=n_walkers,
     )
 
@@ -322,10 +351,9 @@ def passage_lln_check(
     slope = 1.0 / _right_velocity(env)
     max_steps = int(50 * level * slope)
     tau, censored = passage_ensemble(env, seed, level, n_walkers, max_steps, threads=threads)
-    per_walker = tau / level
-    se = float(np.std(per_walker, ddof=1) / math.sqrt(n_walkers))
+    mean, se = _mean_se(tau / level)
     return _z_result(
-        "passage-lln", float(np.mean(per_walker)), slope, se, gate,
+        "passage-lln", mean, slope, se, gate,
         level=level, n_walkers=n_walkers, censored=int(censored.sum()),
     )
 
@@ -350,11 +378,13 @@ def mgf_match_check(
     expected = sol.h_at(0)
     max_steps = max(200, int(-12.0 / r) + 50 * level)
     tau, censored = passage_ensemble(env, seed, level, n_walkers, max_steps, threads=threads)
-    vals = np.exp(r * tau.astype(float))
+    vals = tau.astype(float)
+    vals *= r
+    np.exp(vals, out=vals)
     vals[censored] = 0.0
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_walkers))
+    mean, se = _mean_se(vals)
     return _z_result(
-        "mgf-match", float(np.mean(vals)), expected, se, gate,
+        "mgf-match", mean, expected, se, gate,
         r=r, level=level, censored=int(censored.sum()),
         truncation_bias_bound=math.exp(r * max_steps),
     )
@@ -386,10 +416,11 @@ def moment_envelope_check(
     max_steps = max(200, int(-12.0 / r) + 50 * level)
     tau, censored = passage_ensemble(env, seed, level, n_walkers, max_steps, threads=threads)
     t = tau.astype(float)
-    vals = t**m * np.exp(r * t)
+    vals = t**m
+    t *= r
+    vals *= np.exp(t, out=t)
     vals[censored] = 0.0
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_walkers))
+    mean, se = _mean_se(vals)
     slack = (mean - envelope) / se if se > 0 else -math.inf
     return CheckResult(
         name="moment-envelope", observed=mean, expected=envelope, se=se,
@@ -413,12 +444,11 @@ def tilted_drift_check(
     sample = walk_ensemble(
         env, seed, n_steps, n_walkers, chain=chain, count_pairs=True, threads=threads
     )
-    per_walker = sample.positions / n_steps
-    se = float(np.std(per_walker, ddof=1) / math.sqrt(n_walkers))
+    mean, se = _mean_se(sample.positions / n_steps)
     emp = sample.pair_counts / sample.pair_counts.sum()
     tv = 0.5 * float(np.abs(emp - ansatz_measure(chain).weights).sum())
     return _z_result(
-        "tilted-drift", float(np.mean(per_walker)), chain.drift, se, gate,
+        "tilted-drift", mean, chain.drift, se, gate,
         r=r, n_steps=n_steps, n_walkers=n_walkers, pair_tv=tv,
     )
 

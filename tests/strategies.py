@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from rwre_ldp.environment import Environment, JumpLaw, periodic, sample_iid
 
-# HYPOTHESIS_PROFILE=ci (tests/conftest.py) runs every property test on four
-# times the examples it runs by default
-_DEPTH = 4 if os.environ.get("HYPOTHESIS_PROFILE") == "ci" else 1
+# HYPOTHESIS_PROFILE=ci or explore (tests/conftest.py) runs every property
+# test on four times the examples it runs by default
+_DEPTH = 4 if os.environ.get("HYPOTHESIS_PROFILE") in ("ci", "explore") else 1
 
 
 def examples(n: int) -> int:

@@ -152,6 +152,16 @@ class TestConfigErrors:
         assert code == 2
         assert "mc.checks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["n_walkers", "mgf_walkers"])
+    def test_one_walker_has_no_standard_error(self, tmp_path, capsys, key):
+        cfg = {"task": "mc-verify", "environment": PER2, "seed": 1,
+               "mc": {"n_steps": 100, "n_walkers": 2, "mgf_walkers": 2, key: 1}}
+        code, out = run_cfg(tmp_path, cfg)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: config key 'mc.{key}': must be at least 2\n")
+        assert not (out / "mc_report.jsonl").exists()
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -6,6 +6,7 @@ here stay frozen."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,21 @@ B2_NO_MINUS2 = periodic([
 
 def sha256_le(a: np.ndarray) -> str:
     return hashlib.sha256(np.asarray(a).astype("<i8").tobytes()).hexdigest()
+
+
+def record_runs(monkeypatch) -> list:
+    """The runs of tiles the ensembles hand to thread pools, in order."""
+    import concurrent.futures
+
+    runs = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def map(self, fn, parts):
+            runs.extend(parts)
+            return super().map(fn, parts)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return runs
 
 
 class TestStreams:
@@ -82,32 +98,31 @@ class TestStreams:
         assert np.array_equal(t1, t4) and np.array_equal(c1, c4)
 
     def test_thread_split_above_the_block_floor(self, monkeypatch):
-        # 2^16 walkers make two blocks of 2^15, the smallest that splits
-        blocks = []
-        passage_block = mc._passage_block
-
-        def recorded(smp, seed, level, max_steps, j_lo, j_hi):
-            blocks.append((j_lo, j_hi))
-            return passage_block(smp, seed, level, max_steps, j_lo, j_hi)
-
-        monkeypatch.setattr(mc, "_passage_block", recorded)
-        n = 1 << 16
+        # 2^16 + 5 walkers make four full tiles and a ragged one; two threads
+        # take runs of two and three consecutive tiles
+        runs = record_runs(monkeypatch)
+        size, n = mc._DRAW_BUDGET, (1 << 16) + 5
         t1, c1 = mc.passage_ensemble(PER2_NN, 8, 8, n, 500, threads=1)
+        assert runs == []
         t2, c2 = mc.passage_ensemble(PER2_NN, 8, 8, n, 500, threads=2)
-        assert blocks == [(0, n), (0, n // 2), (n // 2, n)]
+        tiles = [(j, min(j + size, n)) for j in range(0, n, size)]
+        assert runs == [tiles[:2], tiles[2:]]
         assert np.array_equal(t1, t2) and np.array_equal(c1, c2)
 
     def test_small_ensembles_start_no_thread(self, monkeypatch):
+        # a second thread needs a second run of two full tiles, so fewer
+        # than four full tiles (2^16 walkers) run in the calling thread
         import concurrent.futures
 
         def refuse(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
+        n = 4 * mc._DRAW_BUDGET - 1
         want = mc.walk_ensemble(PER2_NN, 7, 300, 200, threads=1).positions
-        want_tau = mc.passage_ensemble(PER2_NN, 8, 40, 200, 5000, threads=1)
+        want_tau = mc.passage_ensemble(PER2_NN, 8, 8, n, 500, threads=1)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
         got = mc.walk_ensemble(PER2_NN, 7, 300, 200, threads=4).positions
-        got_tau = mc.passage_ensemble(PER2_NN, 8, 40, 200, 5000, threads=4)
+        got_tau = mc.passage_ensemble(PER2_NN, 8, 8, n, 500, threads=4)
         assert np.array_equal(want, got)
         assert all(np.array_equal(a, b) for a, b in zip(want_tau, got_tau))
 
@@ -151,8 +166,9 @@ class TestStreams:
 
 
 class TestDrawBlocks:
-    """The kernels step in blocks of draws from one `uniform_at` call each;
-    the block length must not show in any output."""
+    """The kernels step tiles of at most _DRAW_BUDGET walkers in blocks of
+    draws from one `uniform_at` call each; neither the tile nor the block
+    length may show in any output."""
 
     @pytest.mark.parametrize("k0", [0, 5, 2**40])
     def test_block_keys_match_per_step_draws(self, k0):
@@ -175,19 +191,33 @@ class TestDrawBlocks:
                     count_pairs=True, track_corrector=True, threads=threads,
                 )
                 out += [s.positions, s.pair_counts, s.corrector_sums]
-        for env in (PER2_NN, DRIFT2):
-            for n_walkers in (5, 41):
-                out += mc.passage_ensemble(env, 8, 30, n_walkers, 2000)
-                out += mc.passage_ensemble(env, 8, 0, n_walkers, 50)  # level 0
-                out += mc.passage_ensemble(env, 8, 30, n_walkers, 0)  # no steps
-                out += mc.passage_ensemble(env, 8, 10_000, n_walkers, 25)  # censored
+                for env in (PER2_NN, DRIFT2):
+                    kw = dict(n_walkers=n_walkers, threads=threads)
+                    out += mc.passage_ensemble(env, 8, 30, max_steps=2000, **kw)
+                    out += mc.passage_ensemble(env, 8, 0, max_steps=50, **kw)  # level 0
+                    out += mc.passage_ensemble(env, 8, 30, max_steps=0, **kw)  # no steps
+                    out += mc.passage_ensemble(env, 8, 10_000, max_steps=25, **kw)  # censored
         return out
 
     def test_block_length_is_invisible(self, monkeypatch):
+        # tiles of 1 and 3 walkers: 41 walkers make 14 tiles of 3, the last
+        # one ragged, and three threads take runs of them
         want = self.outputs()
         for budget in (1, 3):
             monkeypatch.setattr(mc, "_DRAW_BUDGET", budget)
+            runs = record_runs(monkeypatch)
+            drawn = []
+            uniform_at = rng.uniform_at
+
+            def counting(keys, k):
+                drawn.append(len(keys))
+                return uniform_at(keys, k)
+
+            monkeypatch.setattr(rng, "uniform_at", counting)
             got = self.outputs()
+            monkeypatch.setattr(rng, "uniform_at", uniform_at)
+            assert max(drawn) <= budget
+            assert runs and all(len(run) >= 2 for run in runs)
             assert len(got) == len(want)
             for a, b in zip(want, got):
                 assert a.dtype == b.dtype
@@ -206,7 +236,37 @@ class TestDrawBlocks:
         n_steps, n_walkers = 10_000, 200
         mc.walk_ensemble(PER2_NN, 3, n_steps, n_walkers)
         assert sum(drawn) == n_steps * n_walkers
-        assert len(calls) <= math.ceil(n_steps / (mc._DRAW_BUDGET // n_walkers))
+        assert max(drawn) <= mc._DRAW_BUDGET
+        assert len(calls) == math.ceil(n_steps / (mc._DRAW_BUDGET // n_walkers))
+
+
+class TestWorkingSet:
+    """The kernels hold the results and a fixed working set of tiles, not
+    buffers that grow with the ensemble."""
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        """Peak bytes traced while fn runs, above those held before it."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    def test_mgf_match_bytes_per_walker(self):
+        n = 200_000
+        peak = self.traced_peak(lambda: mc.mgf_match_check(PER2_NN, -0.3, 13, 8, n))
+        assert peak < 40 * n
+
+    def test_long_walk_stays_under_a_megabyte(self):
+        peak = self.traced_peak(lambda: mc.walk_ensemble(PER2_NN, 3, 10_000, 200))
+        assert peak < 1 << 20
 
 
 class TestPassageEnsemble:
@@ -274,6 +334,25 @@ class TestChecks:
     def test_mgf_match_needs_negative_tilt(self):
         with pytest.raises(ValueError):
             mc.mgf_match_check(BIASED_NN, 0.1, seed=1)
+
+    @pytest.mark.parametrize("check", [
+        lambda: mc.empirical_velocity_check(BIASED_NN, seed=1, n_steps=100, n_walkers=1),
+        lambda: mc.passage_lln_check(BIASED_NN, seed=1, level=50, n_walkers=1),
+        lambda: mc.mgf_match_check(BIASED_NN, -0.3, seed=1, n_walkers=1),
+        lambda: mc.moment_envelope_check(BIASED_NN, -0.3, 2, seed=1, n_walkers=1),
+        lambda: mc.tilted_drift_check(PER2_NN, -0.2, seed=1, n_steps=100, n_walkers=1),
+    ], ids=["velocity", "passage-lln", "mgf-match", "moment-envelope", "tilted-drift"])
+    def test_one_walker_has_no_standard_error(self, check):
+        with pytest.raises(ValueError, match="at least 2 walkers"):
+            check()
+
+    def test_in_place_statistics_match_numpy(self):
+        # _mean_se overwrites its input; np.mean and np.std are the reference
+        g = np.random.default_rng(5)
+        for n in (2, 9, 129, 50_001):
+            vals = np.exp(-0.3 * g.integers(1, 200, n))
+            want = (float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n)))
+            assert mc._mean_se(vals.copy()) == want
 
     def test_moment_envelope(self):
         c = mc.moment_envelope_check(BIASED_NN, -0.3, 2, seed=14, level=8, n_walkers=40_000)
