@@ -1,6 +1,6 @@
 """Batch front end: one JSON config, one task, deterministic artifacts.
 
-Usage: ``rwre-ldp run config.json [--strict] [--out DIR] [--threads N]``.
+Usage: ``rwre-ldp run config.json [--strict] [--out DIR]``.
 
 Exit codes: 0 success (statistical warnings print but do not fail unless
 --strict, which turns them into exit 1), 2 malformed config with a pointer
@@ -11,9 +11,7 @@ and every attribute the error carries, 4 hard invariant violation.
 Every artifact embeds the sha256 of the config bytes and the tool version,
 and identical (config, seed) pairs produce identical bytes: floats print
 with 17 significant digits in CSV and shortest round-trip form in JSON,
-keys are sorted, and simulation streams are counter-based. Thread counts
-change only wall time, never output: parallelism splits walker blocks whose
-streams are indexed globally. Analytic tasks run single-threaded.
+keys are sorted, and simulation streams are counter-based.
 """
 
 from __future__ import annotations
@@ -82,13 +80,10 @@ def _parse_grid(d, where: str) -> tuple[float, ...]:
         return _numbers(d, where)
     if not isinstance(d, dict):
         raise ConfigError(where, "grid must be a list or {min, max, points}")
-    try:
-        lo, hi, n = float(d["min"]), float(d["max"]), int(d["points"])
-    except (KeyError, ValueError, TypeError, OverflowError):
-        raise ConfigError(where, "grid needs numeric min, max and integer points") from None
-    for key, v in (("min", lo), ("max", hi)):
-        if not math.isfinite(v):
-            raise ConfigError(f"{where}.{key}", "must be a finite number")
+    if not {"min", "max", "points"} <= d.keys():
+        raise ConfigError(where, "grid needs numeric min, max and integer points")
+    lo, hi = (parse_number(d[key], f"{where}.{key}") for key in ("min", "max"))
+    n = parse_number(d["points"], f"{where}.points", int)
     if n < 1:
         raise ConfigError(f"{where}.points", f"need at least 1 point, got {n}")
     if lo > hi:
@@ -380,8 +375,8 @@ def _task_level2_min(cfg: RunConfig, w: _Writer):
     return [], []
 
 
-def _task_mc_verify(cfg: RunConfig, w: _Writer, threads: int):
-    rep = mc.run_standard_checks(cfg.env, cfg.seed, cfg.mc_params, threads)
+def _task_mc_verify(cfg: RunConfig, w: _Writer):
+    rep = mc.run_standard_checks(cfg.env, cfg.seed, cfg.mc_params)
     w.jsonl("mc_report.jsonl", [c.row() for c in rep.checks])
     summary = {k: v for k, v in rep.to_json().items() if k != "checks"}
     w.json("mc_summary.json", summary)
@@ -498,7 +493,11 @@ def run(
     out_dir: str | Path | None = None,
     threads: int = 1,
 ) -> int:
-    """Execute one config; returns the process exit code."""
+    """Execute one config; returns the process exit code.
+
+    `threads` has no effect: every task runs in the calling thread. It is
+    still accepted only because perfbench/worker.py passes it.
+    """
     try:
         raw_bytes = Path(config_path).read_bytes()
     except OSError as e:
@@ -520,13 +519,6 @@ def run(
     out.mkdir(parents=True, exist_ok=True)
     w = _Writer(cfg, out)
 
-    if threads > 1 and cfg.task != "mc-verify":
-        print(
-            "note: --threads applies to simulation tasks only; analytic tasks "
-            "run serially to keep outputs byte-deterministic",
-            file=sys.stderr,
-        )
-
     try:
         if cfg.task == "lambda-curve":
             warnings, hard = _task_lambda_curve(cfg, w)
@@ -537,7 +529,7 @@ def run(
         elif cfg.task == "level2-min":
             warnings, hard = _task_level2_min(cfg, w)
         elif cfg.task == "mc-verify":
-            warnings, hard = _task_mc_verify(cfg, w, threads)
+            warnings, hard = _task_mc_verify(cfg, w)
         elif cfg.task == "counterexample":
             warnings, hard = _task_counterexample(cfg, w)
         else:
@@ -574,12 +566,8 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("--strict", action="store_true",
                       help="treat statistical gate failures as errors (exit 1)")
     runp.add_argument("--out", default=None, help="output directory (overrides config)")
-    runp.add_argument("--threads", type=int, default=1,
-                      help="worker threads for simulation tasks")
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
-    return run(args.config, strict=args.strict, out_dir=args.out, threads=args.threads)
+    return run(args.config, strict=args.strict, out_dir=args.out)
 
 
 if __name__ == "__main__":

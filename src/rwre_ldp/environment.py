@@ -361,13 +361,17 @@ def _parse_laws(raw_laws: Iterable[Mapping], b: int, where: str) -> tuple[JumpLa
 
 
 def parse_number(value, where: str, kind=float):
-    """value as a finite float (or an int, with kind=int); a ConfigError
-    naming where if it is not one."""
+    """value as a finite float, or with kind=int as an int equal to it (no
+    boolean, string or fraction); a ConfigError naming where if it is not
+    one."""
     try:
         number = kind(value)
     except (ValueError, TypeError, OverflowError):
         raise ConfigError(where, "must be an integer" if kind is int else "must be a number") from None
-    if not math.isfinite(number):
+    if kind is int:
+        if isinstance(value, bool) or number != value:
+            raise ConfigError(where, f"must be an integer, got {value!r}")
+    elif not math.isfinite(number):
         raise ConfigError(where, "must be a finite number")
     return number
 
@@ -394,11 +398,10 @@ def env_from_json(d: Mapping, where: str = "environment") -> Environment:
     seed = None if d.get("seed") is None else parse_number(d["seed"], f"{where}.seed", int)
     window = None
     if kind == "iid":
-        try:
-            lo, hi = (int(v) for v in d["window"])
-        except (KeyError, ValueError, TypeError, OverflowError):
-            raise ConfigError(f"{where}.window", "missing or malformed") from None
-        window = (lo, hi)
+        ends = d.get("window")
+        if not isinstance(ends, (list, tuple)) or len(ends) != 2:
+            raise ConfigError(f"{where}.window", "missing or malformed")
+        window = tuple(parse_number(v, f"{where}.window[{i}]", int) for i, v in enumerate(ends))
 
     if kind == "iid" and "laws" not in d:
         if "atoms" not in d:
@@ -414,7 +417,7 @@ def env_from_json(d: Mapping, where: str = "environment") -> Environment:
         if seed is None:
             raise ConfigError(f"{where}.seed", "missing")
         try:
-            return sample_iid(atoms, lo, hi, seed, delta=delta)
+            return sample_iid(atoms, *window, seed, delta=delta)
         except ValueError as e:
             raise ConfigError(where, str(e)) from e
 

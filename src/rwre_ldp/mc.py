@@ -87,7 +87,9 @@ class WalkSample:
 
 # the one size of the ensemble kernels: a kernel call steps a tile of at
 # most this many walkers, in blocks of _DRAW_BUDGET // live steps, so its
-# temporaries stay under about 1.5 MB whatever the ensemble size
+# temporaries stay under about 1.5 MB whatever the ensemble size; walker j
+# reads stream (seed, j) in any tile, so the results are the same for any
+# tiling
 _DRAW_BUDGET = 1 << 14
 
 
@@ -102,23 +104,22 @@ def _block_codes(smp, cls, u):
     return codes, cls
 
 
-def _walk_tile(smp, seed, n_steps, j_lo, x, csums, fvals, count_pairs):
+def _walk_tile(smp, seed, n_steps, j_lo, x, csums, fvals, counts):
     """Walkers j_lo..j_lo + x.size - 1 of one tile, stepped into x and, if
-    given, csums: views of the ensemble's results. Returns the tile's pair
-    counts. A pure function of (seed, walker index), so any tiling
-    reproduces the serial run bit for bit. Each block of steps is drawn by
-    one `uniform_at` call."""
+    given, csums: views of the ensemble's results. If counts is given, the
+    tile's (class, jump) transitions are added into it. A pure function of
+    (seed, walker index), so any tiling gives the same results bit for bit.
+    Each block of steps is drawn by one `uniform_at` call."""
     n = x.size
     keys = rng.stream_keys(seed, j_lo, j_lo + n)
     cls = np.zeros(n, dtype=np.intp)
-    counts = np.zeros(smp.jump.size, dtype=np.int64) if count_pairs else None
     span = _DRAW_BUDGET // n
     for t in range(0, n_steps, span):
         m = min(span, n_steps - t)
         u = rng.uniform_at(rng.block_keys(keys, t, m), 0).reshape(m, n)
         codes, cls = _block_codes(smp, cls, u)
         x += smp.jump[codes].sum(axis=0)
-        if count_pairs:
+        if counts is not None:
             counts += np.bincount(codes.ravel(), minlength=counts.size)
         if csums is not None:
             # cumsum runs down the step axis one row at a time, so each
@@ -126,33 +127,6 @@ def _walk_tile(smp, seed, n_steps, j_lo, x, csums, fvals, count_pairs):
             inc = fvals[codes]
             inc[0] += csums
             csums[:] = np.cumsum(inc, axis=0, out=inc)[-1]
-    return counts
-
-
-def _map_tiles(tile, n_walkers: int, threads: int) -> list:
-    """tile(j_lo, j_hi) on consecutive tiles of _DRAW_BUDGET walkers, the
-    last one ragged, and the results in tile order.
-
-    The class recursion of a tile steps in Python under the GIL, so
-    threads overlap only its numpy calls: up to `threads` threads each take
-    a run of at least two consecutive tiles, and an ensemble of fewer than
-    four full tiles runs in this thread.
-    """
-    edges = [*range(0, n_walkers, _DRAW_BUDGET), n_walkers]
-    tiles = list(zip(edges, edges[1:]))
-    n_runs = max(1, min(threads, n_walkers // (2 * _DRAW_BUDGET)))
-
-    def run(part):
-        return [tile(*ab) for ab in part]
-
-    if n_runs == 1:
-        return run(tiles)
-    cuts = [len(tiles) * k // n_runs for k in range(n_runs + 1)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=n_runs) as pool:
-        runs = pool.map(run, [tiles[a:b] for a, b in zip(cuts, cuts[1:])])
-        return [out for part in runs for out in part]
 
 
 def walk_ensemble(
@@ -163,33 +137,29 @@ def walk_ensemble(
     chain: TiltedChain | None = None,
     count_pairs: bool = False,
     track_corrector: bool = False,
-    threads: int = 1,
 ) -> WalkSample:
     """Run independent walkers; walker j consumes stream (seed, j).
 
     With a tilted `chain` of `env` the walkers follow its kernel instead of
     the bare environment, and may sum its corrector. Pair counts pool (site
     class, jump) transitions over all walkers and steps. The ensemble runs
-    tile by tile, and `threads` spreads runs of tiles over threads; the
-    counter-based streams make the result identical for any split.
+    tile by tile into its results; the counter-based streams make them the
+    same for any tiling.
     """
     require_periodic(env, "a simulation check")
     smp = _sampler(env, chain)
     fvals = corrector(chain).values.ravel() if track_corrector else None
     x = np.zeros(n_walkers, dtype=np.int64)
     csums = np.zeros(n_walkers) if track_corrector else None
-    parts = _map_tiles(
-        lambda a, b: _walk_tile(
-            smp, seed, n_steps, a, x[a:b], None if csums is None else csums[a:b],
-            fvals, count_pairs,
-        ),
-        n_walkers, threads,
-    )
-    counts = None
-    if count_pairs:
-        counts = sum(parts, np.zeros(smp.jump.size, dtype=np.int64)).reshape(-1, smp.width)
+    counts = np.zeros(smp.jump.size, dtype=np.int64) if count_pairs else None
+    for a in range(0, n_walkers, _DRAW_BUDGET):
+        tile = slice(a, a + _DRAW_BUDGET)  # the last tile may be ragged
+        _walk_tile(smp, seed, n_steps, a, x[tile], None if csums is None else csums[tile],
+                   fvals, counts)
     return WalkSample(
-        positions=x, n_steps=n_steps, seed=seed, pair_counts=counts, corrector_sums=csums,
+        positions=x, n_steps=n_steps, seed=seed,
+        pair_counts=None if counts is None else counts.reshape(-1, smp.width),
+        corrector_sums=csums,
     )
 
 
@@ -229,24 +199,22 @@ def passage_ensemble(
     level: int,
     n_walkers: int,
     max_steps: int,
-    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First times the walkers reach `level`, with a censoring mask.
 
     Step t of walker j uses draw t of stream (seed, j), so the ensemble is
-    reproducible and independent of how it is split into tiles. A walker
-    that has arrived draws nothing more; the draws it skips would feed no
-    step, so the cost scales with the steps walked, not with n_walkers
-    times the longest passage. Censored walkers report max_steps.
+    reproducible and the same for any tiling. A walker that has arrived
+    draws nothing more; the draws it skips would feed no step, so the cost
+    scales with the steps walked, not with n_walkers times the longest
+    passage. Censored walkers report max_steps.
     """
     require_periodic(env, "a simulation check")
     smp = _sampler(env, None)
     tau = np.full(n_walkers, max_steps, dtype=np.int64)
     censored = np.zeros(n_walkers, dtype=bool)
-    _map_tiles(
-        lambda a, b: _passage_tile(smp, seed, level, max_steps, a, tau[a:b], censored[a:b]),
-        n_walkers, threads,
-    )
+    for a in range(0, n_walkers, _DRAW_BUDGET):
+        tile = slice(a, a + _DRAW_BUDGET)  # the last tile may be ragged
+        _passage_tile(smp, seed, level, max_steps, a, tau[tile], censored[tile])
     return tau, censored
 
 
@@ -324,12 +292,11 @@ def empirical_velocity_check(
     n_steps: int = 10_000,
     n_walkers: int = 200,
     gate: float = GATE_SIGMAS,
-    threads: int = 1,
 ) -> CheckResult:
     """Mean endpoint velocity against Lambda'(0) (`tilt.velocity`), in
     either direction."""
     v = velocity(env)
-    sample = walk_ensemble(env, seed, n_steps, n_walkers, threads=threads)
+    sample = walk_ensemble(env, seed, n_steps, n_walkers)
     mean, se = _mean_se(sample.positions / n_steps)
     return _z_result(
         "empirical-velocity", mean, v, se, gate,
@@ -343,14 +310,13 @@ def passage_lln_check(
     level: int = 2_000,
     n_walkers: int = 200,
     gate: float = GATE_SIGMAS,
-    threads: int = 1,
 ) -> CheckResult:
     """Mean passage time per level against the slope of the growth curve at
     tilt zero, the reciprocal velocity 1/Lambda'(0). Needs a right-transient
     environment (`_right_velocity`)."""
     slope = 1.0 / _right_velocity(env)
     max_steps = int(50 * level * slope)
-    tau, censored = passage_ensemble(env, seed, level, n_walkers, max_steps, threads=threads)
+    tau, censored = passage_ensemble(env, seed, level, n_walkers, max_steps)
     mean, se = _mean_se(tau / level)
     return _z_result(
         "passage-lln", mean, slope, se, gate,
@@ -365,7 +331,6 @@ def mgf_match_check(
     level: int = 8,
     n_walkers: int = 50_000,
     gate: float = GATE_SIGMAS,
-    threads: int = 1,
 ) -> CheckResult:
     """Empirical mean of exp(r * passage time) against the MGF solve.
 
@@ -377,7 +342,7 @@ def mgf_match_check(
     sol = hit_mgf(env, r, level)
     expected = sol.h_at(0)
     max_steps = max(200, int(-12.0 / r) + 50 * level)
-    tau, censored = passage_ensemble(env, seed, level, n_walkers, max_steps, threads=threads)
+    tau, censored = passage_ensemble(env, seed, level, n_walkers, max_steps)
     vals = tau.astype(float)
     vals *= r
     np.exp(vals, out=vals)
@@ -398,7 +363,6 @@ def moment_envelope_check(
     level: int = 8,
     n_walkers: int = 50_000,
     gate: float = GATE_SIGMAS,
-    threads: int = 1,
 ) -> CheckResult:
     """One-sided: E[tau^m exp(r tau)] must stay below its analytic envelope.
 
@@ -414,7 +378,7 @@ def moment_envelope_check(
     s = 0.5 * (r + rc_lo)
     envelope = math.factorial(m) * (s - r) ** (-m) * hit_mgf(env, s, level).h_at(0)
     max_steps = max(200, int(-12.0 / r) + 50 * level)
-    tau, censored = passage_ensemble(env, seed, level, n_walkers, max_steps, threads=threads)
+    tau, censored = passage_ensemble(env, seed, level, n_walkers, max_steps)
     t = tau.astype(float)
     vals = t**m
     t *= r
@@ -436,14 +400,11 @@ def tilted_drift_check(
     n_steps: int = 5_000,
     n_walkers: int = 200,
     gate: float = GATE_SIGMAS,
-    threads: int = 1,
 ) -> CheckResult:
     """Drift of the simulated tilted chain against the stationary
     prediction; also reports the pooled (class, jump) occupation gap."""
     chain = tilted_chain(env, r)
-    sample = walk_ensemble(
-        env, seed, n_steps, n_walkers, chain=chain, count_pairs=True, threads=threads
-    )
+    sample = walk_ensemble(env, seed, n_steps, n_walkers, chain=chain, count_pairs=True)
     mean, se = _mean_se(sample.positions / n_steps)
     emp = sample.pair_counts / sample.pair_counts.sum()
     tv = 0.5 * float(np.abs(emp - ansatz_measure(chain).weights).sum())
@@ -460,7 +421,6 @@ def corrector_path_check(
     n_steps: int = 5_000,
     n_walkers: int = 50,
     tol: float = 1e-9,
-    threads: int = 1,
 ) -> CheckResult:
     """Accumulated corrector increments along tilted paths.
 
@@ -470,9 +430,7 @@ def corrector_path_check(
     """
     chain = tilted_chain(env, r)
     cor = corrector(chain)
-    sample = walk_ensemble(
-        env, seed, n_steps, n_walkers, chain=chain, track_corrector=True, threads=threads
-    )
+    sample = walk_ensemble(env, seed, n_steps, n_walkers, chain=chain, track_corrector=True)
     endpoint = cor.potential[sample.positions % env.period] - cor.potential[0]
     telescope_err = float(np.max(np.abs(sample.corrector_sums - endpoint)))
     worst = float(np.max(np.abs(sample.corrector_sums)))
@@ -535,9 +493,7 @@ class McParams:
     checks: tuple[str, ...] = STANDARD_CHECKS
 
 
-def run_standard_checks(
-    env: Environment, seed: int, params: McParams = McParams(), threads: int = 1
-) -> McReport:
+def run_standard_checks(env: Environment, seed: int, params: McParams = McParams()) -> McReport:
     """Run the checks of params.checks with distinct sub-seeds per check.
 
     The passage check requires a walk that moves right; ask only for the
@@ -549,17 +505,17 @@ def run_standard_checks(
     sub = {name: seed + 1000 * k for k, name in enumerate(STANDARD_CHECKS)}
     for name in params.checks:
         if name == "empirical-velocity":
-            out.append(empirical_velocity_check(env, sub[name], n_steps, n_walkers, gate, threads))
+            out.append(empirical_velocity_check(env, sub[name], n_steps, n_walkers, gate))
         elif name == "passage-lln":
-            out.append(passage_lln_check(env, sub[name], max(200, n_steps // 5), n_walkers, gate, threads))
+            out.append(passage_lln_check(env, sub[name], max(200, n_steps // 5), n_walkers, gate))
         elif name == "mgf-match":
-            out.append(mgf_match_check(env, r, sub[name], level, mgf_walkers, gate, threads))
+            out.append(mgf_match_check(env, r, sub[name], level, mgf_walkers, gate))
         elif name == "moment-envelope":
-            out.append(moment_envelope_check(env, r, 2, sub[name], level, mgf_walkers, gate, threads))
+            out.append(moment_envelope_check(env, r, 2, sub[name], level, mgf_walkers, gate))
         elif name == "tilted-drift":
-            out.append(tilted_drift_check(env, r, sub[name], n_steps // 2, n_walkers, gate, threads))
+            out.append(tilted_drift_check(env, r, sub[name], n_steps // 2, n_walkers, gate))
         elif name == "corrector-path":
-            out.append(corrector_path_check(env, r, sub[name], n_steps // 2, threads=threads))
+            out.append(corrector_path_check(env, r, sub[name], n_steps // 2))
         else:
             raise ValueError(f"unknown check {name!r}")
     return McReport(env=env, seed=seed, checks=tuple(out))

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rwre_ldp import mc, passage, rate, tilt
+from rwre_ldp import cli, mc, passage, rate, tilt
 from rwre_ldp.cli import main, parse_config
 from rwre_ldp.environment import env_from_json
 
@@ -198,6 +198,18 @@ class TestConfigErrors:
         ({"threshold": "inf"}, "threshold"),
         ({"mc": {"r": math.nan}}, "mc.r"),
         ({"mc": {"gate": math.inf}}, "mc.gate"),
+        # an integer key takes no fraction, boolean or string
+        ({"seed": 3.7}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": "7"}, "seed"),
+        ({"environment": dict(SYM, B=1.9)}, "environment.B"),
+        ({"environment": dict(SYM, seed=1.5)}, "environment.seed"),
+        ({"mc": {"n_walkers": 2.9}}, "mc.n_walkers"),
+        ({"mc": {"level": False}}, "mc.level"),
+        ({"grid": {"min": -1.0, "max": -0.1, "points": 2.9}}, "grid.points"),
+        ({"grid": {"min": -1.0, "max": -0.1, "points": "3"}}, "grid.points"),
+        ({"environment": dict(WINDOW, window=[-50.5, 50])}, "environment.window[0]"),
+        ({"environment": dict(WINDOW, window=[-50, True])}, "environment.window[1]"),
     ], ids=lambda x: x if isinstance(x, str) else None)
     def test_malformed_value_names_its_key(self, tmp_path, capsys, patch, key):
         cfg = {"task": "lambda-curve", "environment": SYM, "grid": [-0.5], **patch}
@@ -558,14 +570,11 @@ class TestMcVerify:
             names.append(rec["name"])
         assert tuple(names) == mc.STANDARD_CHECKS
 
-    def test_rerun_and_threads_are_byte_identical(self, mc_run, tmp_path):
+    def test_rerun_is_byte_identical(self, mc_run, tmp_path):
         (_, out), _, cfg = mc_run
         _, out2 = run_cfg(tmp_path, cfg, name="again.json")
-        _, out4 = run_cfg(tmp_path, cfg, "--threads", "4", name="par.json")
         for name in ("mc_report.jsonl", "mc_summary.json"):
-            blob = (out / name).read_bytes()
-            assert (out2 / name).read_bytes() == blob
-            assert (out4 / name).read_bytes() == blob
+            assert (out2 / name).read_bytes() == (out / name).read_bytes()
 
     def test_committed_config_matches_pinned_artifacts(self, tmp_path):
         # digests written by the kernels that drew for every walker at every
@@ -789,18 +798,21 @@ def test_committed_curve_config_matches_pinned_artifacts(tmp_path, config):
 
 
 class TestThreadsFlag:
-    def test_analytic_tasks_note_serial_execution(self, tmp_path, capsys):
-        cfg = {"task": "lambda-curve", "environment": SYM, "grid": [-0.5]}
-        code, _ = run_cfg(tmp_path, cfg, "--threads", "4")
-        assert code == 0
-        assert "byte-deterministic" in capsys.readouterr().err
-
-    def test_rejects_nonpositive_threads(self, tmp_path):
+    def test_refuses_the_flag(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"task": "lambda-curve", "environment": SYM,
                                    "grid": [-0.5]}))
-        with pytest.raises(SystemExit):
-            main(["run", str(cfg), "--threads", "0"])
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(cfg), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_run_ignores_the_threads_keyword(self, mc_run, tmp_path):
+        # perfbench/worker.py calls cli.run(..., threads=t.threads)
+        (_, out), tmp, _ = mc_run
+        assert cli.run(tmp / "cfg.json", strict=True, out_dir=tmp_path, threads=2) == 0
+        for name in ("mc_report.jsonl", "mc_summary.json"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
 
 SCIPY_FREE_PROBE = textwrap.dedent(

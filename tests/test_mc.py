@@ -36,21 +36,6 @@ def sha256_le(a: np.ndarray) -> str:
     return hashlib.sha256(np.asarray(a).astype("<i8").tobytes()).hexdigest()
 
 
-def record_runs(monkeypatch) -> list:
-    """The runs of tiles the ensembles hand to thread pools, in order."""
-    import concurrent.futures
-
-    runs = []
-
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def map(self, fn, parts):
-            runs.extend(parts)
-            return super().map(fn, parts)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    return runs
-
-
 class TestStreams:
     def test_uniform_at_matches_per_stream_draws(self):
         keys = np.array([rng.stream_key(5, j) for j in range(6)], dtype=np.uint64)
@@ -85,46 +70,6 @@ class TestStreams:
         small = mc.walk_ensemble(BIASED_NN, 42, 300, 3).positions
         large = mc.walk_ensemble(BIASED_NN, 42, 300, 20).positions
         assert np.array_equal(small, large[:3])
-
-    def test_thread_split_is_invisible(self):
-        kw = dict(chain=tilted_chain(BIASED_NN, -0.2), count_pairs=True, track_corrector=True)
-        s1 = mc.walk_ensemble(BIASED_NN, 7, 500, 97, threads=1, **kw)
-        s4 = mc.walk_ensemble(BIASED_NN, 7, 500, 97, threads=4, **kw)
-        assert np.array_equal(s1.positions, s4.positions)
-        assert np.array_equal(s1.pair_counts, s4.pair_counts)
-        assert np.array_equal(s1.corrector_sums, s4.corrector_sums)
-        t1, c1 = mc.passage_ensemble(BIASED_NN, 8, 40, 101, 5000, threads=1)
-        t4, c4 = mc.passage_ensemble(BIASED_NN, 8, 40, 101, 5000, threads=4)
-        assert np.array_equal(t1, t4) and np.array_equal(c1, c4)
-
-    def test_thread_split_above_the_block_floor(self, monkeypatch):
-        # 2^16 + 5 walkers make four full tiles and a ragged one; two threads
-        # take runs of two and three consecutive tiles
-        runs = record_runs(monkeypatch)
-        size, n = mc._DRAW_BUDGET, (1 << 16) + 5
-        t1, c1 = mc.passage_ensemble(PER2_NN, 8, 8, n, 500, threads=1)
-        assert runs == []
-        t2, c2 = mc.passage_ensemble(PER2_NN, 8, 8, n, 500, threads=2)
-        tiles = [(j, min(j + size, n)) for j in range(0, n, size)]
-        assert runs == [tiles[:2], tiles[2:]]
-        assert np.array_equal(t1, t2) and np.array_equal(c1, c2)
-
-    def test_small_ensembles_start_no_thread(self, monkeypatch):
-        # a second thread needs a second run of two full tiles, so fewer
-        # than four full tiles (2^16 walkers) run in the calling thread
-        import concurrent.futures
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
-
-        n = 4 * mc._DRAW_BUDGET - 1
-        want = mc.walk_ensemble(PER2_NN, 7, 300, 200, threads=1).positions
-        want_tau = mc.passage_ensemble(PER2_NN, 8, 8, n, 500, threads=1)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-        got = mc.walk_ensemble(PER2_NN, 7, 300, 200, threads=4).positions
-        got_tau = mc.passage_ensemble(PER2_NN, 8, 8, n, 500, threads=4)
-        assert np.array_equal(want, got)
-        assert all(np.array_equal(a, b) for a, b in zip(want_tau, got_tau))
 
     def test_positions_within_reach(self):
         s = mc.walk_ensemble(DRIFT2, 7, 200, 30)
@@ -184,28 +129,25 @@ class TestDrawBlocks:
     @staticmethod
     def outputs() -> list:
         out = []
-        for threads in (1, 3):
-            for n_walkers in (5, 41):
-                s = mc.walk_ensemble(
-                    PER2_NN, 7, 300, n_walkers, chain=tilted_chain(PER2_NN, -0.3),
-                    count_pairs=True, track_corrector=True, threads=threads,
-                )
-                out += [s.positions, s.pair_counts, s.corrector_sums]
-                for env in (PER2_NN, DRIFT2):
-                    kw = dict(n_walkers=n_walkers, threads=threads)
-                    out += mc.passage_ensemble(env, 8, 30, max_steps=2000, **kw)
-                    out += mc.passage_ensemble(env, 8, 0, max_steps=50, **kw)  # level 0
-                    out += mc.passage_ensemble(env, 8, 30, max_steps=0, **kw)  # no steps
-                    out += mc.passage_ensemble(env, 8, 10_000, max_steps=25, **kw)  # censored
+        for n_walkers in (5, 41):
+            s = mc.walk_ensemble(
+                PER2_NN, 7, 300, n_walkers, chain=tilted_chain(PER2_NN, -0.3),
+                count_pairs=True, track_corrector=True,
+            )
+            out += [s.positions, s.pair_counts, s.corrector_sums]
+            for env in (PER2_NN, DRIFT2):
+                out += mc.passage_ensemble(env, 8, 30, n_walkers, max_steps=2000)
+                out += mc.passage_ensemble(env, 8, 0, n_walkers, max_steps=50)  # level 0
+                out += mc.passage_ensemble(env, 8, 30, n_walkers, max_steps=0)  # no steps
+                out += mc.passage_ensemble(env, 8, 10_000, n_walkers, max_steps=25)  # censored
         return out
 
     def test_block_length_is_invisible(self, monkeypatch):
         # tiles of 1 and 3 walkers: 41 walkers make 14 tiles of 3, the last
-        # one ragged, and three threads take runs of them
+        # one ragged
         want = self.outputs()
         for budget in (1, 3):
             monkeypatch.setattr(mc, "_DRAW_BUDGET", budget)
-            runs = record_runs(monkeypatch)
             drawn = []
             uniform_at = rng.uniform_at
 
@@ -217,7 +159,6 @@ class TestDrawBlocks:
             got = self.outputs()
             monkeypatch.setattr(rng, "uniform_at", uniform_at)
             assert max(drawn) <= budget
-            assert runs and all(len(run) >= 2 for run in runs)
             assert len(got) == len(want)
             for a, b in zip(want, got):
                 assert a.dtype == b.dtype
@@ -279,8 +220,7 @@ class TestPassageEnsemble:
             "a5684e202c6c8288919dea8e87d3fef1251a86d0882add5184944dab3309c2d0"
         )
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_arrived_walkers_draw_nothing(self, monkeypatch, threads):
+    def test_arrived_walkers_draw_nothing(self, monkeypatch):
         drawn = []
         uniform_at = rng.uniform_at
 
@@ -289,7 +229,7 @@ class TestPassageEnsemble:
             return uniform_at(keys, k)
 
         monkeypatch.setattr(rng, "uniform_at", counting)
-        tau, censored = mc.passage_ensemble(PER2_NN, 8, 40, 101, 5000, threads=threads)
+        tau, censored = mc.passage_ensemble(PER2_NN, 8, 40, 101, 5000)
         assert not censored.any()
         assert sum(drawn) == int(tau.sum())
 
